@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded
 from .posets import FinitePoset, PosetMap, bits
-from .snf import SNFResult, smith_normal_form
+from .snf import smith_normal_form
 
 DEFAULT_SIMPLEX_LIMIT = 2_000_000
 
@@ -94,17 +94,15 @@ def chain_complex(cx: OrderComplex) -> ChainComplex:
                 triples.append((index[face], col, (-1) ** drop))
         boundaries.append(tuple(triples))
 
-    # d(d(x)) = 0, checked on every top simplex.
+    # d(d(x)) = 0, checked on every top simplex.  The triples are built
+    # column by column, so column c of boundary[k] is the slice
+    # [c(k+1), (c+1)(k+1)).
     for k in range(2, len(cx.simplices)):
-        lower = {}
-        for r, c, v in boundaries[k - 1]:
-            lower.setdefault(c, []).append((r, v))
-        for col in range(counts[k]):
+        upper, lower = boundaries[k], boundaries[k - 1]
+        for start in range(0, len(upper), k + 1):
             acc: dict[int, int] = {}
-            for r, c, v in boundaries[k]:
-                if c != col:
-                    continue
-                for r2, v2 in lower.get(r, ()):
+            for r, _, v in upper[start:start + k + 1]:
+                for r2, _, v2 in lower[r * k:(r + 1) * k]:
                     acc[r2] = acc.get(r2, 0) + v * v2
             if any(acc.values()):
                 raise AssertionError("boundary of boundary is not zero")
@@ -126,19 +124,8 @@ class HomologySummary:
 
 def homology_summary(cx: OrderComplex) -> HomologySummary:
     """b0, b1 and the torsion coefficients of first homology."""
-    cc = chain_complex(cx)
-    rank1 = cc.rank_of_boundary(1)
-    snf2 = (
-        smith_normal_form(cc.boundary[2], cc.counts[1], cc.counts[2])
-        if len(cc.counts) > 2
-        else SNFResult(cc.counts[1] if len(cc.counts) > 1 else 0, 0, (), ())
-    )
-    n1 = cc.counts[1] if len(cc.counts) > 1 else 0
-    return HomologySummary(
-        b0=cc.counts[0] - rank1,
-        b1=n1 - rank1 - snf2.rank,
-        h1_torsion=snf2.torsion,
-    )
+    basis = cycle_basis(cx)
+    return HomologySummary(b0=basis.components, b1=basis.betti, h1_torsion=basis.torsion)
 
 
 @dataclass(frozen=True)
@@ -173,16 +160,19 @@ class CycleBasis:
     1-skeleton; triangle boundaries expressed in those coordinates make up
     the relation matrix, whose Smith reduction (with transforms) turns any
     1-cycle into free-part coordinates: ``coords = (U @ nontree_coeffs)``
-    restricted to the non-pivot rows.
+    restricted to the non-pivot rows.  ``u`` holds the rows of ``U`` as
+    sparse ``{nontree slot: value}`` dicts; ``components`` counts the trees
+    of the forest, which is b0.
     """
 
     complex: OrderComplex
     edge_positions: dict[tuple[int, int], int]
     nontree: tuple[int, ...]
     basis_chains: tuple[dict[int, int], ...]
-    u: tuple[tuple[int, ...], ...]
+    u: tuple[dict[int, int], ...]
     free_rows: tuple[int, ...]
     torsion: tuple[int, ...]
+    components: int
 
     @property
     def betti(self) -> int:
@@ -204,9 +194,11 @@ def cycle_basis(cx: OrderComplex) -> CycleBasis:
     depth = [0] * n
     seen = [False] * n
     tree_edges: set[tuple[int, int]] = set()
+    components = 0
     for root in range(n):
         if seen[root]:
             continue
+        components += 1
         seen[root] = True
         queue = deque([root])
         while queue:
@@ -266,11 +258,9 @@ def cycle_basis(cx: OrderComplex) -> CycleBasis:
     basis_chains = []
     for row in free:
         chain: dict[int, int] = {}
-        for t in range(len(nontree)):
-            coeff = snf.u_inv[t][row]
-            if coeff:
-                for pos, v in fundamentals[t].items():
-                    chain[pos] = chain.get(pos, 0) + coeff * v
+        for t, coeff in snf.u_inv[row].items():
+            for pos, v in fundamentals[t].items():
+                chain[pos] = chain.get(pos, 0) + coeff * v
         basis_chains.append({k: v for k, v in chain.items() if v})
 
     return CycleBasis(
@@ -281,6 +271,7 @@ def cycle_basis(cx: OrderComplex) -> CycleBasis:
         u=snf.u,
         free_rows=free,
         torsion=snf.torsion,
+        components=components,
     )
 
 
@@ -294,6 +285,7 @@ def h1_action_matrix(basis: CycleBasis, automorphism: PosetMap):
     cx = basis.complex
     edges = cx.simplices[1]
     images = automorphism.images
+    slot = {pos: t for t, pos in enumerate(basis.nontree)}
     columns = []
     for chain in basis.basis_chains:
         pushed: dict[int, int] = {}
@@ -307,10 +299,10 @@ def h1_action_matrix(basis: CycleBasis, automorphism: PosetMap):
             new_pos = basis.edge_positions[key]
             pushed[new_pos] = pushed.get(new_pos, 0) + sign
         # fundamental coordinates = coefficients on nontree edges
-        w = [pushed.get(pos, 0) for pos in basis.nontree]
+        w = {slot[pos]: v for pos, v in pushed.items() if v and pos in slot}
         columns.append(
             tuple(
-                sum(basis.u[row][t] * w[t] for t in range(len(w)) if w[t])
+                sum(v * w[t] for t, v in basis.u[row].items() if t in w)
                 for row in basis.free_rows
             )
         )

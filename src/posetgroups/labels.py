@@ -73,15 +73,6 @@ class Star:
 Label = Base | SPoint | TPoint | FencePoint | Star | str
 
 
-def apex_of(label: Label) -> tuple[int, int] | None:
-    """Return ``(g, level)`` of the column point a label hangs off, if any."""
-    if isinstance(label, Base):
-        return (label.g, label.level)
-    if isinstance(label, (SPoint, TPoint, FencePoint)):
-        return (label.g, label.level)
-    return None
-
-
 def label_id(label: Label) -> str:
     """Canonical, human-readable string form of a label."""
     if isinstance(label, Base):

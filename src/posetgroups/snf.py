@@ -5,10 +5,11 @@ The elimination prefers unit pivots with low fill (Markowitz-style), which
 keeps boundary-matrix reductions near-linear in practice.
 
 ``want_transform`` additionally tracks the left transform ``U`` and its
-inverse, maintained incrementally as dense integer matrices: ``U @ A @ V``
-is diagonal with the returned pivots, so cokernel coordinates of a column
-vector ``x`` can be read off ``U @ x``, and preimages of unit vectors off
-the columns of ``U^{-1}``.
+inverse, both sparse: ``U`` by rows and ``U^{-1}`` by columns, each a
+``{index: value}`` dict holding only nonzeros.  ``U @ A @ V`` is diagonal
+with the returned pivots, so cokernel coordinates of a column vector ``x``
+can be read off the rows of ``U``, and preimages of unit vectors off the
+columns of ``U^{-1}``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ class SNFResult:
 
     ``diag`` holds the (positive) diagonal entries in pivot order, matching
     ``pivot_rows``; ``invariants`` is the same multiset normalized into a
-    divisibility chain.  ``u``/``u_inv`` are present only when requested.
+    divisibility chain.  ``u``/``u_inv`` are present only when requested:
+    ``u[i]`` is row ``i`` of ``U`` and ``u_inv[j]`` is column ``j`` of
+    ``U^{-1}``, each a ``{index: value}`` dict of its nonzeros.
     """
 
     nrows: int
     ncols: int
     diag: tuple[int, ...]
     pivot_rows: tuple[int, ...]
-    u: tuple[tuple[int, ...], ...] | None = None
-    u_inv: tuple[tuple[int, ...], ...] | None = None
+    u: tuple[dict[int, int], ...] | None = None
+    u_inv: tuple[dict[int, int], ...] | None = None
 
     @property
     def rank(self) -> int:
@@ -39,7 +42,8 @@ class SNFResult:
 
     @property
     def invariants(self) -> tuple[int, ...]:
-        values = list(self.diag)
+        # Units divide everything, so only the other pivots need merging.
+        values = [v for v in self.diag if v != 1]
         changed = True
         while changed:
             changed = False
@@ -49,7 +53,7 @@ class SNFResult:
                         g = gcd(values[i], values[j])
                         values[i], values[j] = g, values[i] * values[j] // g
                         changed = True
-        return tuple(sorted(values))
+        return (1,) * (len(self.diag) - len(values)) + tuple(sorted(values))
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -58,6 +62,16 @@ class SNFResult:
     def free_rows(self) -> tuple[int, ...]:
         taken = set(self.pivot_rows)
         return tuple(r for r in range(self.nrows) if r not in taken)
+
+
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int):
+    """dst += q * src on sparse vectors, dropping entries that cancel."""
+    for k, v in src.items():
+        new = dst.get(k, 0) + q * v
+        if new:
+            dst[k] = new
+        else:
+            dst.pop(k, None)
 
 
 def smith_normal_form(
@@ -84,8 +98,9 @@ def smith_normal_form(
         if not col_rows[c]:
             del col_rows[c]
 
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_transform else None
-    u_inv = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_transform else None
+    # rows of U and columns of U^-1; both start as the identity
+    u = [{i: 1} for i in range(nrows)] if want_transform else None
+    u_inv = [{i: 1} for i in range(nrows)] if want_transform else None
 
     def row_add(dst: int, src: int, q: int):
         """row[dst] += q * row[src] (and mirror on the transforms)."""
@@ -105,11 +120,8 @@ def smith_normal_form(
         if not drow:
             rows.pop(dst, None)
         if u is not None:
-            urow_d, urow_s = u[dst], u[src]
-            for k in range(nrows):
-                urow_d[k] += q * urow_s[k]
-            for k in range(nrows):  # u_inv: col[src] -= q * col[dst]
-                u_inv[k][src] -= q * u_inv[k][dst]
+            _axpy(u[dst], u[src], q)
+            _axpy(u_inv[src], u_inv[dst], -q)  # col[src] -= q * col[dst]
 
     def col_add(dst: int, src: int, q: int):
         """col[dst] += q * col[src] (right transform; not tracked)."""
@@ -132,9 +144,8 @@ def smith_normal_form(
         for c in rows.get(r, {}):
             rows[r][c] = -rows[r][c]
         if u is not None:
-            u[r] = [-v for v in u[r]]
-            for k in range(nrows):
-                u_inv[k][r] = -u_inv[k][r]
+            u[r] = {k: -v for k, v in u[r].items()}
+            u_inv[r] = {k: -v for k, v in u_inv[r].items()}
 
     diag: list[int] = []
     pivot_rows: list[int] = []
@@ -190,6 +201,6 @@ def smith_normal_form(
         ncols,
         tuple(diag),
         tuple(pivot_rows),
-        tuple(tuple(row) for row in u) if u is not None else None,
-        tuple(tuple(row) for row in u_inv) if u_inv is not None else None,
+        tuple(u) if u is not None else None,
+        tuple(u_inv) if u_inv is not None else None,
     )

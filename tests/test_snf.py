@@ -13,6 +13,14 @@ def dense_to_triples(rows):
     ]
 
 
+def dense_transforms(result):
+    """U and U^-1 as dense row lists, from U's sparse rows and U^-1's sparse columns."""
+    n = result.nrows
+    u = [[result.u[i].get(k, 0) for k in range(n)] for i in range(n)]
+    u_inv = [[result.u_inv[j].get(k, 0) for j in range(n)] for k in range(n)]
+    return u, u_inv
+
+
 def test_known_two_by_two():
     result = smith_normal_form(dense_to_triples([[2, 4], [6, 8]]), 2, 2)
     assert result.rank == 2
@@ -44,14 +52,15 @@ def test_transform_tracking():
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     result = smith_normal_form(dense_to_triples(rows), 3, 3, want_transform=True)
     n = result.nrows
+    u, u_inv = dense_transforms(result)
     # u and u_inv really are inverse
     for i in range(n):
         for j in range(n):
-            acc = sum(result.u[i][k] * result.u_inv[k][j] for k in range(n))
+            acc = sum(u[i][k] * u_inv[k][j] for k in range(n))
             assert acc == (1 if i == j else 0)
     # U @ A vanishes outside the pivot rows (col ops cannot reintroduce rows)
     ua = [
-        [sum(result.u[i][k] * rows[k][j] for k in range(n)) for j in range(3)]
+        [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(3)]
         for i in range(n)
     ]
     for r in result.free_rows():
@@ -116,12 +125,13 @@ def test_transforms_stay_consistent_on_random_matrices(data):
         for _ in range(nrows)
     ]
     result = smith_normal_form(dense_to_triples(rows), nrows, ncols, want_transform=True)
+    u, u_inv = dense_transforms(result)
     for i in range(nrows):
         for j in range(nrows):
-            acc = sum(result.u[i][k] * result.u_inv[k][j] for k in range(nrows))
+            acc = sum(u[i][k] * u_inv[k][j] for k in range(nrows))
             assert acc == (1 if i == j else 0)
     ua = [
-        [sum(result.u[i][k] * rows[k][j] for k in range(nrows)) for j in range(ncols)]
+        [sum(u[i][k] * rows[k][j] for k in range(nrows)) for j in range(ncols)]
         for i in range(nrows)
     ]
     for r in result.free_rows():
