@@ -12,6 +12,7 @@ turns automorphism-group statements into homotopy-type statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import MapError, SizeLimitExceeded
 from .groups import FiniteGroup
@@ -93,12 +94,23 @@ class AutomorphismGroup:
 
     @classmethod
     def of(cls, space: FinitePoset, *, budget: int = DEFAULT_AUT_BUDGET):
+        """Enumerate Aut(space) and tabulate ``table[i][j]`` = maps[i] ∘ maps[j].
+
+        Products are composed as image tuples and looked up among the
+        edge-verified automorphisms, so no product is validated again; a
+        product missing from that set raises instead of yielding a table.
+        """
         maps = tuple(all_automorphisms(space, budget=budget))
+        if len(space) < 2:  # only the identity, and itemgetter needs 2+ indices
+            return cls(space, maps, ((0,),))
         position = {m.images: k for k, m in enumerate(maps)}
+        getters = [itemgetter(*m.images) for m in maps]
         table = tuple(
-            tuple(position[outer.compose(inner).images] for inner in maps)
+            tuple(position.get(inner(outer.images)) for inner in getters)
             for outer in maps
         )
+        if any(None in row for row in table):
+            raise MapError("a product of automorphisms is missing from the enumerated set")
         return cls(space, maps, table)
 
     @property

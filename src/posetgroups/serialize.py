@@ -33,6 +33,8 @@ def poset_from_doc(doc: dict) -> FinitePoset:
         edges = list(doc["hasse"])
     except (KeyError, TypeError) as exc:
         raise PosetError(f"malformed poset document: {exc}") from None
+    if not all(isinstance(p, str) for p in points):
+        raise PosetError("point ids must be strings")
     labels = [parse_label_id(p) for p in points]
     position = {p: i for i, p in enumerate(points)}
     if len(position) != len(points):

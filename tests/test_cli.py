@@ -240,6 +240,7 @@ def test_aut_budget_env_var(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "aut", "--space-file", str(path))
     assert code == 2
     assert "budget" in err
+    assert "--budget-aut" in err
 
 
 def test_aut_budget_flag_overrides_env(capsys, tmp_path, monkeypatch):
@@ -252,3 +253,23 @@ def test_aut_budget_flag_overrides_env(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["order"] == 6
+
+
+def test_aut_deep_search_stops_at_budget_without_traceback(capsys, tmp_path):
+    # 1200 disjoint 2-chains: the individualization tree is 1200 levels deep
+    chains = FinitePoset.from_relations(
+        [f"c{i}" for i in range(2400)], [(2 * i, 2 * i + 1) for i in range(1200)]
+    )
+    path = tmp_path / "chains.json"
+    path.write_text(poset_to_json(chains), encoding="utf-8")
+    code, out, err = run(capsys, "aut", "--space-file", str(path), "--budget-aut", "5000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+
+
+def test_build_rejects_non_string_point_ids(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": [[1]], "hasse": []}), encoding="utf-8")
+    code, out, err = run(capsys, "build", "--space-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -92,6 +92,16 @@ def test_pentad_automorphisms(pentad):
     assert auts.stabilizer_sizes()[2] == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_posets(max_points=5))
+def test_aut_table_matches_validated_composition(poset):
+    auts = AutomorphismGroup.of(poset)
+    position = {m.images: k for k, m in enumerate(auts.maps)}
+    for i, outer in enumerate(auts.maps):
+        for j, inner in enumerate(auts.maps):
+            assert auts.table[i][j] == position[outer.compose(inner).images]
+
+
 def test_crown_automorphisms_form_klein_four(crown):
     auts = AutomorphismGroup.of(crown)
     assert auts.order == 4

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +17,15 @@ from posetgroups import (
     SizeLimitExceeded,
     all_automorphisms,
     are_isomorphic,
+    build_space,
+    builtin_group,
     find_isomorphism,
+    spec_for,
+    standard_generator_labels,
 )
 
 from conftest import fixture_space
+from search_oracle import oracle_search
 from test_posets import small_posets
 
 
@@ -83,12 +89,12 @@ def test_budget_enforced_on_symmetric_space():
     # An 8-point antichain has 8! automorphisms; a tiny budget must trip
     # before the search finishes instead of grinding through them.
     antichain = FinitePoset.from_relations(list(range(8)), [])
-    try:
+    with pytest.raises(SizeLimitExceeded) as info:
         all_automorphisms(antichain, budget=10)
-    except SizeLimitExceeded:
-        pass
-    else:
-        raise AssertionError("expected the node budget to be exceeded")
+    # the message names the layer, how far it got and the knob that raises it
+    message = str(info.value)
+    assert "automorphism/isomorphism search" in message and "10 nodes" in message
+    assert "--budget-aut" in message and "POSETGROUPS_BUDGET_AUT" in message
 
 
 def test_isomorphism_composes_with_inverse():
@@ -111,6 +117,7 @@ def test_shuffled_copies_always_match(poset, rng):
     witness = find_isomorphism(poset, copy)
     assert witness is not None
     assert witness.is_isomorphism()
+    assert oracle_search(poset, copy, first_only=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,3 +132,47 @@ def test_automorphisms_form_a_group(poset):
     for f in maps[:4]:
         for g in maps[:4]:
             assert f.compose(g).images in images
+
+
+# -- agreement with the full re-signature oracle (tests/search_oracle.py) -------
+
+
+@st.composite
+def same_size_pairs(draw):
+    """Two random posets on the same 2..6 labelled points."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    relations = st.sets(
+        pair.map(lambda p: (min(p), max(p))).filter(lambda p: p[0] != p[1]), max_size=8
+    )
+    labels = [f"p{i}" for i in range(n)]
+    return tuple(FinitePoset.from_relations(labels, draw(relations)) for _ in range(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_posets())
+def test_automorphisms_equal_oracle_on_random_posets(poset):
+    assert [m.images for m in all_automorphisms(poset)] == oracle_search(poset, poset)
+
+
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
+@pytest.mark.parametrize("mode", ["none", "sandt", "sandt:2"])
+@settings(max_examples=3, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_automorphisms_equal_oracle_on_shuffled_built_spaces(group, mode, rng):
+    space = build_space(spec_for(builtin_group(group), standard_generator_labels(group),
+                                 mode=mode))
+    perm = list(range(len(space)))
+    rng.shuffle(perm)
+    copy = permuted_copy(space, perm)
+    assert [m.images for m in all_automorphisms(copy)] == oracle_search(copy, copy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_size_pairs())
+def test_isomorphism_existence_agrees_with_oracle(pair):
+    first, second = pair
+    witness = find_isomorphism(first, second)
+    assert (witness is None) == (not oracle_search(first, second, first_only=True))
+    if witness is not None:
+        assert witness.is_isomorphism()

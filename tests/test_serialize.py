@@ -93,6 +93,13 @@ def test_poset_doc_rejects_bad_input():
         )
 
 
+def test_poset_doc_rejects_non_string_ids():
+    with pytest.raises(PosetError, match="strings"):
+        poset_from_doc({"points": [[1]], "hasse": []})
+    with pytest.raises(PosetError, match="strings"):
+        poset_from_doc({"points": [1, 2], "hasse": [[1, 2]]})
+
+
 # -- group documents -----------------------------------------------------------
 
 
