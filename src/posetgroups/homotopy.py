@@ -12,6 +12,7 @@ turns automorphism-group statements into homotopy-type statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import itemgetter
 
 from .errors import MapError, SizeLimitExceeded
@@ -22,6 +23,12 @@ from .search import DEFAULT_AUT_BUDGET, all_automorphisms
 
 DEFAULT_MAP_BUDGET = 10**7
 DEFAULT_MAP_POINTS = 8
+
+_KINDS = ("down", "up")
+_INCOMPLETE = (
+    "map list is incomplete (not closed under composition, or missing a "
+    "continuous map); pass every continuous self-map"
+)
 
 
 # -- core reduction ----------------------------------------------------------
@@ -43,42 +50,47 @@ class CoreResult:
 
 
 def core(space: FinitePoset) -> CoreResult:
-    """Remove beat points (lowest index first) until none remain."""
-    current = space
-    trace: list[tuple[Label, str]] = []
-    lands_on: dict[Label, Label] = {}
+    """Remove beat points (lowest index first, "down" before "up") until none remain.
 
-    while True:
-        beats = current.beat_points()
-        if not beats:
-            break
-        index, kind = beats[0]
-        if kind == "down":
-            strict = current.down_mask(index) & ~(1 << index)
-            partner = next(
-                j for j in bits(strict) if current.up_mask(j) & strict == 1 << j
-            )
-        else:
-            strict = current.up_mask(index) & ~(1 << index)
-            partner = next(
-                j for j in bits(strict) if current.down_mask(j) & strict == 1 << j
-            )
-        trace.append((current.labels[index], kind))
-        lands_on[current.labels[index]] = current.labels[partner]
-        current = current.induced([i for i in range(len(current)) if i != index])
+    One pass over the original order: an ``alive`` bitmask stands for the
+    current subspace and a min-heap holds the ``(index, kind)`` entries
+    whose beat status may have changed, each tested when popped.  Removing
+    ``x`` only changes the tests of the points covering ``x`` (their down
+    test) and of those ``x`` covers (their up test): for any other point,
+    ``x`` is not an extreme element of its strict down- or up-set, so those
+    extremes stay.  The core is built once, at the end.
+    """
+    n = len(space)
+    alive = (1 << n) - 1
+    heap = [(i, k) for i in range(n) for k in (0, 1)]  # sorted, so already a heap
+    removed: list[tuple[int, int, int]] = []  # (point, kind, partner)
+    while heap:
+        i, k = heappop(heap)
+        if not alive >> i & 1:
+            continue
+        partner = space.beat_partner(i, _KINDS[k], alive)
+        if partner is None:
+            continue
+        removed.append((i, k, partner))
+        alive &= ~(1 << i)
+        above = space.up_mask(i) & alive
+        for j in bits(above):
+            if space.down_mask(j) & above == 1 << j:
+                heappush(heap, (j, 0))
+        below = space.down_mask(i) & alive
+        for j in bits(below):
+            if space.up_mask(j) & below == 1 << j:
+                heappush(heap, (j, 1))
 
-    def resolve(label: Label) -> Label:
-        while label in lands_on:
-            label = lands_on[label]
-        return label
-
-    retraction = PosetMap(
-        space, current, tuple(current.index_of(resolve(lab)) for lab in space.labels)
-    )
-    inclusion = PosetMap(
-        current, space, tuple(space.index_of(lab) for lab in current.labels)
-    )
-    return CoreResult(current, tuple(trace), retraction, inclusion)
+    keep = tuple(bits(alive))
+    current = space.induced(keep) if removed else space
+    lands = list(range(n))  # the core point each point retracts onto
+    for i, _, partner in reversed(removed):
+        lands[i] = lands[partner]
+    new_index = {old: new for new, old in enumerate(keep)}
+    trace = tuple((space.labels[i], _KINDS[k]) for i, k, _ in removed)
+    retraction = PosetMap(space, current, tuple(new_index[lands[i]] for i in range(n)))
+    return CoreResult(current, trace, retraction, PosetMap(current, space, keep))
 
 
 # -- automorphism groups -----------------------------------------------------
@@ -252,6 +264,7 @@ def _enumerate_maps(
     space: FinitePoset,
     candidate_masks: list[int],
     budget: int,
+    layer: str,
     *,
     idempotent: bool = False,
 ) -> list[tuple[int, ...]]:
@@ -263,18 +276,33 @@ def _enumerate_maps(
     one with the fewest candidates left.  With ``idempotent`` the image
     point of each assignment is additionally pinned to itself, which is
     what makes retraction searches tractable.
+
+    The tree is walked on an explicit stack of frames ``[point, untried
+    candidates, unassigned rest, trail mark]`` over one shared list of
+    candidate masks; each narrowing is logged on a trail and undone before
+    the frame's next candidate, so depth costs neither recursion nor a
+    copy of the masks per level.
     """
     n = len(space)
     if n == 0:
         return [()]
     strict_up = [space.up_mask(i) & ~(1 << i) for i in range(n)]
     strict_down = [space.down_mask(i) & ~(1 << i) for i in range(n)]
+    masks = list(candidate_masks)
     images = [-1] * n
+    trail: list[tuple[int, int]] = []  # (point, its mask before narrowing)
     out: list[tuple[int, ...]] = []
+    stack: list[list[int]] = []
     nodes = 0
 
-    def assign(masks: list[int], unassigned: int):
-        nonlocal nodes
+    def narrow(point: int, keep: int) -> int:
+        old = masks[point]
+        if old & keep != old:
+            trail.append((point, old))
+            masks[point] = old & keep
+        return masks[point]
+
+    def descend(unassigned: int):
         if not unassigned:
             out.append(tuple(images))
             return
@@ -285,36 +313,56 @@ def _enumerate_maps(
                 point, best = i, width
                 if width == 1:
                     break
-        remaining = unassigned & ~(1 << point)
-        for cand in bits(masks[point]):
-            nodes += 1
-            if nodes > budget:
-                raise SizeLimitExceeded(
-                    f"self-map enumeration exceeded {budget} candidate nodes"
-                )
-            images[point] = cand
-            narrowed = list(masks)
-            narrowed[point] = 1 << cand
-            if idempotent and cand != point:
-                if remaining >> cand & 1:
-                    narrowed[cand] &= 1 << cand
-                elif images[cand] != cand:
-                    continue  # image points must stay fixed
-            feasible = True
-            for other in bits(remaining):
-                if strict_up[point] >> other & 1:
-                    narrowed[other] &= space.up_mask(cand)
-                elif strict_down[point] >> other & 1:
-                    narrowed[other] &= space.down_mask(cand)
-                if not narrowed[other]:
-                    feasible = False
-                    break
-            if feasible:
-                assign(narrowed, remaining)
-        images[point] = -1
+        stack.append([point, masks[point], unassigned & ~(1 << point), len(trail)])
 
-    assign(list(candidate_masks), (1 << n) - 1)
+    descend((1 << n) - 1)
+    while stack:
+        frame = stack[-1]
+        point, untried, remaining, mark = frame
+        while len(trail) > mark:
+            undone, old = trail.pop()
+            masks[undone] = old
+        if not untried:
+            images[point] = -1
+            stack.pop()
+            continue
+        low = untried & -untried
+        frame[1] = untried ^ low
+        cand = low.bit_length() - 1
+        nodes += 1
+        if nodes > budget:
+            raise SizeLimitExceeded(
+                f"{layer} stopped after visiting {budget} candidate nodes, its node "
+                "budget; raise the limit with --budget-maps or POSETGROUPS_BUDGET_MAPS"
+            )
+        images[point] = cand
+        if idempotent and cand != point:
+            if remaining >> cand & 1:
+                narrow(cand, 1 << cand)
+            elif images[cand] != cand:
+                continue  # image points must stay fixed
+        feasible = True
+        for other in bits(remaining):
+            if strict_up[point] >> other & 1:
+                left = narrow(other, space.up_mask(cand))
+            elif strict_down[point] >> other & 1:
+                left = narrow(other, space.down_mask(cand))
+            else:
+                left = masks[other]
+            if not left:
+                feasible = False
+                break
+        if feasible:
+            descend(remaining)
     return sorted(out)
+
+
+def _check_points(space: FinitePoset, max_points: int, layer: str) -> None:
+    if len(space) > max_points:
+        raise SizeLimitExceeded(
+            f"{layer} refused {len(space)} points, above its max_points={max_points} "
+            "guard; raise it with --max-points"
+        )
 
 
 def enumerate_selfmaps(
@@ -328,12 +376,10 @@ def enumerate_selfmaps(
     Exhaustive enumeration is exponential, so the point-count guard must be
     raised explicitly for anything bigger than ``max_points``.
     """
-    if len(space) > max_points:
-        raise SizeLimitExceeded(
-            f"{len(space)} points exceeds the max_points={max_points} guard"
-        )
+    layer = "self-map enumeration"
+    _check_points(space, max_points, layer)
     full = (1 << len(space)) - 1
-    found = _enumerate_maps(space, [full] * len(space), budget)
+    found = _enumerate_maps(space, [full] * len(space), budget, layer)
     return [PosetMap(space, space, images) for images in found]
 
 
@@ -349,12 +395,10 @@ def comparative_retractions(
     spaces; still budgeted.  A space with only the identity here is rigid
     in a strong sense: it retracts onto nothing smaller.
     """
-    if len(space) > max_points:
-        raise SizeLimitExceeded(
-            f"{len(space)} points exceeds the max_points={max_points} guard"
-        )
+    layer = "comparative-retraction search"
+    _check_points(space, max_points, layer)
     masks = [space.down_mask(i) | space.up_mask(i) for i in range(len(space))]
-    found = _enumerate_maps(space, masks, budget, idempotent=True)
+    found = _enumerate_maps(space, masks, budget, layer, idempotent=True)
     return [PosetMap(space, space, images) for images in found]
 
 
@@ -387,15 +431,25 @@ class HomotopyClasses:
 def homotopy_classes(maps: list[PosetMap]) -> HomotopyClasses:
     """Partition a *complete* list of continuous self-maps by homotopy.
 
-    Completeness matters twice: fences are searched inside the list, and
-    homotopy inverses are looked for inside the list.  Feed it the output
-    of :func:`enumerate_selfmaps`.
+    Two maps are homotopic exactly when a fence of pointwise-comparable
+    continuous maps joins them, and by the one-point-step lemma (Barmak,
+    *Algebraic Topology of Finite Topological Spaces and Applications*,
+    ch. 1) any ``f <= g`` are joined by continuous maps that each move one
+    point up.  So joining every map ``f`` to its continuous one-point-up
+    neighbours ``f[x -> v]``, ``v > f(x)``, gives the fence components.
+    That needs each such neighbour in the list, and homotopy inverses are
+    looked for inside the list, so an incomplete list raises ``ValueError``.
+    Feed it the output of :func:`enumerate_selfmaps`.
     """
     if not maps:
         raise ValueError("need at least one map (the identity at minimum)")
     space = maps[0].source
     maps = tuple(sorted(maps, key=lambda m: m.images))
     m = len(maps)
+    position = {mp.images: k for k, mp in enumerate(maps)}
+    identity_images = tuple(range(len(space)))
+    if identity_images not in position:
+        raise ValueError("map list must contain the identity")
 
     parent = list(range(m))
 
@@ -410,42 +464,47 @@ def homotopy_classes(maps: list[PosetMap]) -> HomotopyClasses:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if maps[i].pointwise_leq(maps[j]) or maps[j].pointwise_leq(maps[i]):
-                union(i, j)
+    covers_above = [space.hasse_above(x) for x in range(len(space))]
+    for k, mp in enumerate(maps):
+        images = mp.images
+        for x, fx in enumerate(images):
+            # f[x -> v] is continuous iff f(x) < v <= f(y) for each y covering x
+            room = space.up_mask(fx) & ~(1 << fx)
+            for y in covers_above[x]:
+                room &= space.down_mask(images[y])
+            for v in bits(room):
+                step = position.get(images[:x] + (v,) + images[x + 1:])
+                if step is None:
+                    raise ValueError(_INCOMPLETE)
+                union(k, step)
 
+    # each class is named by its smallest member, which also represents it
     class_ids = tuple(find(k) for k in range(m))
-    position = {mp.images: k for k, mp in enumerate(maps)}
-    identity_images = tuple(range(len(space)))
-    if identity_images not in position:
-        raise ValueError("map list must contain the identity")
     identity_class = class_ids[position[identity_images]]
 
-    def compose_class(i: int, j: int) -> int:
-        composed = tuple(maps[i].images[v] for v in maps[j].images)
-        if composed not in position:
-            raise ValueError(
-                "map list is not closed under composition; "
-                "pass every continuous self-map"
-            )
-        return class_ids[position[composed]]
+    def compose(i: int, j: int) -> int:
+        """The position of ``maps[i]`` after ``maps[j]``."""
+        composed = position.get(tuple(maps[i].images[v] for v in maps[j].images))
+        if composed is None:
+            raise ValueError(_INCOMPLETE)
+        return composed
 
-    equivalences = tuple(
-        i
-        for i in range(m)
-        if any(
-            compose_class(i, j) == identity_class and compose_class(j, i) == identity_class
-            for j in range(m)
-        )
-    )
+    def is_unit(c: int) -> bool:
+        """In a finite monoid an element is a unit iff one of its powers is 1."""
+        seen = set()
+        power = c
+        while class_ids[power] not in seen:
+            if class_ids[power] == identity_class:
+                return True
+            seen.add(class_ids[power])
+            power = compose(c, power)
+        return False
 
-    eq_classes = sorted({class_ids[i] for i in equivalences})
+    eq_classes = [c for c in sorted(set(class_ids)) if is_unit(c)]
     slot = {c: k for k, c in enumerate(eq_classes)}
-    reps = {class_ids[i]: i for i in reversed(equivalences)}
+    equivalences = tuple(i for i in range(m) if class_ids[i] in slot)
     table = tuple(
-        tuple(slot[compose_class(reps[a], reps[b])] for b in eq_classes)
-        for a in eq_classes
+        tuple(slot[class_ids[compose(a, b)]] for b in eq_classes) for a in eq_classes
     )
     group = FiniteGroup(tuple(f"c{c}" for c in eq_classes), table)
     return HomotopyClasses(maps, class_ids, equivalences, group)

@@ -175,19 +175,24 @@ class FinitePoset:
 
     # -- structure ---------------------------------------------------------
 
-    def _unique_extreme(self, strict: int, masks) -> bool:
-        """Does the subset ``strict`` have a unique extreme point?
+    def beat_partner(self, i: int, kind: str, alive: int) -> int | None:
+        """The point a beat point ``i`` retracts onto, or None if it is not one.
 
-        ``masks`` is ``_up`` to test for a unique maximal element and
-        ``_down`` for a unique minimal one.
+        Only the points in the bitmask ``alive`` count.  For ``kind`` "down"
+        this is the unique maximal element of the strict down-set of ``i``,
+        for "up" the unique minimal element of its strict up-set.
         """
-        count = 0
+        if kind == "down":
+            strict, masks = self._down[i] & alive & ~(1 << i), self._up
+        else:
+            strict, masks = self._up[i] & alive & ~(1 << i), self._down
+        partner = None
         for j in bits(strict):
             if masks[j] & strict == 1 << j:
-                count += 1
-                if count > 1:
-                    return False
-        return count == 1
+                if partner is not None:
+                    return None
+                partner = j
+        return partner
 
     def beat_points(self) -> list[tuple[int, str]]:
         """Points removable without changing homotopy type.
@@ -198,15 +203,13 @@ class FinitePoset:
         ``"down"``/``"up"``, ordered by index then kind; a point carrying
         both kinds appears twice.
         """
-        found: list[tuple[int, str]] = []
-        for i in range(len(self)):
-            strict_down = self._down[i] & ~(1 << i)
-            strict_up = self._up[i] & ~(1 << i)
-            if strict_down and self._unique_extreme(strict_down, self._up):
-                found.append((i, "down"))
-            if strict_up and self._unique_extreme(strict_up, self._down):
-                found.append((i, "up"))
-        return found
+        alive = (1 << len(self)) - 1
+        return [
+            (i, kind)
+            for i in range(len(self))
+            for kind in ("down", "up")
+            if self.beat_partner(i, kind, alive) is not None
+        ]
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components of the comparability graph, each sorted."""

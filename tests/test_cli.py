@@ -267,6 +267,22 @@ def test_aut_deep_search_stops_at_budget_without_traceback(capsys, tmp_path):
     assert err.startswith("error:") and "budget" in err and "Traceback" not in err
 
 
+def test_selfmaps_deep_chain_stops_at_budget_without_traceback(capsys, tmp_path):
+    # a 1500-point chain: the self-map search tree is 1500 levels deep
+    chain = FinitePoset.from_relations(
+        [f"c{i}" for i in range(1500)], [(i, i + 1) for i in range(1499)]
+    )
+    path = tmp_path / "chain.json"
+    path.write_text(poset_to_json(chain), encoding="utf-8")
+    code, out, err = run(
+        capsys, "selfmaps", "--space-file", str(path),
+        "--max-points", "2000", "--budget-maps", "5000",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--budget-maps" in err and "Traceback" not in err
+
+
 def test_build_rejects_non_string_point_ids(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"points": [[1]], "hasse": []}), encoding="utf-8")

@@ -20,10 +20,13 @@ from posetgroups import (
     homotopy_classes,
     klein_four,
     spec_for,
+    standard_generator_labels,
 )
 
 from conftest import fixture_space
+from homotopy_oracle import oracle_core, oracle_homotopy_classes
 from test_posets import small_posets
+from test_search import permuted_copy
 
 
 # -- cores --------------------------------------------------------------------
@@ -77,6 +80,31 @@ def test_core_is_beat_point_free_and_idempotent(poset):
     if len(result.poset):
         roundtrip = result.retraction.compose(result.inclusion)
         assert roundtrip.images == tuple(range(len(result.poset)))
+
+
+# -- agreement with the rebuild-per-point oracle (tests/homotopy_oracle.py) -----
+
+
+@given(small_posets(max_points=8))
+@settings(max_examples=200, deadline=None)
+def test_core_equals_oracle_on_random_posets(poset):
+    assert core(poset) == oracle_core(poset)
+
+
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4"])
+@settings(max_examples=3, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_core_equals_oracle_on_shuffled_column_spaces(group, rng):
+    space = build_space(
+        spec_for(builtin_group(group), standard_generator_labels(group), mode="none")
+    )
+    perm = list(range(len(space)))
+    rng.shuffle(perm)
+    copy = permuted_copy(space, perm)
+    result = core(copy)
+    # the column space retracts onto its bottom two levels
+    assert len(result.poset) == 2 * builtin_group(group).order
+    assert result == oracle_core(copy)
 
 
 # -- automorphism groups ------------------------------------------------------
@@ -179,10 +207,26 @@ def test_selfmaps_are_exactly_the_monotone_maps(crown):
 
 
 def test_selfmap_guards(crown):
-    with pytest.raises(SizeLimitExceeded, match="max_points"):
+    with pytest.raises(SizeLimitExceeded, match="max_points") as points:
         enumerate_selfmaps(crown, max_points=3)
-    with pytest.raises(SizeLimitExceeded, match="budget|nodes"):
+    assert "self-map enumeration" in str(points.value)
+    assert "4 points" in str(points.value) and "--max-points" in str(points.value)
+    with pytest.raises(SizeLimitExceeded, match="budget|nodes") as nodes:
         enumerate_selfmaps(crown, budget=5)
+    assert "self-map enumeration" in str(nodes.value) and "5 candidate nodes" in str(nodes.value)
+    assert "--budget-maps" in str(nodes.value)
+    assert "POSETGROUPS_BUDGET_MAPS" in str(nodes.value)
+
+
+def test_comparative_retraction_guards(crown):
+    with pytest.raises(SizeLimitExceeded, match="max_points") as points:
+        comparative_retractions(crown, max_points=3)
+    assert "comparative-retraction search" in str(points.value)
+    assert "4 points" in str(points.value) and "--max-points" in str(points.value)
+    with pytest.raises(SizeLimitExceeded, match="budget|nodes") as nodes:
+        comparative_retractions(crown, budget=2)
+    assert "comparative-retraction search" in str(nodes.value)
+    assert "2 candidate nodes" in str(nodes.value) and "--budget-maps" in str(nodes.value)
 
 
 # -- comparative retractions --------------------------------------------------
@@ -258,6 +302,28 @@ def test_homotopy_classes_rejects_bad_input():
         homotopy_classes([PosetMap(chain3, chain3, (1, 2, 2))])
     with pytest.raises(ValueError, match="at least one"):
         homotopy_classes([])
+
+
+def test_homotopy_classes_rejects_a_list_missing_a_one_point_step():
+    chain2 = fixture_space("chain2")
+    identity = PosetMap.identity(chain2)
+    const0 = PosetMap(chain2, chain2, (0, 0))
+    # const1 = identity[x -> y] is continuous but missing
+    with pytest.raises(ValueError, match="incomplete"):
+        homotopy_classes([identity, const0])
+
+
+@given(small_posets(max_points=4))
+@settings(max_examples=150, deadline=None)
+def test_homotopy_classes_equal_oracle_on_random_posets(poset):
+    maps = enumerate_selfmaps(poset)
+    assert homotopy_classes(maps) == oracle_homotopy_classes(maps)
+
+
+@pytest.mark.parametrize("name", ["pentad", "crown", "wedge"])
+def test_homotopy_classes_equal_oracle_on_fixture_spaces(name):
+    maps = enumerate_selfmaps(fixture_space(name))
+    assert homotopy_classes(maps) == oracle_homotopy_classes(maps)
 
 
 @given(small_posets(max_points=4))
