@@ -108,15 +108,31 @@ class AutomorphismGroup:
     def of(cls, space: FinitePoset, *, budget: int = DEFAULT_AUT_BUDGET):
         """Enumerate Aut(space) and tabulate ``table[i][j]`` = maps[i] ∘ maps[j].
 
-        Products are composed as image tuples and looked up among the
+        The maps are keyed by their images on a separating base: points
+        taken greedily in index order, each kept only when it tells more
+        maps apart (one point suffices for a free action).  A product is
+        then composed on the base alone and looked up among the
         edge-verified automorphisms, so no product is validated again; a
         product missing from that set raises instead of yielding a table.
         """
         maps = tuple(all_automorphisms(space, budget=budget))
-        if len(space) < 2:  # only the identity, and itemgetter needs 2+ indices
+        if len(maps) == 1:  # only the identity, and the base is empty
             return cls(space, maps, ((0,),))
-        position = {m.images: k for k, m in enumerate(maps)}
-        getters = [itemgetter(*m.images) for m in maps]
+        base: list[int] = []
+        keys: list[tuple[int, ...]] = [()] * len(maps)
+        split = 1
+        for x in range(len(space)):
+            longer = [key + (m.images[x],) for key, m in zip(keys, maps)]
+            distinct = len(set(longer))
+            if distinct > split:
+                base.append(x)
+                keys, split = longer, distinct
+                if split == len(maps):
+                    break
+        # itemgetter gives a bare value for one index and a tuple for more:
+        # the same shape on both sides of the lookup.
+        position = {itemgetter(*base)(m.images): k for k, m in enumerate(maps)}
+        getters = [itemgetter(*(m.images[b] for b in base)) for m in maps]
         table = tuple(
             tuple(position.get(inner(outer.images)) for inner in getters)
             for outer in maps

@@ -293,6 +293,15 @@ class PosetMap:
                     f"{self.images[a]} !<= {self.images[b]}"
                 )
 
+    @classmethod
+    def _trusted(cls, source: FinitePoset, target: FinitePoset, images) -> "PosetMap":
+        """Wrap ``images`` that the caller has already verified, without checking again."""
+        fresh = object.__new__(cls)
+        object.__setattr__(fresh, "source", source)
+        object.__setattr__(fresh, "target", target)
+        object.__setattr__(fresh, "images", images)
+        return fresh
+
     def __call__(self, i: int) -> int:
         return self.images[i]
 

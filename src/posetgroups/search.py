@@ -14,14 +14,29 @@ trail instead of copying the partition.  Every complete assignment is
 verified edge-by-edge before being reported, so refinement only ever
 prunes, never certifies.
 
+An isomorphism is the first verified leaf of a depth-first walk.  The
+automorphism group is not enumerated leaf by leaf but found from generators
+(Sims, "Computational methods in the study of permutation groups";
+McKay–Piperno's automorphism pruning): the identity path individualizes
+each point with its own copy and records the base points p₁…p_d; then, from
+the deepest level up, each candidate image q of pₖ that is not yet in pₖ's
+orbit under the generators found so far gets one first-leaf probe, and a
+verified leaf becomes a new generator that extends the orbit.  The group is
+the closure of the generators under composition, every element of which is
+verified again, and its size must equal the product of the orbit sizes.
+
 All orderings are deterministic; results are sorted by image tuple.
-Search effort is bounded by an explicit node budget — exceeding it raises
-:class:`SizeLimitExceeded` rather than returning a partial answer.
+Search effort is bounded by an explicit node budget, which also bounds the
+group order (enumerating a group takes at least one tree leaf per element);
+exceeding it raises :class:`SizeLimitExceeded` rather than returning a
+partial answer.
 """
 
 from __future__ import annotations
 
-from .errors import SizeLimitExceeded
+from operator import itemgetter
+
+from .errors import MapError, SizeLimitExceeded
 from .posets import FinitePoset, PosetMap
 
 DEFAULT_AUT_BUDGET = 10**6
@@ -208,6 +223,13 @@ class _Partition:
             start = self.end[start]
         return best
 
+    def branch(self) -> tuple[int, int, list[int]]:
+        """The target cell, its first P point and its Q points in order."""
+        cell = self.target()
+        members = self.elems[cell:self.end[cell]]
+        p = min(v for v in members if v < self.n)
+        return cell, p, sorted(v for v in members if v >= self.n)
+
     def images(self) -> tuple[int, ...]:
         """The bijection P -> Q of a discrete partition (every cell one pair)."""
         n, ids = self.n, self.ids
@@ -228,53 +250,70 @@ def _verified_map(poset_p: FinitePoset, target_hasse: set, images) -> bool:
     return mapped == target_hasse
 
 
-def _budget_error(budget: int) -> SizeLimitExceeded:
+def _budget_error(budget: int, order: int | None = None) -> SizeLimitExceeded:
+    reached = (
+        f"visiting {budget} nodes, its node budget"
+        if order is None
+        else f"finding a group of at least {order} automorphisms, above its budget of {budget}"
+    )
     return SizeLimitExceeded(
-        f"automorphism/isomorphism search stopped after visiting {budget} nodes, "
-        "its node budget; raise the limit with --budget-aut or POSETGROUPS_BUDGET_AUT"
+        f"automorphism/isomorphism search stopped after {reached}; "
+        "raise the limit with --budget-aut or POSETGROUPS_BUDGET_AUT"
     )
 
 
-def _search(poset_p: FinitePoset, poset_q: FinitePoset, budget: int, first_only: bool):
-    if len(poset_p) != len(poset_q) or len(poset_p.hasse) != len(poset_q.hasse):
-        return []
-    part = _Partition(poset_p, poset_q)
-    if not part.balanced:
-        return []
-    target_hasse = set(poset_q.hasse)
-    out: list[tuple[int, ...]] = []
-    # Frames are [cell, p, candidates q, next candidate index, trail mark].
-    stack: list[list] = []
-    nodes = 1
-    if budget < 1:
-        raise _budget_error(budget)
-    alive = part.refine(list(part.starts))
-    while True:
-        if alive and part.ncells == part.n:
-            images = part.images()
-            if _verified_map(poset_p, target_hasse, images):
-                out.append(images)
-                if first_only:
-                    break
-        elif alive:
-            cell = part.target()
-            members = part.elems[cell:part.end[cell]]
-            p = min(v for v in members if v < part.n)
-            candidates = sorted(v for v in members if v >= part.n)
-            stack.append([cell, p, candidates, 0, len(part.trail)])
-        while stack and stack[-1][3] == len(stack[-1][2]):
-            stack.pop()
-        if not stack:
-            break
-        frame = stack[-1]
-        part.undo(frame[4])
-        q = frame[2][frame[3]]
-        frame[3] += 1
-        nodes += 1
-        if nodes > budget:
-            raise _budget_error(budget)
-        alive = part.individualize(frame[0], frame[1], q)
-    return sorted(out)
+class _Tree:
+    """The individualize-and-refine tree over one joint partition of P ⊔ Q.
+
+    ``nodes`` counts the root and every individualization against ``budget``.
+    """
+
+    def __init__(self, poset_p: FinitePoset, poset_q: FinitePoset, budget: int):
+        self.part = _Partition(poset_p, poset_q)
+        self.poset_p = poset_p
+        self.target_hasse = set(poset_q.hasse)
+        self.budget = budget
+        self.nodes = 0
+
+    def root(self) -> bool:
+        """Count the root node and refine the initial colouring."""
+        self.nodes = 1
+        if self.budget < 1:
+            raise _budget_error(self.budget)
+        return self.part.refine(list(self.part.starts))
+
+    def step(self, cell: int, p: int, q: int) -> bool:
+        """Count one node and individualize ``(p, q)`` in ``cell``."""
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _budget_error(self.budget)
+        return self.part.individualize(cell, p, q)
+
+    def first_leaf(self, alive: bool) -> tuple[int, ...] | None:
+        """Walk depth-first below the current partition to its first verified leaf.
+
+        ``alive`` is what refining the current partition returned.  The
+        partition is left wherever the walk stopped.
+        """
+        part = self.part
+        # Frames are [cell, p, candidates q, next candidate index, trail mark].
+        stack: list[list] = []
+        while True:
+            if alive and part.ncells == part.n:
+                images = part.images()
+                if _verified_map(self.poset_p, self.target_hasse, images):
+                    return images
+            elif alive:
+                stack.append([*part.branch(), 0, len(part.trail)])
+            while stack and stack[-1][3] == len(stack[-1][2]):
+                stack.pop()
+            if not stack:
+                return None
+            frame = stack[-1]
+            part.undo(frame[4])
+            q = frame[2][frame[3]]
+            frame[3] += 1
+            alive = self.step(frame[0], frame[1], q)
 
 
 def find_isomorphism(
@@ -284,10 +323,15 @@ def find_isomorphism(
 
     Deterministic: the same inputs always yield the same witness.
     """
-    found = _search(poset_p, poset_q, budget, first_only=True)
-    if not found:
+    if len(poset_p) != len(poset_q) or len(poset_p.hasse) != len(poset_q.hasse):
         return None
-    return PosetMap(poset_p, poset_q, found[0])
+    tree = _Tree(poset_p, poset_q, budget)
+    if not tree.part.balanced:
+        return None
+    images = tree.first_leaf(tree.root())
+    if images is None:
+        return None
+    return PosetMap(poset_p, poset_q, images)
 
 
 def are_isomorphic(
@@ -296,8 +340,85 @@ def are_isomorphic(
     return find_isomorphism(poset_p, poset_q, budget=budget) is not None
 
 
+def _grow_orbit(orbit: list[int], seen: set[int], gens: list[tuple[int, ...]]) -> None:
+    """Extend ``orbit``, closed under ``gens[:-1]``, to its closure under ``gens``."""
+    new = gens[-1]
+    frontier = []
+    for x in orbit:
+        y = new[x]
+        if y not in seen:
+            seen.add(y)
+            frontier.append(y)
+    while frontier:
+        x = frontier.pop()
+        orbit.append(x)
+        for g in gens:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+
+
+def _closure(tree: _Tree, gens: list[tuple[int, ...]], order: int) -> list[tuple[int, ...]]:
+    """The group generated by ``gens``, sorted, each product verified edge by edge.
+
+    The identity needs no check: it maps every cover to itself.
+    """
+    identity = tuple(range(tree.part.n))
+    elements = [identity]
+    seen = {identity}
+    getters = [itemgetter(*g) for g in gens]
+    for x in elements:  # breadth-first: ``elements`` grows while it is read
+        for right in getters:
+            y = right(x)  # x ∘ g
+            if y in seen:
+                continue
+            if not _verified_map(tree.poset_p, tree.target_hasse, y):
+                raise MapError("a product of verified automorphisms failed verification")
+            seen.add(y)
+            elements.append(y)
+        if len(elements) > order:
+            break
+    if len(elements) != order:
+        raise MapError(
+            f"the generators close to {len(elements)} automorphisms, "
+            f"but the orbit sizes multiply to {order}"
+        )
+    return sorted(elements)
+
+
 def all_automorphisms(
     poset: FinitePoset, *, budget: int = DEFAULT_AUT_BUDGET
 ) -> list[PosetMap]:
-    """Every self-isomorphism, sorted by image tuple."""
-    return [PosetMap(poset, poset, images) for images in _search(poset, poset, budget, False)]
+    """Every self-isomorphism, sorted by image tuple.
+
+    Found as the closure of generators with orbit pruning (see the module
+    docstring).  Raises :class:`SizeLimitExceeded` when the tree needs more
+    than ``budget`` nodes or the group has more than ``budget`` elements.
+    """
+    tree = _Tree(poset, poset, budget)
+    part, n = tree.part, len(poset)
+    tree.root()  # P = Q: the identity path never dies
+    # Levels are (cell, base point p, candidate images q in Q, trail mark).
+    levels = []
+    while part.ncells < n:
+        cell, p, candidates = part.branch()
+        levels.append((cell, p, candidates, len(part.trail)))
+        tree.step(cell, p, p + n)
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for cell, p, candidates, mark in reversed(levels):
+        # Generators found so far fix p, so p's orbit starts as {p}.
+        orbit, seen = [p], {p}
+        for q in candidates:
+            if q - n in seen:
+                continue
+            part.undo(mark)
+            images = tree.first_leaf(tree.step(cell, p, q))
+            if images is not None:
+                gens.append(images)
+                _grow_orbit(orbit, seen, gens)
+        order *= len(orbit)
+        if order > budget:
+            raise _budget_error(budget, order)
+    return [PosetMap._trusted(poset, poset, images) for images in _closure(tree, gens, order)]

@@ -1,10 +1,12 @@
-"""Reference automorphism/isomorphism search, kept for tests only.
+"""Reference automorphism/isomorphism searches, kept for tests only.
 
-This is the original full re-signature refiner: every round re-signs every
-point of both posets by its colour and the sorted colours of its cover
-neighbours, until the number of colours stops growing.  It is slow but
-obviously correct, and the property tests compare :mod:`posetgroups.search`
-against it.
+``oracle_search`` is the original full re-signature refiner: every round
+re-signs every point of both posets by its colour and the sorted colours of
+its cover neighbours, until the number of colours stops growing.
+``leaf_search`` runs the splitter-queue partition of
+:mod:`posetgroups.search` but visits every leaf of the individualization
+tree, with no orbit pruning.  Both are slow but obviously correct, and the
+property tests compare :mod:`posetgroups.search` against them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 
 from posetgroups import FinitePoset, SizeLimitExceeded
+from posetgroups.search import _Partition
 
 
 class _Side:
@@ -159,4 +162,43 @@ def oracle_search(poset_p: FinitePoset, poset_q: FinitePoset, *, first_only: boo
         return []
     out: list[tuple[int, ...]] = []
     _enumerate(poset_p, poset_q, side_p, side_q, start[0], start[1], out, budget, first_only)
+    return sorted(out)
+
+
+def leaf_search(poset_p: FinitePoset, poset_q: FinitePoset, *,
+                budget: int = 10**6) -> list[tuple[int, ...]]:
+    """Sorted image tuples of the isomorphisms ``poset_p -> poset_q``, one per leaf."""
+    if len(poset_p) != len(poset_q) or len(poset_p.hasse) != len(poset_q.hasse):
+        return []
+    part = _Partition(poset_p, poset_q)
+    if not part.balanced:
+        return []
+    out: list[tuple[int, ...]] = []
+    # Frames are [cell, p, candidates q, next candidate index, trail mark].
+    stack: list[list] = []
+    nodes = 1
+    alive = part.refine(list(part.starts))
+    while True:
+        if alive and part.ncells == part.n:
+            images = part.images()
+            if _verified_map(poset_p, poset_q, images):
+                out.append(images)
+        elif alive:
+            cell = part.target()
+            members = part.elems[cell:part.end[cell]]
+            p = min(v for v in members if v < part.n)
+            candidates = sorted(v for v in members if v >= part.n)
+            stack.append([cell, p, candidates, 0, len(part.trail)])
+        while stack and stack[-1][3] == len(stack[-1][2]):
+            stack.pop()
+        if not stack:
+            break
+        frame = stack[-1]
+        part.undo(frame[4])
+        q = frame[2][frame[3]]
+        frame[3] += 1
+        nodes += 1
+        if nodes > budget:
+            raise SizeLimitExceeded("leaf search exceeded its node budget")
+        alive = part.individualize(frame[0], frame[1], q)
     return sorted(out)

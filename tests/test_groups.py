@@ -22,6 +22,8 @@ from posetgroups import (
     validate_generating_set,
 )
 
+from groups_oracle import oracle_check_associative
+
 
 # -- table validation --------------------------------------------------------
 
@@ -55,6 +57,58 @@ def test_rejects_non_associative_table():
     )
     with pytest.raises(GroupError, match="associativity"):
         FiniteGroup(("e", "p", "q", "r", "s"), table)
+
+
+def reduced_latin_square(rng, n: int) -> tuple[tuple[int, ...], ...]:
+    """A random n x n Latin square whose first row and column are 0..n-1.
+
+    Element 0 is then a two-sided identity: the table of a random loop,
+    associative only when the loop is a group.
+    """
+    table = [[i if r == 0 else r if i == 0 else None for i in range(n)] for r in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+    # Frames are (cell index, values still to try there).
+    stack: list[tuple[int, list[int]]] = []
+    k = 0
+    while k < len(cells):
+        r, c = cells[k]
+        if not stack or stack[-1][0] != k:
+            used = {table[r][j] for j in range(c)} | {table[i][c] for i in range(r)}
+            options = [v for v in range(n) if v not in used]
+            rng.shuffle(options)
+            stack.append((k, options))
+        if stack[-1][1]:
+            table[r][c] = stack[-1][1].pop()
+            k += 1
+        else:
+            stack.pop()
+            table[r][c] = None
+            k -= 1
+    return tuple(map(tuple, table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
+def test_associativity_check_agrees_with_all_triples_oracle(n, rng):
+    table = reduced_latin_square(rng, n)
+    labels = tuple(f"g{i}" for i in range(n))
+    try:
+        oracle_check_associative(labels, table)
+        associative = True
+    except GroupError:
+        associative = False
+    # A loop is a group exactly when it is associative.
+    if associative:
+        assert FiniteGroup(labels, table).identity == 0
+        return
+    with pytest.raises(GroupError) as info:
+        FiniteGroup(labels, table)
+    message = str(info.value)
+    if message.startswith("associativity fails on ("):
+        a, b, c = (labels.index(s) for s in message[len("associativity fails on ("):-1].split(", "))
+        assert table[table[a][b]][c] != table[a][table[b][c]]
+    else:
+        assert "inverse" in message
 
 
 def test_rejects_ragged_and_out_of_range():

@@ -26,7 +26,7 @@ from posetgroups import (
 from conftest import fixture_space
 from homotopy_oracle import oracle_core, oracle_homotopy_classes
 from test_posets import small_posets
-from test_search import permuted_copy
+from test_search import deep_posets, permuted_copy
 
 
 # -- cores --------------------------------------------------------------------
@@ -121,7 +121,11 @@ def test_pentad_automorphisms(pentad):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_posets(max_points=5))
+@given(st.one_of(
+    small_posets(max_points=5),
+    # at most 120 automorphisms: every one of the |Aut|² entries is composed
+    deep_posets(modes=("none", "sandt"), max_antichain=5, max_copies=2),
+))
 def test_aut_table_matches_validated_composition(poset):
     auts = AutomorphismGroup.of(poset)
     position = {m.images: k for k, m in enumerate(auts.maps)}

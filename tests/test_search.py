@@ -6,7 +6,9 @@ whether two posets match, never the names attached to the points.
 
 from __future__ import annotations
 
+import functools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from posetgroups import (
 )
 
 from conftest import fixture_space
-from search_oracle import oracle_search
+from search_oracle import leaf_search, oracle_search
 from test_posets import small_posets
 
 
@@ -94,6 +96,20 @@ def test_budget_enforced_on_symmetric_space():
     # the message names the layer, how far it got and the knob that raises it
     message = str(info.value)
     assert "automorphism/isomorphism search" in message and "10 nodes" in message
+    assert "--budget-aut" in message and "POSETGROUPS_BUDGET_AUT" in message
+
+
+def test_budget_trips_on_group_order_before_enumerating():
+    # A 40-point antichain has 40! automorphisms.  The orbit sizes pass the
+    # default budget after fewer than a hundred nodes, so the search stops
+    # there instead of walking leaves until the node count trips.
+    antichain = FinitePoset.from_relations(list(range(40)), [])
+    started = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded) as info:
+        all_automorphisms(antichain)
+    assert time.perf_counter() - started < 5
+    message = str(info.value)
+    assert "automorphism/isomorphism search" in message
     assert "--budget-aut" in message and "POSETGROUPS_BUDGET_AUT" in message
 
 
@@ -176,3 +192,53 @@ def test_isomorphism_existence_agrees_with_oracle(pair):
     assert (witness is None) == (not oracle_search(first, second, first_only=True))
     if witness is not None:
         assert witness.is_isomorphism()
+
+
+# -- trees several levels deep, where orbit pruning acts below the root -------
+
+
+@st.composite
+def disjoint_unions(draw, max_copies=4):
+    """2-4 copies of one random connected poset on 1-4 points, points shuffled.
+
+    A connected piece has at most 6 automorphisms, so the union's group
+    (the wreath product with the permutations of the copies) stays below
+    1300 elements and the leaf-by-leaf oracles stay quick.
+    """
+    piece = draw(small_posets(max_points=4).filter(lambda p: len(p) and p.is_path_connected()))
+    copies = draw(st.integers(min_value=2, max_value=min(max_copies, 4 if len(piece) < 4 else 3)))
+    m = len(piece)
+    pairs = [(a + k * m, b + k * m) for k in range(copies) for a, b in piece.hasse]
+    perm = draw(st.permutations(range(copies * m)))
+    return FinitePoset.from_relations(
+        [f"u{i}" for i in range(copies * m)], [(perm[a], perm[b]) for a, b in pairs]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def built_space(group: str, mode: str) -> FinitePoset:
+    return build_space(spec_for(builtin_group(group), standard_generator_labels(group), mode=mode))
+
+
+@st.composite
+def shuffled_built_spaces(draw, modes=("none",)):
+    """A built space (mode none: the column space) with its points shuffled."""
+    space = built_space(draw(st.sampled_from(["cyclic:3", "cyclic:4", "klein4", "dihedral:3"])),
+                        draw(st.sampled_from(modes)))
+    return permuted_copy(space, draw(st.permutations(range(len(space)))))
+
+
+def deep_posets(modes=("none",), max_antichain=7, max_copies=4):
+    """Posets whose individualization trees are several levels deep."""
+    antichains = st.integers(min_value=1, max_value=max_antichain).map(
+        lambda n: FinitePoset.from_relations(list(range(n)), [])
+    )
+    return st.one_of(disjoint_unions(max_copies), antichains, shuffled_built_spaces(modes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_posets())
+def test_automorphisms_equal_both_oracles_on_deep_trees(poset):
+    found = [m.images for m in all_automorphisms(poset)]
+    assert found == leaf_search(poset, poset)
+    assert found == oracle_search(poset, poset)
