@@ -22,6 +22,7 @@ from .complexes import (
     betti,
     chain_complex,
     cycle_basis,
+    h1_action_columns,
     h1_action_matrix,
     hasse_undirected,
     homology_summary,
@@ -147,6 +148,7 @@ __all__ = [
     "group_from_json",
     "group_to_doc",
     "groups_isomorphic",
+    "h1_action_columns",
     "h1_action_matrix",
     "hasse_undirected",
     "homology_summary",

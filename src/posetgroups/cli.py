@@ -13,10 +13,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .complexes import (
     cycle_basis,
-    h1_action_matrix,
+    dense_matrix,
+    h1_action_columns,
     hasse_undirected,
     homology_summary,
     order_complex,
@@ -113,11 +115,18 @@ def _resolve_space(args) -> FinitePoset:
 
 
 def _emit(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    _emit_chunks((text,), args)
+
+
+def _emit_chunks(chunks, args) -> None:
+    """Write the chunks in order as one text, ending it with a newline."""
+    sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with sink as fh:
+        last = ""
+        for last in chunks:
+            fh.write(last)
+        if not (args.out and last.endswith("\n")):
+            fh.write("\n")
 
 
 def _cmd_build(args) -> int:
@@ -238,25 +247,33 @@ def _cmd_h1_action(args) -> int:
     space = _resolve_space(args)
     basis = cycle_basis(order_complex(space))
     auts = AutomorphismGroup.of(space, budget=args.budget_aut)
-    matrices = [h1_action_matrix(basis, m) for m in auts.maps]
+    matrices = [h1_action_columns(basis, m) for m in auts.maps]
+    distinct = len(set(matrices)) == len(matrices)
+    # One matrix is densified at a time, so only its own text is ever held.
     if args.json:
-        doc = {
-            "betti": basis.betti,
-            "order": auts.order,
-            "matrices": [[list(row) for row in mat] for mat in matrices],
-            "distinct": len(set(matrices)) == len(matrices),
-        }
-        _emit(json.dumps(doc, indent=2), args)
+        def json_chunks():
+            yield (
+                f'{{\n  "betti": {basis.betti},\n  "order": {auts.order},\n'
+                '  "matrices": ['
+            )
+            for k, columns in enumerate(matrices):
+                body = json.dumps(dense_matrix(columns), indent=2)
+                yield ("," if k else "") + "\n    " + body.replace("\n", "\n    ")
+            yield f'\n  ],\n  "distinct": {json.dumps(distinct)}\n}}'
+
+        _emit_chunks(json_chunks(), args)
         return 0
-    lines = [f"rank of first homology: {basis.betti}", f"automorphisms: {auts.order}"]
-    for k, mat in enumerate(matrices):
-        lines.append(f"f{k}:")
-        lines.extend("  " + " ".join(f"{v:3d}" for v in row) for row in mat)
-    lines.append(
-        "matrices pairwise distinct: "
-        + ("yes" if len(set(matrices)) == len(matrices) else "no")
-    )
-    _emit("\n".join(lines), args)
+
+    def text_chunks():
+        yield f"rank of first homology: {basis.betti}\nautomorphisms: {auts.order}\n"
+        for k, columns in enumerate(matrices):
+            rows = dense_matrix(columns)
+            yield f"f{k}:\n" + "".join(
+                "  " + " ".join(f"{v:3d}" for v in row) + "\n" for row in rows
+            )
+        yield "matrices pairwise distinct: " + ("yes" if distinct else "no")
+
+    _emit_chunks(text_chunks(), args)
     return 0
 
 

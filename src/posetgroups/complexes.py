@@ -160,16 +160,17 @@ class CycleBasis:
     1-skeleton; triangle boundaries expressed in those coordinates make up
     the relation matrix, whose Smith reduction (with transforms) turns any
     1-cycle into free-part coordinates: ``coords = (U @ nontree_coeffs)``
-    restricted to the non-pivot rows.  ``u`` holds the rows of ``U`` as
-    sparse ``{nontree slot: value}`` dicts; ``components`` counts the trees
-    of the forest, which is b0.
+    restricted to the non-pivot rows.  ``u_columns`` is that restriction by
+    columns, keyed by edge position: a non-tree edge maps to its
+    ``(coordinate, value)`` nonzeros, and an edge with none is absent.
+    ``components`` counts the trees of the forest, which is b0.
     """
 
     complex: OrderComplex
     edge_positions: dict[tuple[int, int], int]
     nontree: tuple[int, ...]
     basis_chains: tuple[dict[int, int], ...]
-    u: tuple[dict[int, int], ...]
+    u_columns: dict[int, tuple[tuple[int, int], ...]]
     free_rows: tuple[int, ...]
     torsion: tuple[int, ...]
     components: int
@@ -263,49 +264,63 @@ def cycle_basis(cx: OrderComplex) -> CycleBasis:
                 chain[pos] = chain.get(pos, 0) + coeff * v
         basis_chains.append({k: v for k, v in chain.items() if v})
 
+    u_columns: dict[int, list[tuple[int, int]]] = {}
+    for coordinate, row in enumerate(free):
+        for t, value in snf.u[row].items():
+            u_columns.setdefault(nontree[t], []).append((coordinate, value))
+
     return CycleBasis(
         complex=cx,
         edge_positions=edge_positions,
         nontree=nontree,
         basis_chains=tuple(basis_chains),
-        u=snf.u,
+        u_columns={pos: tuple(entries) for pos, entries in u_columns.items()},
         free_rows=free,
         torsion=snf.torsion,
         components=components,
     )
 
 
-def h1_action_matrix(basis: CycleBasis, automorphism: PosetMap):
-    """The matrix of an automorphism on free first homology.
+def h1_action_columns(basis: CycleBasis, automorphism: PosetMap):
+    """The matrix of an automorphism on free first homology, by sparse columns.
 
-    Column ``j`` holds the coordinates of the image of basis cycle ``j``.
-    Functorial by construction: composing automorphisms multiplies the
-    matrices.
+    Column ``j`` lists the nonzeros of the image of basis cycle ``j`` as
+    ``(coordinate, value)`` pairs in coordinate order, so equal matrices
+    are equal (and hash alike) as tuples.  Each edge of the cycle is pushed
+    forward and its coefficient scattered through ``u_columns``, so a map
+    costs the nonzeros it touches, not ``b`` passes over ``U``.  Functorial
+    by construction: composing automorphisms multiplies the matrices.
     """
     cx = basis.complex
-    edges = cx.simplices[1]
+    edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
     images = automorphism.images
-    slot = {pos: t for t, pos in enumerate(basis.nontree)}
+    positions, u_columns = basis.edge_positions, basis.u_columns
     columns = []
     for chain in basis.basis_chains:
-        pushed: dict[int, int] = {}
+        acc: dict[int, int] = {}
         for pos, coeff in chain.items():
             a, b = edges[pos]
             fa, fb = images[a], images[b]
             if fa < fb:
-                key, sign = (fa, fb), coeff
+                entries = u_columns.get(positions[fa, fb], ())
             else:
-                key, sign = (fb, fa), -coeff
-            new_pos = basis.edge_positions[key]
-            pushed[new_pos] = pushed.get(new_pos, 0) + sign
-        # fundamental coordinates = coefficients on nontree edges
-        w = {slot[pos]: v for pos, v in pushed.items() if v and pos in slot}
-        columns.append(
-            tuple(
-                sum(v * w[t] for t, v in basis.u[row].items() if t in w)
-                for row in basis.free_rows
-            )
-        )
-    # transpose: rows are output coordinates
-    b = len(basis.free_rows)
-    return tuple(tuple(columns[j][i] for j in range(b)) for i in range(b))
+                entries = u_columns.get(positions[fb, fa], ())
+                coeff = -coeff
+            for coordinate, value in entries:
+                acc[coordinate] = acc.get(coordinate, 0) + coeff * value
+        columns.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
+    return tuple(columns)
+
+
+def dense_matrix(columns) -> tuple[tuple[int, ...], ...]:
+    """Square sparse columns as a tuple of rows (zeros written out)."""
+    rows = [[0] * len(columns) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, value in column:
+            rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+def h1_action_matrix(basis: CycleBasis, automorphism: PosetMap):
+    """:func:`h1_action_columns` as a dense tuple of rows."""
+    return dense_matrix(h1_action_columns(basis, automorphism))

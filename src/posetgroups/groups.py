@@ -42,20 +42,18 @@ class FiniteGroup:
                 if not 0 <= v < n:
                     raise GroupError(f"table entry {v} out of range")
 
-        identity = None
-        for e in range(n):
-            if all(self.cayley[e][x] == x and self.cayley[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        # A two-sided identity is the first left identity (two would be
+        # equal), so only the first row equal to 0..n-1 needs its column
+        # checked.  In a group each row holds the identity once, so the
+        # first right inverse is the one to test from the left.
+        ident = tuple(range(n))
+        identity = next((e for e, row in enumerate(self.cayley) if tuple(row) == ident), None)
+        if identity is None or any(row[identity] != x for x, row in enumerate(self.cayley)):
             raise GroupError("no two-sided identity element")
         object.__setattr__(self, "identity", identity)
 
-        for a in range(n):
-            if not any(
-                self.cayley[a][b] == identity and self.cayley[b][a] == identity
-                for b in range(n)
-            ):
+        for a, row in enumerate(self.cayley):
+            if identity not in row or self.cayley[row.index(identity)][a] != identity:
                 raise GroupError(f"element {self.labels[a]!r} has no inverse")
 
         _check_associative(self)
@@ -68,10 +66,7 @@ class FiniteGroup:
         return self.cayley[a][b]
 
     def inv(self, a: int) -> int:
-        for b in range(self.order):
-            if self.cayley[a][b] == self.identity:
-                return b
-        raise GroupError("unreachable: validated groups have inverses")
+        return self.cayley[a].index(self.identity)
 
     def element_order(self, a: int) -> int:
         k, acc = 1, a
@@ -106,22 +101,29 @@ class FiniteGroup:
             raise GroupError(f"no element labelled {label!r}") from None
 
 
+def _greedy_generators(group: FiniteGroup) -> list[int]:
+    """Generators picked in index order, each one outside the span so far."""
+    gens: list[int] = []
+    span = {group.identity}
+    for x in range(group.order):
+        if x not in span:
+            gens.append(x)
+            span = set(group.closure(gens))
+            if len(span) == group.order:
+                break
+    return gens
+
+
 def _check_associative(group: FiniteGroup) -> None:
     """Light's associativity test: (x·s)·y = x·(s·y) for every x, y and each s in S.
 
-    S is a generating set picked greedily with :meth:`FiniteGroup.closure`.
-    The elements t with (x·t)·y = x·(t·y) for all x, y contain S and the
+    S is the greedy generating set of :func:`_greedy_generators`.  The
+    elements t with (x·t)·y = x·(t·y) for all x, y contain S and the
     identity and are closed under products, so they are every element:
     O(n²·|S|) work instead of the n³ triples.  Runs once ``identity`` is set.
     """
     table, labels, n = group.cayley, group.labels, group.order
-    gens: list[int] = []
-    reached = {group.identity}
-    for a in range(n):
-        if a not in reached:
-            gens.append(a)
-            reached = set(group.closure(gens))
-    for s in gens:
+    for s in _greedy_generators(group):
         row_s = table[s]
         for x in range(n):
             row_x = table[x]
@@ -331,18 +333,6 @@ def standard_generator_labels(name: str) -> list[str]:
 
 
 # -- isomorphism testing ----------------------------------------------------
-
-
-def _greedy_generators(group: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    span = {group.identity}
-    for x in range(group.order):
-        if x not in span:
-            gens.append(x)
-            span = set(group.closure(gens))
-            if len(span) == group.order:
-                break
-    return gens
 
 
 def groups_isomorphic(

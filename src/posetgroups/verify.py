@@ -18,11 +18,12 @@ from dataclasses import dataclass, field, replace
 
 from .complexes import (
     cycle_basis,
-    h1_action_matrix,
+    h1_action_columns,
     hasse_undirected,
     homology_summary,
     order_complex,
 )
+from .groups import _greedy_generators
 from .homotopy import AutomorphismGroup, extension_restriction_check
 from .labels import Base, Star
 from .posets import FinitePoset
@@ -319,25 +320,30 @@ def _check_h1_action_faithful(ctx: _Context):
     ctx.require_gadgets()
     basis = cycle_basis(order_complex(ctx.full))
     auts = ctx.full_auts
-    matrices = [h1_action_matrix(basis, m) for m in auts.maps]
+    matrices = [h1_action_columns(basis, m) for m in auts.maps]
+    if matrices[auts.identity_index()] != tuple(((j, 1),) for j in range(basis.betti)):
+        return FAIL, "the identity automorphism does not act as the identity matrix"
     if len(set(matrices)) != len(matrices):
         return FAIL, "two automorphisms induce the same matrix on first homology"
-    # rows as {column: value} of the nonzeros; the matrices are mostly zero
-    sparse = [tuple({j: v for j, v in enumerate(row) if v} for row in m) for m in matrices]
 
     def matmul(a, b):
+        """a·b by sparse columns: column j of b combines the columns of a."""
         product = []
-        for row in a:
+        for column in b:
             acc: dict[int, int] = {}
-            for k, x in row.items():
-                for j, y in b[k].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            product.append({j: v for j, v in acc.items() if v})
+            for k, y in column:
+                for i, x in a[k]:
+                    acc[i] = acc.get(i, 0) + x * y
+            product.append(tuple(sorted((i, v) for i, v in acc.items() if v)))
         return tuple(product)
 
-    for i in range(auts.order):
-        for j in range(auts.order):
-            if matmul(sparse[i], sparse[j]) != sparse[auts.table[i][j]]:
+    # M(a·s) = M(a)·M(s) for every a and each generator s gives
+    # M(a·b) = M(a)·M(b) for all b, by induction on the length of b as a
+    # word; the induction needs the table to be a group table, which
+    # as_group() checks (associativity included) before any product.
+    for j in _greedy_generators(auts.as_group()):
+        for i in range(auts.order):
+            if matmul(matrices[i], matrices[j]) != matrices[auts.table[i][j]]:
                 return FAIL, f"matrix composition disagrees for pair ({i}, {j})"
     return PASS, (
         f"{len(matrices)} automorphisms act by {basis.betti}x{basis.betti} "

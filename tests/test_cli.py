@@ -7,10 +7,14 @@ import json
 import pytest
 
 from posetgroups import (
+    AutomorphismGroup,
     FinitePoset,
     build_space,
     builtin_group,
+    cycle_basis,
     group_to_doc,
+    h1_action_matrix,
+    order_complex,
     poset_from_json,
     poset_to_json,
     spec_for,
@@ -120,6 +124,46 @@ def test_h1_action_json(capsys):
     assert doc["betti"] == 5
     assert doc["distinct"] is True
     assert len(doc["matrices"]) == 2
+
+
+def h1_action_documents(space):
+    """The text and JSON of ``h1-action``, built whole from dense matrices."""
+    basis = cycle_basis(order_complex(space))
+    auts = AutomorphismGroup.of(space)
+    matrices = [h1_action_matrix(basis, m) for m in auts.maps]
+    distinct = len(set(matrices)) == len(matrices)
+    lines = [f"rank of first homology: {basis.betti}", f"automorphisms: {auts.order}"]
+    for k, mat in enumerate(matrices):
+        lines.append(f"f{k}:")
+        lines.extend("  " + " ".join(f"{v:3d}" for v in row) for row in mat)
+    lines.append("matrices pairwise distinct: " + ("yes" if distinct else "no"))
+    doc = {
+        "betti": basis.betti,
+        "order": auts.order,
+        "matrices": [[list(row) for row in mat] for mat in matrices],
+        "distinct": distinct,
+    }
+    return "\n".join(lines) + "\n", json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["sandt", "none", None])
+def test_h1_action_streams_the_whole_documents(capsys, tmp_path, mode):
+    # mode None: a two-point antichain, with no edges, so b1 = 0
+    if mode is None:
+        space = fixture_space("antichain2")
+    else:
+        space = build_space(spec_for(builtin_group("cyclic:3"), ["a"], mode=mode))
+    path = tmp_path / "space.json"
+    path.write_text(poset_to_json(space), encoding="utf-8")
+    text, doc = h1_action_documents(space)
+    for flags, want in (((), text), (("--json",), doc)):
+        code, out, err = run(capsys, "h1-action", "--space-file", str(path), *flags)
+        assert (code, out, err) == (0, want, "")
+        target = tmp_path / "out.txt"
+        code, out, _ = run(capsys, "h1-action", "--space-file", str(path), *flags,
+                           "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text(encoding="utf-8") == want
 
 
 def test_export_dot(capsys, tmp_path):

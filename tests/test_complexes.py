@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetgroups import (
     AutomorphismGroup,
@@ -11,7 +12,9 @@ from posetgroups import (
     build_space,
     builtin_group,
     chain_complex,
+    all_automorphisms,
     cycle_basis,
+    h1_action_columns,
     h1_action_matrix,
     hasse_undirected,
     homology_summary,
@@ -20,8 +23,10 @@ from posetgroups import (
     spec_for,
 )
 
+from complexes_oracle import oracle_h1_action_matrix
 from conftest import fixture_space
 from test_posets import small_posets
+from test_search import built_space, permuted_copy
 
 
 def projective_plane_face_poset() -> FinitePoset:
@@ -225,3 +230,28 @@ def test_action_separates_the_translations(c3_spec):
         for i in range(basis.betti)
     )
     assert matrices[auts.identity_index()] == identity
+
+
+def assert_action_matches_oracle(space):
+    basis = cycle_basis(order_complex(space))
+    for m in all_automorphisms(space):
+        columns = h1_action_columns(basis, m)
+        assert all(v and list(c) == sorted(c) for c in columns for _, v in c)
+        assert h1_action_matrix(basis, m) == oracle_h1_action_matrix(basis, m)
+
+
+@given(small_posets())
+@settings(max_examples=80, deadline=None)
+def test_action_matrix_equals_oracle_on_random_posets(poset):
+    assert_action_matches_oracle(poset)
+
+
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
+@pytest.mark.parametrize("mode", ["sonly", "sandt"])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_action_matrix_equals_oracle_on_shuffled_built_spaces(group, mode, data):
+    space = built_space(group, mode)
+    assert_action_matches_oracle(
+        permuted_copy(space, data.draw(st.permutations(range(len(space)))))
+    )

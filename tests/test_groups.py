@@ -45,6 +45,25 @@ def test_rejects_missing_inverse():
         FiniteGroup(("e", "z"), ((0, 1), (1, 1)))
 
 
+def test_rejects_one_sided_identity():
+    # x*y = y: every row is 0..n-1, so both elements are left identities,
+    # but neither column is, and there is no two-sided identity.
+    with pytest.raises(GroupError, match="no two-sided identity"):
+        FiniteGroup(("x", "y"), ((0, 1), (0, 1)))
+
+
+def test_rejects_table_without_identity_row():
+    # Constant rows: no element is even a left identity.
+    with pytest.raises(GroupError, match="no two-sided identity"):
+        FiniteGroup(("x", "y", "z"), ((1, 1, 1), (2, 2, 2), (0, 0, 0)))
+
+
+def test_rejects_one_sided_inverse():
+    # a*b = e but b*a = a: a has a right inverse that is not a left inverse.
+    with pytest.raises(GroupError, match="element 'a' has no inverse"):
+        FiniteGroup(("e", "a", "b"), ((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+
+
 def test_rejects_non_associative_table():
     # A quasigroup (Latin square) with identity that fails associativity:
     # the multiplication of a 5-element loop that is not a group.

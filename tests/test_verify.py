@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from posetgroups import verify
 from posetgroups import (
     CHECK_NAMES,
     VerifyOptions,
@@ -100,3 +103,61 @@ def test_subject_line_describes_the_input():
     assert "order 4" in report.subject
     assert "pointed" in report.subject
     assert report.to_text().startswith("subject: ")
+
+
+# -- h1-action-faithful on corrupted inputs ----------------------------------
+
+
+def h1_check(ctx):
+    return verify._run_check(
+        "h1-action-faithful", dict(verify.REGISTRY)["h1-action-faithful"], ctx
+    )
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_h1_check_fails_on_one_corrupted_matrix(monkeypatch, k):
+    ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
+    assert h1_check(ctx).status == "PASS"
+    wrong = ctx.full_auts.maps[k]
+    real = verify.h1_action_columns
+
+    def corrupted(basis, automorphism):
+        columns = real(basis, automorphism)
+        if automorphism is not wrong:
+            return columns
+        return (columns[1], columns[0]) + columns[2:]
+
+    monkeypatch.setattr(verify, "h1_action_columns", corrupted)
+    assert h1_check(ctx).status == "FAIL"
+
+
+@pytest.mark.parametrize("row", range(3))
+def test_h1_check_fails_on_one_swapped_table_entry(row):
+    ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
+    auts = ctx.full_auts
+    table = [list(r) for r in auts.table]
+    table[row][1], table[row][2] = table[row][2], table[row][1]
+    ctx._cache["full_auts"] = replace(auts, table=tuple(map(tuple, table)))
+    assert h1_check(ctx).status == "FAIL"
+
+
+def test_h1_check_fails_on_a_relabelled_group_table():
+    # Swapping a rotation and a reflection of S3 gives a valid group table
+    # that is not the table of these maps: only the matrix products see it.
+    group = builtin_group("dihedral:3")
+    ctx = verify._Context(spec_for(group, ["a", "b"]), VerifyOptions())
+    auts = ctx.full_auts
+    e = auts.identity_index()
+    rotation = next(k for k in range(auts.order) if k != e and auts.table[k][k] != e)
+    reflection = next(k for k in range(auts.order) if k != e and auts.table[k][k] == e)
+    swap = list(range(auts.order))
+    swap[rotation], swap[reflection] = reflection, rotation
+    table = tuple(
+        tuple(swap[auts.table[swap[a]][swap[b]]] for b in range(auts.order))
+        for a in range(auts.order)
+    )
+    ctx._cache["full_auts"] = replace(auts, table=table)
+    ctx.full_auts.as_group()  # still a group table
+    result = h1_check(ctx)
+    assert result.status == "FAIL"
+    assert result.detail.startswith("matrix composition disagrees for pair")
