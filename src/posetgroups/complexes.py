@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import SizeLimitExceeded
 from .posets import FinitePoset, PosetMap, bits
@@ -35,6 +37,12 @@ class OrderComplex:
         if dim >= len(self.simplices):
             return 0
         return len(self.simplices[dim])
+
+    @cached_property
+    def _reduction(self) -> _Reduction:
+        """The one Smith reduction behind :func:`homology_summary` and
+        :func:`cycle_basis`, computed on first use."""
+        return _reduce(self)
 
 
 def order_complex(
@@ -124,8 +132,10 @@ class HomologySummary:
 
 def homology_summary(cx: OrderComplex) -> HomologySummary:
     """b0, b1 and the torsion coefficients of first homology."""
-    basis = cycle_basis(cx)
-    return HomologySummary(b0=basis.components, b1=basis.betti, h1_torsion=basis.torsion)
+    reduction = cx._reduction
+    return HomologySummary(
+        b0=reduction.components, b1=len(reduction.free_rows), h1_torsion=reduction.torsion
+    )
 
 
 @dataclass(frozen=True)
@@ -152,6 +162,23 @@ def hasse_undirected(space: FinitePoset) -> HasseGraph:
 # -- induced action on first homology ----------------------------------------
 
 
+class _Reduction(NamedTuple):
+    """The parts of a :class:`CycleBasis` other than its complex.
+
+    Memoized on the complex, so it must not refer back to it: the pair
+    would then be a reference cycle, freed only by the cyclic collector.
+    """
+
+    edge_positions: dict[tuple[int, int], int]
+    nontree: tuple[int, ...]
+    basis_chains: tuple[dict[int, int], ...]
+    u_columns: dict[int, tuple[tuple[int, int], ...]]
+    chains_by_edge: dict[int, tuple[tuple[int, int], ...]]
+    free_rows: tuple[int, ...]
+    torsion: tuple[int, ...]
+    components: int
+
+
 @dataclass(frozen=True)
 class CycleBasis:
     """A basis of first homology in fundamental-cycle coordinates.
@@ -163,7 +190,13 @@ class CycleBasis:
     restricted to the non-pivot rows.  ``u_columns`` is that restriction by
     columns, keyed by edge position: a non-tree edge maps to its
     ``(coordinate, value)`` nonzeros, and an edge with none is absent.
-    ``components`` counts the trees of the forest, which is b0.
+    ``chains_by_edge`` is ``basis_chains`` by edges: an edge position maps
+    to its ``(basis index, coefficient)`` nonzeros.  ``components`` counts
+    the trees of the forest, which is b0.
+
+    Every field but ``complex`` comes from the complex's one Smith
+    reduction and is shared, not copied, by every basis of that complex;
+    treat it as read-only.
     """
 
     complex: OrderComplex
@@ -171,6 +204,7 @@ class CycleBasis:
     nontree: tuple[int, ...]
     basis_chains: tuple[dict[int, int], ...]
     u_columns: dict[int, tuple[tuple[int, int], ...]]
+    chains_by_edge: dict[int, tuple[tuple[int, int], ...]]
     free_rows: tuple[int, ...]
     torsion: tuple[int, ...]
     components: int
@@ -181,6 +215,11 @@ class CycleBasis:
 
 
 def cycle_basis(cx: OrderComplex) -> CycleBasis:
+    """A basis over the complex's memoized reduction (built on first use)."""
+    return CycleBasis(cx, **cx._reduction._asdict())
+
+
+def _reduce(cx: OrderComplex) -> _Reduction:
     n = len(cx.space)
     edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
     triangles = cx.simplices[2] if len(cx.simplices) > 2 else ()
@@ -243,8 +282,6 @@ def cycle_basis(cx: OrderComplex) -> CycleBasis:
                 b = parent[b]
         return chain
 
-    fundamentals = [fundamental_chain(k) for k in nontree]
-
     triples = []
     for col, (a, b, c) in enumerate(triangles):
         for key, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
@@ -255,26 +292,35 @@ def cycle_basis(cx: OrderComplex) -> CycleBasis:
 
     free = snf.free_rows()
     # Basis representatives: preimages (under U) of the free unit vectors,
-    # expanded from fundamental-cycle coordinates to edge chains.
+    # expanded from fundamental-cycle coordinates to edge chains.  Only the
+    # fundamental cycles these columns of U^-1 name are ever built.
+    fundamentals: dict[int, dict[int, int]] = {}
     basis_chains = []
     for row in free:
         chain: dict[int, int] = {}
         for t, coeff in snf.u_inv[row].items():
+            if t not in fundamentals:
+                fundamentals[t] = fundamental_chain(nontree[t])
             for pos, v in fundamentals[t].items():
                 chain[pos] = chain.get(pos, 0) + coeff * v
         basis_chains.append({k: v for k, v in chain.items() if v})
+
+    chains_by_edge: dict[int, list[tuple[int, int]]] = {}
+    for j, chain in enumerate(basis_chains):
+        for pos, coeff in chain.items():
+            chains_by_edge.setdefault(pos, []).append((j, coeff))
 
     u_columns: dict[int, list[tuple[int, int]]] = {}
     for coordinate, row in enumerate(free):
         for t, value in snf.u[row].items():
             u_columns.setdefault(nontree[t], []).append((coordinate, value))
 
-    return CycleBasis(
-        complex=cx,
+    return _Reduction(
         edge_positions=edge_positions,
         nontree=nontree,
         basis_chains=tuple(basis_chains),
         u_columns={pos: tuple(entries) for pos, entries in u_columns.items()},
+        chains_by_edge={pos: tuple(hits) for pos, hits in chains_by_edge.items()},
         free_rows=free,
         torsion=snf.torsion,
         components=components,
@@ -286,30 +332,36 @@ def h1_action_columns(basis: CycleBasis, automorphism: PosetMap):
 
     Column ``j`` lists the nonzeros of the image of basis cycle ``j`` as
     ``(coordinate, value)`` pairs in coordinate order, so equal matrices
-    are equal (and hash alike) as tuples.  Each edge of the cycle is pushed
-    forward and its coefficient scattered through ``u_columns``, so a map
-    costs the nonzeros it touches, not ``b`` passes over ``U``.  Functorial
-    by construction: composing automorphisms multiplies the matrices.
+    are equal (and hash alike) as tuples.  Only the edges in the support of
+    ``U`` (the keys of ``u_columns``) can carry a coordinate, so each is
+    pulled back through the inverse map and its column of ``U`` scattered
+    into the basis cycles that hold the preimage edge (``chains_by_edge``):
+    a map costs the support of ``U`` and the hits on it, not a push of
+    every chain entry.  Functorial by construction: composing
+    automorphisms multiplies the matrices.
     """
     cx = basis.complex
     edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
-    images = automorphism.images
-    positions, u_columns = basis.edge_positions, basis.u_columns
-    columns = []
-    for chain in basis.basis_chains:
-        acc: dict[int, int] = {}
-        for pos, coeff in chain.items():
-            a, b = edges[pos]
-            fa, fb = images[a], images[b]
-            if fa < fb:
-                entries = u_columns.get(positions[fa, fb], ())
-            else:
-                entries = u_columns.get(positions[fb, fa], ())
-                coeff = -coeff
+    inverse = [-1] * len(automorphism.images)
+    for i, image in enumerate(automorphism.images):
+        inverse[image] = i
+    if -1 in inverse:
+        raise ValueError("the H1 action is pulled back through an automorphism, "
+                         "and this map is not a bijection")
+    positions, chains_by_edge = basis.edge_positions, basis.chains_by_edge
+    accs: list[dict[int, int]] = [{} for _ in basis.basis_chains]
+    for target, entries in basis.u_columns.items():
+        u, v = edges[target]
+        a, b = inverse[u], inverse[v]
+        if a < b:
+            hits, sign = chains_by_edge.get(positions[a, b], ()), 1
+        else:
+            hits, sign = chains_by_edge.get(positions[b, a], ()), -1
+        for j, coeff in hits:
+            acc, coeff = accs[j], sign * coeff
             for coordinate, value in entries:
                 acc[coordinate] = acc.get(coordinate, 0) + coeff * value
-        columns.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
-    return tuple(columns)
+    return tuple(tuple(sorted((k, v) for k, v in acc.items() if v)) for acc in accs)
 
 
 def dense_matrix(columns) -> tuple[tuple[int, ...], ...]:

@@ -298,6 +298,9 @@ def _enumerate_maps(
     candidate masks; each narrowing is logged on a trail and undone before
     the frame's next candidate, so depth costs neither recursion nor a
     copy of the masks per level.
+
+    ``budget`` counts candidate nodes plus the image entries of the leaves
+    held so far, so it bounds memory as well as time.
     """
     n = len(space)
     if n == 0:
@@ -318,8 +321,18 @@ def _enumerate_maps(
             masks[point] = old & keep
         return masks[point]
 
+    def exhausted() -> SizeLimitExceeded:
+        return SizeLimitExceeded(
+            f"{layer} stopped after visiting {budget} candidate nodes, its node "
+            "budget; raise the limit with --budget-maps or POSETGROUPS_BUDGET_MAPS"
+        )
+
     def descend(unassigned: int):
+        nonlocal nodes
         if not unassigned:
+            nodes += n  # a held leaf costs its n image entries
+            if nodes > budget:
+                raise exhausted()
             out.append(tuple(images))
             return
         point, best = -1, None
@@ -347,10 +360,7 @@ def _enumerate_maps(
         cand = low.bit_length() - 1
         nodes += 1
         if nodes > budget:
-            raise SizeLimitExceeded(
-                f"{layer} stopped after visiting {budget} candidate nodes, its node "
-                "budget; raise the limit with --budget-maps or POSETGROUPS_BUDGET_MAPS"
-            )
+            raise exhausted()
         images[point] = cand
         if idempotent and cand != point:
             if remaining >> cand & 1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import PosetError
+from .errors import GroupError, PosetError
 from .groups import FiniteGroup
 from .labels import Base, label_id, parse_label_id
 from .posets import FinitePoset
@@ -29,10 +29,11 @@ def poset_to_doc(space: FinitePoset) -> dict:
 
 def poset_from_doc(doc: dict) -> FinitePoset:
     try:
-        points = list(doc["points"])
-        edges = list(doc["hasse"])
+        points, edges = doc["points"], doc["hasse"]
     except (KeyError, TypeError) as exc:
         raise PosetError(f"malformed poset document: {exc}") from None
+    if not (isinstance(points, list) and isinstance(edges, list)):
+        raise PosetError('malformed poset document: "points" and "hasse" must be arrays')
     if not all(isinstance(p, str) for p in points):
         raise PosetError("point ids must be strings")
     labels = [parse_label_id(p) for p in points]
@@ -40,9 +41,12 @@ def poset_from_doc(doc: dict) -> FinitePoset:
     if len(position) != len(points):
         raise PosetError("duplicate point ids")
     pairs = []
-    for lo, hi in edges:
-        if lo not in position or hi not in position:
-            raise PosetError(f"edge ({lo!r}, {hi!r}) references unknown points")
+    for k, edge in enumerate(edges):
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise PosetError(f"hasse edge {k} must be a [lower, upper] pair, not {edge!r}")
+        lo, hi = edge
+        if not all(isinstance(p, str) and p in position for p in edge):
+            raise PosetError(f"hasse edge {k} ({lo!r}, {hi!r}) references unknown points")
         pairs.append((position[lo], position[hi]))
     return FinitePoset.from_hasse(labels, pairs)
 
@@ -65,7 +69,20 @@ def group_to_doc(group: FiniteGroup) -> dict:
 
 
 def group_from_doc(doc: dict) -> FiniteGroup:
-    group = FiniteGroup(tuple(doc["labels"]), tuple(tuple(r) for r in doc["cayley"]))
+    if not isinstance(doc, dict):
+        raise GroupError("malformed group document: expected a JSON object")
+    labels, cayley = doc.get("labels"), doc.get("cayley")
+    if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
+        raise GroupError('malformed group document: "labels" must be an array of strings')
+    if not (
+        isinstance(cayley, list)
+        # JSON booleans load as bool, an int subclass: exact type only
+        and all(isinstance(row, list) and all(type(v) is int for v in row) for row in cayley)
+    ):
+        raise GroupError(
+            'malformed group document: "cayley" must be an array of arrays of integers'
+        )
+    group = FiniteGroup(tuple(labels), tuple(map(tuple, cayley)))
     if "order" in doc and doc["order"] != group.order:
         raise ValueError("declared order does not match the table")
     if "identity" in doc and doc["identity"] != group.identity:

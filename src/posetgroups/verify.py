@@ -117,8 +117,12 @@ class _Context:
         return self._get(f"variant:{fence}", lambda: build_space(self.variant_spec(fence)))
 
     @property
+    def full_complex(self):
+        return self._get("full_complex", lambda: order_complex(self.full))
+
+    @property
     def full_homology(self):
-        return self._get("full_homology", lambda: homology_summary(order_complex(self.full)))
+        return self._get("full_homology", lambda: homology_summary(self.full_complex))
 
     def require_gadgets(self):
         if self.spec.mode.kind == "none":
@@ -318,7 +322,7 @@ def _check_graph_complex_agreement(ctx: _Context):
 
 def _check_h1_action_faithful(ctx: _Context):
     ctx.require_gadgets()
-    basis = cycle_basis(order_complex(ctx.full))
+    basis = cycle_basis(ctx.full_complex)
     auts = ctx.full_auts
     matrices = [h1_action_columns(basis, m) for m in auts.maps]
     if matrices[auts.identity_index()] != tuple(((j, 1),) for j in range(basis.betti)):

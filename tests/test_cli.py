@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetgroups import (
     AutomorphismGroup,
@@ -333,3 +337,123 @@ def test_build_rejects_non_string_point_ids(capsys, tmp_path):
     code, out, err = run(capsys, "build", "--space-file", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# -- malformed documents ---------------------------------------------------------
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3)
+)
+NOT_STRINGS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.lists(st.integers(), max_size=2),
+)
+NOT_ARRAYS = st.one_of(SCALARS, st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+POINTS = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def bad_space_docs(draw):
+    """A poset document that is wrong in one drawn way."""
+    points = draw(POINTS)
+    point = st.sampled_from(points)
+    fault = draw(st.sampled_from(
+        ["top", "points", "hasse", "arity", "ids", "edge-ids", "duplicate", "cycle",
+         "non-reduced"]
+    ))
+    if fault == "top":
+        return draw(st.one_of(SCALARS, st.lists(SCALARS, max_size=3)))
+    if fault == "points":
+        return {"points": draw(NOT_ARRAYS), "hasse": []}
+    if fault == "hasse":
+        return {"points": points, "hasse": draw(NOT_ARRAYS)}
+    if fault == "arity":
+        edge = draw(st.one_of(
+            SCALARS, st.lists(point, max_size=4).filter(lambda e: len(e) != 2)
+        ))
+        return {"points": points, "hasse": [edge]}
+    if fault == "ids":
+        return {"points": points + [draw(NOT_STRINGS)], "hasse": []}
+    if fault == "edge-ids":
+        edge = [draw(st.one_of(NOT_STRINGS, st.just("zz"))), draw(point)]
+        return {"points": points, "hasse": [draw(st.permutations(edge))]}
+    if fault == "duplicate":
+        return {"points": points + [draw(point)], "hasse": []}
+    if fault == "cycle":
+        loop = draw(st.lists(point, min_size=1, max_size=4, unique=True))
+        return {"points": points, "hasse": [[a, b] for a, b in zip(loop, loop[1:] + loop[:1])]}
+    # the edge x0 < x2 is implied by x0 < x1 < x2, so the list is not reduced
+    return {
+        "points": points + ["x0", "x1", "x2"],
+        "hasse": draw(st.permutations([["x0", "x1"], ["x1", "x2"], ["x0", "x2"]])),
+    }
+
+
+@st.composite
+def bad_group_docs(draw):
+    """A group document that is wrong in one drawn way."""
+    n = draw(st.integers(1, 4))
+    labels = ["e", "a", "b", "c"][:n]
+    cyclic = [[(i + j) % n for j in range(n)] for i in range(n)]
+    fault = draw(st.sampled_from(
+        ["top", "labels", "label-type", "cayley", "row-type", "entry-type", "arity",
+         "duplicate", "not-a-group", "order"]
+    ))
+    if fault == "top":
+        return draw(st.one_of(SCALARS, st.lists(SCALARS, max_size=3)))
+    if fault == "labels":
+        return {"labels": draw(NOT_ARRAYS), "cayley": cyclic}
+    if fault == "label-type":
+        return {"labels": labels + [draw(NOT_STRINGS)], "cayley": cyclic}
+    if fault == "cayley":
+        return {"labels": labels, "cayley": draw(NOT_ARRAYS)}
+    if fault == "row-type":
+        return {"labels": labels, "cayley": cyclic[1:] + [draw(SCALARS)]}
+    if fault == "entry-type":
+        bad = draw(st.one_of(st.booleans(), st.floats(), st.text(max_size=2), st.none()))
+        return {"labels": labels, "cayley": [[bad] + row[1:] for row in cyclic]}
+    if fault == "arity":
+        rows = draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=1, max_size=5
+        ).filter(lambda rows: len(rows) != n))
+        return {"labels": labels, "cayley": rows}
+    if fault == "duplicate":
+        return {"labels": labels + ["e"], "cayley": [row + [0] for row in cyclic] + [[0] * (n + 1)]}
+    if fault == "not-a-group":
+        # row 0 all zeros: whatever the identity is, element 0 has no inverse
+        rest = draw(st.lists(
+            st.lists(st.integers(0, n), min_size=n + 1, max_size=n + 1), min_size=n, max_size=n
+        ))
+        return {"labels": labels + ["z"], "cayley": [[0] * (n + 1)] + rest}
+    return {"labels": labels, "cayley": cyclic, "order": n + draw(st.integers(1, 10**12))}
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs") / "doc.json"
+
+
+def run_on_document(path, doc, *argv):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=bad_space_docs())
+def test_malformed_space_files_exit_2_with_one_error_line(doc_path, doc):
+    code, out, err = run_on_document(doc_path, doc, "homology", "--space-file")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=bad_group_docs())
+def test_malformed_group_files_exit_2_with_one_error_line(doc_path, doc):
+    code, out, err = run_on_document(
+        doc_path, doc, "verify-all", "--gens", "a", "--group-file"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err

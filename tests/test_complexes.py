@@ -1,10 +1,13 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetgroups import (
+    complexes,
     AutomorphismGroup,
     FinitePoset,
     SizeLimitExceeded,
@@ -23,7 +26,11 @@ from posetgroups import (
     spec_for,
 )
 
-from complexes_oracle import oracle_h1_action_matrix
+from complexes_oracle import (
+    oracle_basis_chains,
+    oracle_h1_action_columns,
+    oracle_h1_action_matrix,
+)
 from conftest import fixture_space
 from test_posets import small_posets
 from test_search import built_space, permuted_copy
@@ -174,6 +181,45 @@ def test_cycle_basis_sees_torsion():
     assert basis.torsion == (2,)
 
 
+def counting_snf(monkeypatch):
+    """Count the Smith reductions the complexes layer runs."""
+    calls = []
+    real = complexes.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", counted)
+    return calls
+
+
+def test_one_reduction_serves_summary_and_bases(monkeypatch, c3_spec):
+    calls = counting_snf(monkeypatch)
+    cx = order_complex(build_space(c3_spec))
+    summary = homology_summary(cx)
+    first, second = cycle_basis(cx), cycle_basis(cx)
+    assert len(calls) == 1
+    assert summary.b1 == first.betti == 7
+    assert first.basis_chains is second.basis_chains and first.complex is cx
+
+
+def test_a_complex_with_a_basis_is_freed_without_the_cycle_collector(c3_spec):
+    space = build_space(c3_spec)
+    gc.disable()
+    try:
+        cx = order_complex(space)
+        basis = cycle_basis(cx)
+        homology_summary(cx)
+        alive = weakref.ref(cx)
+        del cx
+        assert alive() is not None  # the basis still holds it
+        del basis
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 @given(small_posets())
 @settings(max_examples=60, deadline=None)
 def test_homology_summary_matches_chain_complex_oracle(poset):
@@ -232,11 +278,18 @@ def test_action_separates_the_translations(c3_spec):
     assert matrices[auts.identity_index()] == identity
 
 
+def sparse(chains):
+    return tuple(tuple(sorted(chain.items())) for chain in chains)
+
+
 def assert_action_matches_oracle(space):
-    basis = cycle_basis(order_complex(space))
+    cx = order_complex(space)
+    basis = cycle_basis(cx)
+    assert sparse(basis.basis_chains) == sparse(oracle_basis_chains(cx))
     for m in all_automorphisms(space):
         columns = h1_action_columns(basis, m)
         assert all(v and list(c) == sorted(c) for c in columns for _, v in c)
+        assert columns == oracle_h1_action_columns(basis, m)
         assert h1_action_matrix(basis, m) == oracle_h1_action_matrix(basis, m)
 
 

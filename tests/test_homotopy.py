@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,22 @@ def test_selfmap_guards(crown):
     assert "self-map enumeration" in str(nodes.value) and "5 candidate nodes" in str(nodes.value)
     assert "--budget-maps" in str(nodes.value)
     assert "POSETGROUPS_BUDGET_MAPS" in str(nodes.value)
+
+
+def test_selfmap_budget_also_bounds_the_held_leaves():
+    # A chain has a leaf at the end of almost every branch; counting only
+    # nodes, budget 5000 let about 4700 leaves of 300 entries pile up.
+    chain = FinitePoset.from_relations(
+        [f"c{i}" for i in range(300)], [(i, i + 1) for i in range(299)]
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded, match="--budget-maps"):
+            enumerate_selfmaps(chain, max_points=300, budget=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_comparative_retraction_guards(crown):

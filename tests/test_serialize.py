@@ -83,6 +83,12 @@ def test_poset_doc_rejects_bad_input():
         poset_from_doc({"points": ["a", "b"], "hasse": [["a", "z"]]})
     with pytest.raises(PosetError, match="duplicate"):
         poset_from_doc({"points": ["a", "a"], "hasse": []})
+    with pytest.raises(PosetError, match="arrays"):
+        poset_from_doc({"points": "ab", "hasse": []})
+    with pytest.raises(PosetError, match=r"edge 1 must be a \[lower, upper\] pair"):
+        poset_from_doc({"points": ["a", "b"], "hasse": [["a", "b"], ["a"]]})
+    with pytest.raises(PosetError, match="edge 0 .* unknown points"):
+        poset_from_doc({"points": ["a", "b"], "hasse": [[["a"], "b"]]})
     # hasse lists must be genuine cover relations, not arbitrary order pairs
     with pytest.raises(PosetError, match="transitive reduction"):
         poset_from_doc(
@@ -120,6 +126,20 @@ def test_group_doc_cross_checks():
     doc = group_to_doc(dihedral(3))
     doc["identity"] = 3
     with pytest.raises(ValueError, match="identity"):
+        group_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"labels": 5, "cayley": [[0]]},
+    {"labels": [["e"]], "cayley": [[0]]},
+    {"labels": ["e", "a"], "cayley": [0, 1]},
+    {"labels": ["e"], "cayley": [["x"]]},
+    {"labels": ["e"], "cayley": [[0.0]]},
+    {"labels": ["e", "a"], "cayley": [[0, True], [1, 0]]},
+])
+def test_group_doc_rejects_malformed_shapes(doc):
+    with pytest.raises(GroupError, match="malformed group document"):
         group_from_doc(doc)
 
 

@@ -16,6 +16,8 @@ from posetgroups import (
     verify_one,
 )
 
+from test_complexes import counting_snf
+
 
 def result_map(report):
     return {r.name: r for r in report.results}
@@ -27,6 +29,16 @@ def test_every_check_passes_on_a_small_generating_spec():
     assert report.ok
     passed, failed, skipped = report.counts()
     assert (passed, failed, skipped) == (len(CHECK_NAMES), 0, 0)
+
+
+def test_verify_all_reduces_each_distinct_space_once(monkeypatch):
+    # the full space (fence 1) is shared by betti-prediction,
+    # graph-complex-agreement, betti-variant-invariance and h1-action-faithful
+    calls = counting_snf(monkeypatch)
+    spec = spec_for(builtin_group("cyclic:3"), ["a"], mode="sandt")
+    report = verify_all(spec, VerifyOptions(fence_range=(1, 2, 3)))
+    assert report.ok
+    assert len(calls) == 3
 
 
 def test_gadget_checks_skip_when_nothing_is_attached():
