@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .errors import MapError, SizeLimitExceeded
 from .groups import FiniteGroup
-from .labels import Base, FencePoint, Label, SPoint, Star, TPoint
+from .labels import COLUMN, Label, label_at
 from .posets import FinitePoset, PosetMap, bits
 from .search import DEFAULT_AUT_BUDGET, all_automorphisms
 
@@ -185,22 +185,41 @@ class ExtensionCheck:
     full_order: int
 
 
-def _transport_label(label: Label, base_image: dict[tuple[int, int], Label]) -> Label:
-    """Move a label along a base automorphism given by its action on columns."""
-    if isinstance(label, Base):
-        return base_image[(label.g, label.level)]
-    if isinstance(label, (SPoint, TPoint, FencePoint)):
-        target = base_image[(label.g, label.level)]
-        if not isinstance(target, Base):
+_OFF_GRID = object()  # the site of a column point whose image is not a column point
+
+
+def _extension(
+    base: FinitePoset, full: FinitePoset, base_positions: list[int], images: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Carry every point of ``full`` along the base automorphism ``images``.
+
+    The base automorphism moves column sites; each point of ``full`` keeps
+    its role at the moved site (the basepoint stays), one layout lookup per
+    point.  Labels are built only to word a failure: a ``KeyError`` names
+    the missing point or site, a :class:`MapError` an unexpected label or
+    an attachment site sent off the column grid.
+    """
+    on_base, layout = base.layout, full.layout
+    sites = {None: None}
+    for i, j in enumerate(images):
+        if on_base.roles[i] == COLUMN:
+            sites[on_base.sites[i]] = on_base.sites[j] if on_base.roles[j] == COLUMN else _OFF_GRID
+    lifted = layout.carry(layout, sites=sites)
+    while None in lifted:
+        x = lifted.index(None)
+        site, role = layout.sites[x], layout.roles[x]
+        if role is None:
+            raise MapError(f"unexpected label {full.labels[x]!r}")
+        if site not in sites:
+            raise KeyError(site)
+        moved = sites[site]
+        if moved is not _OFF_GRID:
+            raise KeyError(label_at(moved, role))
+        if role != COLUMN:
             raise MapError("attachment site mapped off the column grid")
-        if isinstance(label, SPoint):
-            return SPoint(label.kind, target.g, target.level)
-        if isinstance(label, TPoint):
-            return TPoint(label.kind, target.g, target.level)
-        return FencePoint(label.role, label.index, target.g, target.level)
-    if isinstance(label, Star):
-        return label
-    raise MapError(f"unexpected label {label!r}")
+        # a column point lands on the copy of its image in ``full``
+        lifted[x] = base_positions[images[on_base.index[site, COLUMN]]]
+    return tuple(lifted)
 
 
 def extension_restriction_check(
@@ -215,7 +234,9 @@ def extension_restriction_check(
     Three layers, each reported on failure: every automorphism of the full
     space maps base points to base points; restriction lands bijectively in
     the automorphisms of the base; and the canonical extension (transport
-    each attachment to the image site) inverts restriction.
+    each attachment to the image site) inverts restriction.  An extension
+    found among the edge-verified automorphisms of ``full`` needs no order
+    check of its own.
     """
     failures: list[str] = []
     base_positions = [full.index_of(lab) for lab in base.labels]
@@ -241,23 +262,17 @@ def extension_restriction_check(
     extended: dict[tuple[int, ...], tuple[int, ...]] = {}
     full_images_set = {m.images for m in full_auts.maps}
     for k, m in enumerate(base_auts.maps):
-        base_image = {
-            (lab.g, lab.level): base.labels[m.images[i]]
-            for i, lab in enumerate(base.labels)
-            if isinstance(lab, Base)
-        }
         try:
-            lifted = PosetMap.by_labels(
-                full, full, lambda lab: _transport_label(lab, base_image)
-            )
+            lifted = _extension(base, full, base_positions, m.images)
+            if lifted not in full_images_set:
+                PosetMap(full, full, lifted)  # words an order failure, if there is one
+                failures.append(f"extension of base automorphism {k} is not an automorphism")
+                continue
         except (MapError, KeyError) as exc:
             failures.append(f"base automorphism {k} does not extend: {exc}")
             continue
-        if lifted.images not in full_images_set:
-            failures.append(f"extension of base automorphism {k} is not an automorphism")
-            continue
-        extended[m.images] = lifted.images
-        if restrictions.get(lifted.images) != m.images:
+        extended[m.images] = lifted
+        if restrictions.get(lifted) != m.images:
             failures.append(f"restriction does not invert extension for map {k}")
 
     if len(restrictions) != len(extended) or full_auts.order != base_auts.order:

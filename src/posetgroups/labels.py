@@ -9,6 +9,9 @@ posets just use plain strings.
 
 ``label_id`` / ``parse_label_id`` are inverse bijections; serialized
 documents store labels through them, and round-trips are exact.
+``site_role`` / ``label_at`` split a label into the column point it sits
+at and its role there, and put the two back together; the maps of the
+built spaces move sites and keep roles (see ``FinitePoset.layout``).
 """
 
 from __future__ import annotations
@@ -130,3 +133,45 @@ def parse_label_id(text: str) -> Label:
     if any(text.startswith(p) for p in RESERVED_PREFIXES):
         raise ValueError(f"malformed structured label id: {text!r}")
     return text
+
+
+COLUMN = "base"  # the role of a column point, which is its own site
+STAR = "star"
+
+
+def site_role(label: Label) -> tuple:
+    """``(site, role)``: the column point ``(g, level)`` a label sits at, and its role.
+
+    Roles are strings: ``"base"`` for the column point itself, ``"S:A"``,
+    ``"T:E"`` and ``"Tn:max:3"`` for attachment points.  The basepoint is
+    ``(None, "star")``; any other label ``x`` is ``(x, None)``, so no two
+    labels share a pair.
+    """
+    if isinstance(label, Base):
+        return (label.g, label.level), COLUMN
+    if isinstance(label, SPoint):
+        return (label.g, label.level), f"S:{label.kind}"
+    if isinstance(label, TPoint):
+        return (label.g, label.level), f"T:{label.kind}"
+    if isinstance(label, FencePoint):
+        return (label.g, label.level), f"Tn:{label.role}:{label.index}"
+    if isinstance(label, Star):
+        return None, STAR
+    return label, None
+
+
+def label_at(site, role: str | None) -> Label:
+    """Inverse of :func:`site_role`."""
+    if role is None:
+        return site
+    if role == STAR:
+        return Star()
+    if role == COLUMN:
+        return Base(*site)
+    kind, _, rest = role.partition(":")
+    if kind == "S":
+        return SPoint(rest, *site)
+    if kind == "T":
+        return TPoint(rest, *site)
+    fence_role, _, index = rest.partition(":")
+    return FencePoint(fence_role, int(index), *site)

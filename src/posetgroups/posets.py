@@ -8,15 +8,23 @@ down-set/up-set bitmasks, so ``leq`` is O(1).
 The same class doubles as a finite T0 topological space: the minimal open
 neighbourhood of a point is its down-set, and a map between posets is
 continuous exactly when it is order-preserving.
+
+Two indexes are built on first use and kept on the poset: the cover index
+(the covers' sources and targets as ``itemgetter``s, plus the set of
+covers), through which every covers-onto-covers and order check reads an
+image tuple in C; and the layout (the points by ``(site, role)``), through
+which the maps of the built spaces are one lookup per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import MapError, PosetError
-from .labels import Label
+from .labels import STAR, Label, site_role
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -27,6 +35,70 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*indices)``, but a tuple for any length (itemgetter of
+    one index returns a bare item, and of none raises)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
+
+class CoverIndex:
+    """The covers of a poset, ready to read an image tuple in C.
+
+    ``sources(images)`` and ``targets(images)`` are the images of the lower
+    and upper ends of every cover, in ``hasse`` order; ``edges`` is the set
+    of covers.
+    """
+
+    __slots__ = ("sources", "targets", "edges")
+
+    def __init__(self, hasse: tuple[tuple[int, int], ...]):
+        self.sources = tuple_getter([a for a, _ in hasse])
+        self.targets = tuple_getter([b for _, b in hasse])
+        self.edges = frozenset(hasse)
+
+
+_NOWHERE = object()  # a site no layout has
+
+
+class Layout:
+    """The points of a poset by ``(site, role)`` (see :func:`labels.site_role`).
+
+    ``sites[i]`` and ``roles[i]`` make up point ``i``'s pair, and ``index``
+    maps each pair back to its point; equal sites and roles are stored
+    once.  ``grid`` lists the distinct column sites ``(g, level)`` in order
+    of first use.
+    """
+
+    __slots__ = ("sites", "roles", "index", "grid")
+
+    def __init__(self, labels: Sequence[Label]):
+        shared: dict = {}
+        sites, roles = [], []
+        for label in labels:
+            site, role = site_role(label)
+            sites.append(shared.setdefault(site, site))
+            roles.append(shared.setdefault(role, role))
+        self.sites, self.roles = tuple(sites), tuple(roles)
+        self.index = {pair: i for i, pair in enumerate(zip(sites, roles))}
+        self.grid = tuple(dict.fromkeys(
+            site for site, role in zip(sites, roles) if role not in (None, STAR)
+        ))
+
+    def carry(self, target: "Layout", sites: dict | None = None,
+              roles: dict | None = None) -> list:
+        """Where each point lands in ``target``, its site moved through
+        ``sites`` and its role through ``roles`` (unchanged when omitted).
+
+        One lookup per point and no label built.  A point lands on None
+        when ``sites`` lacks its site or ``target`` lacks the moved pair.
+        """
+        moved = self.sites if sites is None else map(sites.get, self.sites, repeat(_NOWHERE))
+        kinds = self.roles if roles is None else map(roles.__getitem__, self.roles)
+        return list(map(target.index.get, zip(moved, kinds)))
+
+
 class FinitePoset:
     """An immutable finite partial order.
 
@@ -35,7 +107,7 @@ class FinitePoset:
     exactly the covering relations).
     """
 
-    __slots__ = ("labels", "hasse", "_down", "_up", "_index")
+    __slots__ = ("labels", "hasse", "_down", "_up", "_index", "_covers", "_layout")
 
     def __init__(self, labels, hasse, down, up):
         self.labels: tuple[Label, ...] = labels
@@ -43,6 +115,8 @@ class FinitePoset:
         self._down: tuple[int, ...] = down
         self._up: tuple[int, ...] = up
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._covers: CoverIndex | None = None
+        self._layout: Layout | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -169,6 +243,36 @@ class FinitePoset:
     def hasse_above(self, i: int) -> tuple[int, ...]:
         return tuple(b for a, b in self.hasse if a == i)
 
+    @property
+    def cover_index(self) -> CoverIndex:
+        """The covers as two gathers and a set, built on first use."""
+        if self._covers is None:
+            self._covers = CoverIndex(self.hasse)
+        return self._covers
+
+    @property
+    def layout(self) -> Layout:
+        """The points by ``(site, role)``, built on first use."""
+        if self._layout is None:
+            self._layout = Layout(self.labels)
+        return self._layout
+
+    def maps_covers_onto(self, target: "FinitePoset", images: Sequence[int]) -> bool:
+        """Do ``images`` (indices into ``target``) biject this poset's covers
+        onto ``target``'s?  That makes the map an isomorphism.
+
+        With the images distinct and the cover counts equal, it suffices
+        that every mapped cover is a cover of ``target``.
+        """
+        if len(images) != len(target) or len(self.hasse) != len(target.hasse):
+            return False
+        if len(set(images)) != len(images):
+            return False
+        covers = self.cover_index
+        return target.cover_index.edges.issuperset(
+            zip(covers.sources(images), covers.targets(images))
+        )
+
     def topological_order(self) -> tuple[int, ...]:
         """A linear extension: every point after everything below it."""
         return tuple(sorted(range(len(self)), key=lambda i: (self._down[i].bit_count(), i)))
@@ -280,18 +384,17 @@ class PosetMap:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.images) != len(self.source):
+        images, n = self.images, len(self.target)
+        if len(images) != len(self.source):
             raise MapError("image tuple length does not match the source")
-        n = len(self.target)
-        for v in self.images:
-            if not 0 <= v < n:
-                raise MapError(f"image index {v} out of range")
-        for a, b in self.source.hasse:
-            if not self.target.leq(self.images[a], self.images[b]):
-                raise MapError(
-                    f"not order-preserving on cover ({a}, {b}): "
-                    f"{self.images[a]} !<= {self.images[b]}"
-                )
+        if images and not (0 <= min(images) and max(images) < n):
+            bad = next(v for v in images if not 0 <= v < n)
+            raise MapError(f"image index {bad} out of range")
+        covers, down = self.source.cover_index, self.target._down
+        for k, (x, y) in enumerate(zip(covers.sources(images), covers.targets(images))):
+            if not down[y] >> x & 1:
+                a, b = self.source.hasse[k]
+                raise MapError(f"not order-preserving on cover ({a}, {b}): {x} !<= {y}")
 
     @classmethod
     def _trusted(cls, source: FinitePoset, target: FinitePoset, images) -> "PosetMap":
@@ -309,13 +412,6 @@ class PosetMap:
     def identity(cls, poset: FinitePoset) -> "PosetMap":
         return cls(poset, poset, tuple(range(len(poset))))
 
-    @classmethod
-    def by_labels(
-        cls, source: FinitePoset, target: FinitePoset, fn: Callable[[Label], Label]
-    ) -> "PosetMap":
-        """Build a map by transforming labels; images are looked up in the target."""
-        return cls(source, target, tuple(target.index_of(fn(lab)) for lab in source.labels))
-
     def compose(self, inner: "PosetMap") -> "PosetMap":
         """``self`` after ``inner``."""
         if inner.target is not self.source and inner.target != self.source:
@@ -332,10 +428,7 @@ class PosetMap:
 
     def is_isomorphism(self) -> bool:
         """Bijective with order-preserving inverse (covers map onto covers)."""
-        if not self.is_bijective():
-            return False
-        mapped = {(self.images[a], self.images[b]) for a, b in self.source.hasse}
-        return mapped == set(self.target.hasse)
+        return self.source.maps_covers_onto(self.target, self.images)
 
     def inverse(self) -> "PosetMap":
         if not self.is_isomorphism():

@@ -11,8 +11,9 @@ where all points of a cell have the same number of cover neighbours in
 every cell.  The remaining ambiguity is resolved by individualize-and-refine
 backtracking on an explicit stack; each branch undoes its splits from a
 trail instead of copying the partition.  Every complete assignment is
-verified edge-by-edge before being reported, so refinement only ever
-prunes, never certifies.
+verified against every cover before being reported (one C-level check
+through the poset's cover index), so refinement only ever prunes, never
+certifies.
 
 An isomorphism is the first verified leaf of a depth-first walk.  The
 automorphism group is not enumerated leaf by leaf but found from generators
@@ -22,8 +23,12 @@ each point with its own copy and records the base points p₁…p_d; then, from
 the deepest level up, each candidate image q of pₖ that is not yet in pₖ's
 orbit under the generators found so far gets one first-leaf probe, and a
 verified leaf becomes a new generator that extends the orbit.  The group is
-the closure of the generators under composition, every element of which is
-verified again, and its size must equal the product of the orbit sizes.
+the closure of the generators under composition, and its size must equal
+the product of the orbit sizes.  The closure is keyed on the base: the
+partition is discrete once p₁…p_d are individualized, so an automorphism is
+fixed by its base image, and a product whose base image is already known is
+neither composed in full nor verified.  Every new element is verified
+against every cover.
 
 All orderings are deterministic; results are sorted by image tuple.
 Search effort is bounded by an explicit node budget, which also bounds the
@@ -37,7 +42,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import MapError, SizeLimitExceeded
-from .posets import FinitePoset, PosetMap
+from .posets import FinitePoset, PosetMap, tuple_getter
 
 DEFAULT_AUT_BUDGET = 10**6
 
@@ -242,14 +247,6 @@ class _Partition:
         return tuple(images)
 
 
-def _verified_map(poset_p: FinitePoset, target_hasse: set, images) -> bool:
-    """Full check that ``images`` bijects covering relations onto covering relations."""
-    if len(set(images)) != len(images):
-        return False
-    mapped = {(images[a], images[b]) for a, b in poset_p.hasse}
-    return mapped == target_hasse
-
-
 def _budget_error(budget: int, order: int | None = None) -> SizeLimitExceeded:
     reached = (
         f"visiting {budget} nodes, its node budget"
@@ -271,7 +268,7 @@ class _Tree:
     def __init__(self, poset_p: FinitePoset, poset_q: FinitePoset, budget: int):
         self.part = _Partition(poset_p, poset_q)
         self.poset_p = poset_p
-        self.target_hasse = set(poset_q.hasse)
+        self.poset_q = poset_q
         self.budget = budget
         self.nodes = 0
 
@@ -301,7 +298,7 @@ class _Tree:
         while True:
             if alive and part.ncells == part.n:
                 images = part.images()
-                if _verified_map(self.poset_p, self.target_hasse, images):
+                if self.poset_p.maps_covers_onto(self.poset_q, images):
                     return images
             elif alive:
                 stack.append([*part.branch(), 0, len(part.trail)])
@@ -331,7 +328,7 @@ def find_isomorphism(
     images = tree.first_leaf(tree.root())
     if images is None:
         return None
-    return PosetMap(poset_p, poset_q, images)
+    return PosetMap._trusted(poset_p, poset_q, images)
 
 
 def are_isomorphic(
@@ -359,23 +356,31 @@ def _grow_orbit(orbit: list[int], seen: set[int], gens: list[tuple[int, ...]]) -
                 frontier.append(y)
 
 
-def _closure(tree: _Tree, gens: list[tuple[int, ...]], order: int) -> list[tuple[int, ...]]:
-    """The group generated by ``gens``, sorted, each product verified edge by edge.
+def _closure(
+    poset: FinitePoset, base: list[int], gens: list[tuple[int, ...]], order: int
+) -> list[tuple[int, ...]]:
+    """The group generated by ``gens``, sorted, each element verified against every cover.
 
-    The identity needs no check: it maps every cover to itself.
+    Elements are keyed by their images on ``base``, which tell
+    automorphisms apart.  The product ``x ∘ g`` has base image
+    ``x[g[b]]``, read by one gather per generator; only a product with a
+    new base image is composed in full and verified.  The identity needs no
+    check: it maps every cover to itself.
     """
-    identity = tuple(range(tree.part.n))
+    identity = tuple(range(len(poset)))
+    on_base = tuple_getter(base)
+    products = [(itemgetter(*g), tuple_getter([g[b] for b in base])) for g in gens]
     elements = [identity]
-    seen = {identity}
-    getters = [itemgetter(*g) for g in gens]
+    seen = {on_base(identity)}
     for x in elements:  # breadth-first: ``elements`` grows while it is read
-        for right in getters:
-            y = right(x)  # x ∘ g
-            if y in seen:
+        for compose, compose_on_base in products:
+            key = compose_on_base(x)
+            if key in seen:
                 continue
-            if not _verified_map(tree.poset_p, tree.target_hasse, y):
+            y = compose(x)  # x ∘ g
+            if not poset.maps_covers_onto(poset, y):
                 raise MapError("a product of verified automorphisms failed verification")
-            seen.add(y)
+            seen.add(key)
             elements.append(y)
         if len(elements) > order:
             break
@@ -421,4 +426,6 @@ def all_automorphisms(
         order *= len(orbit)
         if order > budget:
             raise _budget_error(budget, order)
-    return [PosetMap._trusted(poset, poset, images) for images in _closure(tree, gens, order)]
+    base = [p for _, p, _, _ in levels]
+    elements = _closure(poset, base, gens, order)
+    return [PosetMap._trusted(poset, poset, images) for images in elements]

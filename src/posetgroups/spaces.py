@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConstructionError
 from .groups import FiniteGroup, validate_generating_set
-from .labels import Base, FencePoint, Label, SPoint, Star, TPoint
+from .labels import Base, FencePoint, Label, SPoint, Star, TPoint, label_at, site_role
 from .posets import FinitePoset, PosetMap
 
 
@@ -255,8 +255,9 @@ def collapse_map(
     """The fold from the sized-fence space onto the classic one.
 
     ``spec.mode`` must be ``sandt``; the target is the same spec with
-    fence size 1.  Order preservation is re-validated by the map
-    constructor, surjectivity by the caller if desired.
+    fence size 1.  Each point keeps its site and folds its role, one
+    layout lookup per point.  Order preservation is re-validated by the
+    map constructor, surjectivity by the caller if desired.
     """
     if spec.mode.kind != "sandt":
         raise ConstructionError("collapse is only defined for sandt spaces")
@@ -264,18 +265,37 @@ def collapse_map(
         source = build_space(spec)
     if target is None:
         target = build_space(replace(spec, mode=GadgetMode("sandt", 1)))
-    return PosetMap.by_labels(source, target, _collapse_label)
+    layout = source.layout
+    # a role folds as the label of its first point does
+    first = dict(zip(reversed(layout.roles), reversed(layout.sites)))
+    roles = {
+        role: site_role(_collapse_label(label_at(first[role], role)))[1]
+        for role in dict.fromkeys(layout.roles)
+    }
+    images = layout.carry(target.layout, roles=roles)
+    if None in images:
+        x = images.index(None)
+        raise KeyError(label_at(layout.sites[x], roles[layout.roles[x]]))
+    return PosetMap(source, target, tuple(images))
 
 
 def left_translation(space: FinitePoset, spec: ConstructionSpec, g: int) -> PosetMap:
-    """The automorphism that left-multiplies every column index by ``g``."""
-    group = spec.group
+    """The automorphism that left-multiplies every column index by ``g``.
 
-    def shift(label: Label) -> Label:
-        if isinstance(label, (Base, SPoint, TPoint, FencePoint)):
-            return replace(label, g=group.op(g, label.g))
-        if isinstance(label, Star):
-            return label
-        raise ConstructionError(f"unexpected label {label!r} in a built space")
-
-    return PosetMap.by_labels(space, space, shift)
+    Each point moves its site ``(h, level)`` to ``(g·h, level)`` and keeps
+    its role, one layout lookup per point; the basepoint stays.
+    """
+    layout = space.layout
+    op = spec.group.op
+    sites = {site: (op(g, site[0]), site[1]) for site in layout.grid}
+    sites[None] = None
+    images = layout.carry(layout, sites=sites)
+    if None in images:
+        x = images.index(None)
+        role = layout.roles[x]
+        if role is None:
+            raise ConstructionError(
+                f"unexpected label {space.labels[x]!r} in a built space"
+            )
+        raise KeyError(label_at(sites[layout.sites[x]], role))
+    return PosetMap(space, space, tuple(images))

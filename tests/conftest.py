@@ -67,3 +67,8 @@ def c3_spec():
 @pytest.fixture(scope="session")
 def klein_spec():
     return spec_for(builtin_group("klein4"), standard_generator_labels("klein4"))
+
+
+@pytest.fixture(scope="session")
+def d3_spec():
+    return spec_for(builtin_group("dihedral:3"), standard_generator_labels("dihedral:3"))

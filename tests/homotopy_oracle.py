@@ -7,13 +7,36 @@ comparable pair of maps and looks for a two-sided homotopy inverse of each
 map among all the others.  Both are quadratic or worse but obviously
 correct, and the property tests compare :mod:`posetgroups.homotopy`
 against them.
+
+``transport_label`` moves one label along a base automorphism, and
+``oracle_extension_restriction_check``, ``oracle_left_translation`` and
+``oracle_collapse_map`` build their maps label by label through
+``by_labels``.  The library carries points through each space's
+``(site, role)`` layout instead; the property tests compare maps and
+failure texts.
 """
 
 from __future__ import annotations
 
-from posetgroups import CoreResult, FiniteGroup, FinitePoset, HomotopyClasses, PosetMap
-from posetgroups.labels import Label
+from dataclasses import replace
+
+from posetgroups import (
+    AutomorphismGroup,
+    ConstructionError,
+    ConstructionSpec,
+    CoreResult,
+    ExtensionCheck,
+    FiniteGroup,
+    FinitePoset,
+    GadgetMode,
+    HomotopyClasses,
+    MapError,
+    PosetMap,
+    build_space,
+)
+from posetgroups.labels import Base, FencePoint, Label, SPoint, Star, TPoint
 from posetgroups.posets import bits
+from posetgroups.spaces import _collapse_label
 
 
 def _unique_extreme(strict: int, masks) -> bool:
@@ -155,3 +178,134 @@ def oracle_homotopy_classes(maps: list[PosetMap]) -> HomotopyClasses:
     )
     group = FiniteGroup(tuple(f"c{c}" for c in eq_classes), table)
     return HomotopyClasses(maps, class_ids, equivalences, group)
+
+
+# -- label-by-label maps of the built spaces -------------------------------
+
+
+def by_labels(source: FinitePoset, target: FinitePoset, fn) -> PosetMap:
+    """Build a map by transforming labels; images are looked up in the target."""
+    return PosetMap(source, target, tuple(target.index_of(fn(lab)) for lab in source.labels))
+
+
+def transport_label(label: Label, base_image: dict[tuple[int, int], Label]) -> Label:
+    """Move a label along a base automorphism given by its action on columns."""
+    if isinstance(label, Base):
+        return base_image[(label.g, label.level)]
+    if isinstance(label, (SPoint, TPoint, FencePoint)):
+        target = base_image[(label.g, label.level)]
+        if not isinstance(target, Base):
+            raise MapError("attachment site mapped off the column grid")
+        if isinstance(label, SPoint):
+            return SPoint(label.kind, target.g, target.level)
+        if isinstance(label, TPoint):
+            return TPoint(label.kind, target.g, target.level)
+        return FencePoint(label.role, label.index, target.g, target.level)
+    if isinstance(label, Star):
+        return label
+    raise MapError(f"unexpected label {label!r}")
+
+
+def oracle_extension_restriction_check(
+    base: FinitePoset,
+    full: FinitePoset,
+    base_auts: AutomorphismGroup,
+    full_auts: AutomorphismGroup,
+) -> ExtensionCheck:
+    """Verify automorphisms of ``full`` are exactly the natural extensions
+    of automorphisms of ``base``.
+
+    Three layers, each reported on failure: every automorphism of the full
+    space maps base points to base points; restriction lands bijectively in
+    the automorphisms of the base; and the canonical extension (transport
+    each attachment to the image site) inverts restriction.
+    """
+    failures: list[str] = []
+    base_positions = [full.index_of(lab) for lab in base.labels]
+    base_set = set(base_positions)
+    back = {full_idx: base_idx for base_idx, full_idx in enumerate(base_positions)}
+
+    restrictions: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for k, m in enumerate(full_auts.maps):
+        hit = [m.images[i] for i in base_positions]
+        if any(v not in base_set for v in hit):
+            failures.append(f"full automorphism {k} moves a column point off the columns")
+            continue
+        restrictions[m.images] = tuple(back[v] for v in hit)
+
+    base_images = {m.images for m in base_auts.maps}
+    for full_images, restricted in restrictions.items():
+        if restricted not in base_images:
+            failures.append("a restriction is not an automorphism of the base")
+
+    if len(set(restrictions.values())) != len(restrictions):
+        failures.append("two full automorphisms restrict to the same base map")
+
+    extended: dict[tuple[int, ...], tuple[int, ...]] = {}
+    full_images_set = {m.images for m in full_auts.maps}
+    for k, m in enumerate(base_auts.maps):
+        base_image = {
+            (lab.g, lab.level): base.labels[m.images[i]]
+            for i, lab in enumerate(base.labels)
+            if isinstance(lab, Base)
+        }
+        try:
+            lifted = by_labels(
+                full, full, lambda lab: transport_label(lab, base_image)
+            )
+        except (MapError, KeyError) as exc:
+            failures.append(f"base automorphism {k} does not extend: {exc}")
+            continue
+        if lifted.images not in full_images_set:
+            failures.append(f"extension of base automorphism {k} is not an automorphism")
+            continue
+        extended[m.images] = lifted.images
+        if restrictions.get(lifted.images) != m.images:
+            failures.append(f"restriction does not invert extension for map {k}")
+
+    if len(restrictions) != len(extended) or full_auts.order != base_auts.order:
+        failures.append(
+            f"automorphism counts differ: base {base_auts.order}, full {full_auts.order}"
+        )
+
+    return ExtensionCheck(
+        ok=not failures,
+        failures=tuple(failures),
+        base_order=base_auts.order,
+        full_order=full_auts.order,
+    )
+
+
+def oracle_collapse_map(
+    spec: ConstructionSpec,
+    *,
+    source: FinitePoset | None = None,
+    target: FinitePoset | None = None,
+) -> PosetMap:
+    """The fold from the sized-fence space onto the classic one.
+
+    ``spec.mode`` must be ``sandt``; the target is the same spec with
+    fence size 1.  Order preservation is re-validated by the map
+    constructor, surjectivity by the caller if desired.
+    """
+    if spec.mode.kind != "sandt":
+        raise ConstructionError("collapse is only defined for sandt spaces")
+    if source is None:
+        source = build_space(spec)
+    if target is None:
+        target = build_space(replace(spec, mode=GadgetMode("sandt", 1)))
+    return by_labels(source, target, _collapse_label)
+
+
+def oracle_left_translation(space: FinitePoset, spec: ConstructionSpec, g: int) -> PosetMap:
+    """The automorphism that left-multiplies every column index by ``g``."""
+    group = spec.group
+
+    def shift(label: Label) -> Label:
+        if isinstance(label, (Base, SPoint, TPoint, FencePoint)):
+            return replace(label, g=group.op(g, label.g))
+        if isinstance(label, Star):
+            return label
+        raise ConstructionError(f"unexpected label {label!r} in a built space")
+
+    return by_labels(space, space, shift)

@@ -7,13 +7,19 @@ its cover neighbours, until the number of colours stops growing.
 :mod:`posetgroups.search` but visits every leaf of the individualization
 tree, with no orbit pruning.  Both are slow but obviously correct, and the
 property tests compare :mod:`posetgroups.search` against them.
+
+``oracle_verified_map`` is the covers-onto-covers check as one set
+comprehension per map, and ``oracle_closure`` closes generators keyed by
+whole image tuples, composing and verifying every product; the property
+tests compare the cover-index check and the base-keyed closure with them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 
-from posetgroups import FinitePoset, SizeLimitExceeded
+from posetgroups import FinitePoset, MapError, SizeLimitExceeded
 from posetgroups.search import _Partition
 
 
@@ -83,7 +89,7 @@ def _refine(side_p: _Side, side_q: _Side, cols_p, cols_q):
         ncells = new_ncells
 
 
-def _verified_map(poset_p: FinitePoset, poset_q: FinitePoset, images):
+def oracle_verified_map(poset_p: FinitePoset, poset_q: FinitePoset, images):
     """Full check that ``images`` bijects covering relations onto covering relations."""
     if len(set(images)) != len(images):
         return False
@@ -128,7 +134,7 @@ def _enumerate(poset_p, poset_q, side_p, side_q, cols_p, cols_q, out, budget, fi
         for colour, cell in cells_p.items():
             images[cell[0]] = cells_q[colour][0]
         images = tuple(images)
-        if _verified_map(poset_p, poset_q, images):
+        if oracle_verified_map(poset_p, poset_q, images):
             out.append(images)
         return budget
 
@@ -181,7 +187,7 @@ def leaf_search(poset_p: FinitePoset, poset_q: FinitePoset, *,
     while True:
         if alive and part.ncells == part.n:
             images = part.images()
-            if _verified_map(poset_p, poset_q, images):
+            if oracle_verified_map(poset_p, poset_q, images):
                 out.append(images)
         elif alive:
             cell = part.target()
@@ -202,3 +208,31 @@ def leaf_search(poset_p: FinitePoset, poset_q: FinitePoset, *,
             raise SizeLimitExceeded("leaf search exceeded its node budget")
         alive = part.individualize(frame[0], frame[1], q)
     return sorted(out)
+
+
+def oracle_closure(poset: FinitePoset, gens: list[tuple[int, ...]], order: int):
+    """The group generated by ``gens``, sorted, keyed by whole image tuples.
+
+    Every product is composed in full; each new one is verified.
+    """
+    identity = tuple(range(len(poset)))
+    elements = [identity]
+    seen = {identity}
+    getters = [itemgetter(*g) for g in gens]
+    for x in elements:
+        for right in getters:
+            y = right(x)  # x ∘ g
+            if y in seen:
+                continue
+            if not oracle_verified_map(poset, poset, y):
+                raise MapError("a product of verified automorphisms failed verification")
+            seen.add(y)
+            elements.append(y)
+        if len(elements) > order:
+            break
+    if len(elements) != order:
+        raise MapError(
+            f"the generators close to {len(elements)} automorphisms, "
+            f"but the orbit sizes multiply to {order}"
+        )
+    return sorted(elements)

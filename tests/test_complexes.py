@@ -64,6 +64,44 @@ def projective_plane_face_poset() -> FinitePoset:
     return FinitePoset.from_relations(labels, pairs)
 
 
+def face_poset(simplices) -> FinitePoset:
+    """Face poset of the simplicial complex spanned by ``simplices``."""
+    faces = set()
+    for simplex in simplices:
+        for k in range(1, len(simplex) + 1):
+            faces.update(itertools.combinations(sorted(simplex), k))
+    faces = sorted(faces, key=lambda f: (len(f), f))
+    index = {f: k for k, f in enumerate(faces)}
+    pairs = [
+        (index[f[:drop] + f[drop + 1:]], index[f])
+        for f in faces
+        if len(f) > 1
+        for drop in range(len(f))
+    ]
+    return FinitePoset.from_relations(["-".join(f) for f in faces], pairs)
+
+
+def presentation_complex(word: str) -> FinitePoset:
+    """Face poset of a triangulated 2-complex of ``<a, b | word>``.
+
+    Two triangulated circles a and b share the vertex x; a disk is glued
+    along ``word`` (a capital letter runs its circle backwards), with a
+    ring of interior vertices y and a centre c.
+    """
+    circles = {"a": ["x", "a1", "a2"], "b": ["x", "b1", "b2"]}
+    rim = []
+    for letter in word:
+        loop = circles[letter.lower()]
+        rim += loop if letter.islower() else [loop[0]] + loop[:0:-1]
+    size = len(rim)
+    simplices = [(loop[k], loop[(k + 1) % 3]) for loop in circles.values() for k in range(3)]
+    for k in range(size):
+        here, there = rim[k], rim[(k + 1) % size]
+        ring, next_ring = f"y{k}", f"y{(k + 1) % size}"
+        simplices += [(here, there, ring), (ring, next_ring, there), ("c", ring, next_ring)]
+    return face_poset(simplices)
+
+
 # -- order complexes ----------------------------------------------------------
 
 
@@ -179,6 +217,35 @@ def test_cycle_basis_sees_torsion():
     basis = cycle_basis(order_complex(projective_plane_face_poset()))
     assert basis.betti == 0
     assert basis.torsion == (2,)
+
+
+def test_basis_chains_expand_non_unit_columns_of_u_inverse(monkeypatch):
+    # <a, b | (a^2 b^3)^2> has H1 = Z^2 / (4, 6) = Z + Z/2.  Its reduction
+    # swaps pivot rows, and the free column of U^-1 it leaves is not a unit
+    # vector, so the coefficients of U^-1 shape the basis chain.
+    reductions = []
+    real = complexes.smith_normal_form
+
+    def kept(*args, **kwargs):
+        reductions.append(real(*args, **kwargs))
+        return reductions[-1]
+
+    monkeypatch.setattr(complexes, "smith_normal_form", kept)
+    space = presentation_complex("aabbbaabbb")
+    cx = order_complex(space)
+    basis = cycle_basis(cx)
+    assert (basis.betti, basis.torsion) == (1, (2,))
+    (snf,) = reductions
+    assert any(v != 1 for row in snf.free_rows() for v in snf.u_inv[row].values())
+    for j, chain in enumerate(basis.basis_chains):
+        assert chain_boundary(cx, chain) == {}
+        # the chain's coordinates through U are the unit vector e_j
+        coords = [
+            sum(snf.u[row].get(t, 0) * chain.get(pos, 0) for t, pos in enumerate(basis.nontree))
+            for row in basis.free_rows
+        ]
+        assert coords == [1 if i == j else 0 for i in range(basis.betti)]
+    assert_action_matches_oracle(space)
 
 
 def counting_snf(monkeypatch):

@@ -25,9 +25,15 @@ from posetgroups import (
 )
 
 from conftest import fixture_space
-from homotopy_oracle import oracle_core, oracle_homotopy_classes
+from homotopy_oracle import (
+    by_labels,
+    oracle_core,
+    oracle_extension_restriction_check,
+    oracle_homotopy_classes,
+)
 from test_posets import small_posets
 from test_search import deep_posets, permuted_copy
+from test_spaces import perturbed_spaces
 
 
 # -- cores --------------------------------------------------------------------
@@ -37,7 +43,7 @@ def test_pentad_core_is_the_crown(pentad, crown):
     result = core(pentad)
     assert len(result.poset) == 4
     assert result.trace == (("c", "up"),)
-    iso = PosetMap.by_labels(
+    iso = by_labels(
         result.poset, crown, lambda lab: {"a": "p", "b": "q", "d": "u", "e": "v"}[lab]
     )
     assert iso.is_isomorphism()
@@ -183,6 +189,38 @@ def test_extension_check_reports_missing_automorphisms(c3_spec):
     )
     assert not outcome.ok
     assert any("counts differ" in f for f in outcome.failures)
+
+
+@pytest.mark.parametrize("name", [
+    "intact", "pointed", "missing-point", "plain-label", "orphan-attachment",
+    "stray-column", "rewired",
+])
+def test_extension_check_matches_the_label_oracle_on_broken_spaces(d3_spec, name):
+    base = build_base(d3_spec)
+    full = perturbed_spaces(d3_spec)[name]
+    base_auts, full_auts = AutomorphismGroup.of(base), AutomorphismGroup.of(full)
+    got = extension_restriction_check(base, full, base_auts, full_auts)
+    assert got == oracle_extension_restriction_check(base, full, base_auts, full_auts)
+    assert got.ok == (name in ("intact", "pointed"))
+    # the base as its own extension: every column point lands through the table
+    assert extension_restriction_check(base, base, base_auts, base_auts).ok
+
+
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
+@pytest.mark.parametrize("mode", ["sonly", "sandt", "sandt:2"])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_extension_check_matches_the_label_oracle_on_shuffled_spaces(group, mode, data):
+    spec = spec_for(builtin_group(group), standard_generator_labels(group), mode=mode)
+
+    def shuffled(space):
+        return permuted_copy(space, data.draw(st.permutations(range(len(space)))))
+
+    base, full = shuffled(build_base(spec)), shuffled(build_space(spec))
+    base_auts, full_auts = AutomorphismGroup.of(base), AutomorphismGroup.of(full)
+    got = extension_restriction_check(base, full, base_auts, full_auts)
+    assert got.ok
+    assert got == oracle_extension_restriction_check(base, full, base_auts, full_auts)
 
 
 # -- self-map enumeration -----------------------------------------------------

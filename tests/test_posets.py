@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from posetgroups import FinitePoset, MapError, PosetError, PosetMap
 
 from conftest import fixture_space
+from homotopy_oracle import by_labels
+from search_oracle import oracle_verified_map
 
 
 # -- strategies --------------------------------------------------------------
@@ -164,7 +166,7 @@ def test_components_match_brute_force(poset):
 def test_induced_subposet(pentad, crown):
     sub = pentad.induced([0, 1, 3, 4])
     assert len(sub.hasse) == 4
-    iso = PosetMap.by_labels(
+    iso = by_labels(
         crown, sub, lambda lab: {"p": "a", "q": "b", "u": "d", "v": "e"}[lab]
     )
     assert iso.is_isomorphism()
@@ -293,3 +295,63 @@ def test_pointwise_leq():
     ident = PosetMap.identity(vee)
     assert const_bot.pointwise_leq(ident)
     assert not ident.pointwise_leq(const_bot)
+
+
+# -- the cover index against the set-comprehension oracle ----------------------
+
+
+def oracle_order_failure(source, target, images):
+    """The order check with one ``leq`` per cover: the first failure's text."""
+    for a, b in source.hasse:
+        if not target.leq(images[a], images[b]):
+            return f"not order-preserving on cover ({a}, {b}): {images[a]} !<= {images[b]}"
+    return None
+
+
+def assert_map_checks_match_oracle(source, target, images):
+    want = oracle_order_failure(source, target, images)
+    try:
+        mapped = PosetMap(source, target, images)
+    except MapError as exc:
+        assert str(exc) == want
+        return
+    assert want is None
+    iso = len(source) == len(target) and oracle_verified_map(source, target, images)
+    assert source.maps_covers_onto(target, images) == iso
+    assert mapped.is_isomorphism() == iso
+
+
+@st.composite
+def poset_maps(draw):
+    """A source, a target (often the source itself) and images into it."""
+    source = draw(small_posets())
+    target = draw(st.one_of(st.just(source), small_posets(max_points=len(source) + 1)))
+    if len(source) and not len(target):
+        target = source  # nothing maps into the empty poset
+    if draw(st.booleans()) and len(target) == len(source):
+        images = draw(st.permutations(range(len(source))))
+    else:
+        images = draw(st.lists(st.integers(0, max(len(target) - 1, 0)),
+                               min_size=len(source), max_size=len(source)))
+    return source, target, tuple(images)
+
+
+@given(poset_maps())
+@settings(max_examples=400, deadline=None)
+def test_cover_index_checks_match_the_oracle(case):
+    assert_map_checks_match_oracle(*case)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("covers", [(), ((0, 1),)])
+def test_cover_index_on_antichains_and_one_cover(n, covers):
+    # No covers: itemgetter() would raise.  One cover: itemgetter(a) would
+    # return a bare index.  Every map between every such pair is checked.
+    if covers and n < 2:
+        return
+    shapes = [FinitePoset.from_relations([f"p{i}" for i in range(n)], covers)]
+    shapes += [FinitePoset.from_relations([f"q{i}" for i in range(n)], ())]
+    for source in shapes:
+        for target in shapes:
+            for images in itertools.product(range(n), repeat=n):
+                assert_map_checks_match_oracle(source, target, images)

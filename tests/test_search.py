@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetgroups import (
+    search,
     FinitePoset,
     SizeLimitExceeded,
     all_automorphisms,
@@ -27,7 +28,7 @@ from posetgroups import (
 )
 
 from conftest import fixture_space
-from search_oracle import leaf_search, oracle_search
+from search_oracle import leaf_search, oracle_closure, oracle_search
 from test_posets import small_posets
 
 
@@ -242,3 +243,22 @@ def test_automorphisms_equal_both_oracles_on_deep_trees(poset):
     found = [m.images for m in all_automorphisms(poset)]
     assert found == leaf_search(poset, poset)
     assert found == oracle_search(poset, poset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(deep_posets(modes=("none", "sonly", "sandt")))
+def test_base_keyed_closure_equals_the_full_tuple_closure(poset):
+    calls = []
+
+    def spy(poset, base, gens, order):
+        calls.append((base, list(gens), order))
+        return real(poset, base, gens, order)
+
+    real = search._closure
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_closure", spy)
+        found = [m.images for m in all_automorphisms(poset)]
+    ((base, gens, order),) = calls
+    assert found == oracle_closure(poset, gens, order)
+    # the base images tell the automorphisms apart
+    assert len({tuple(images[b] for b in base) for images in found}) == len(found)

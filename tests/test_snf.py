@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from posetgroups import smith_normal_form
 
+from snf_oracle import oracle_smith_normal_form
+
 
 def dense_to_triples(rows):
     return [
@@ -136,3 +138,18 @@ def test_transforms_stay_consistent_on_random_matrices(data):
     ]
     for r in result.free_rows():
         assert all(v == 0 for v in ua[r])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_the_col_add_oracle(data):
+    nrows = data.draw(st.integers(min_value=1, max_value=6))
+    ncols = data.draw(st.integers(min_value=1, max_value=6))
+    # Entries mostly small, with some zeros, so both unit and non-unit
+    # pivots (and remainders that swap pivots) occur.
+    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    triples = dense_to_triples(rows)
+    got = smith_normal_form(triples, nrows, ncols, want_transform=True)
+    want = oracle_smith_normal_form(triples, nrows, ncols, want_transform=True)
+    assert got == want

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from posetgroups import (
     Base,
     ConstructionError,
     FencePoint,
+    FinitePoset,
     GadgetMode,
     SPoint,
     Star,
@@ -19,10 +22,13 @@ from posetgroups import (
     expected_point_count,
     left_translation,
     spec_for,
+    standard_generator_labels,
 )
 from posetgroups.spaces import fence_sequence
 
 from conftest import fixture_space
+from homotopy_oracle import oracle_collapse_map, oracle_left_translation
+from test_search import permuted_copy
 
 
 # -- mode parsing ------------------------------------------------------------
@@ -291,3 +297,67 @@ def test_every_gadget_edge_is_load_bearing(c3_spec):
     assert len(gadget_edges) == 36
     for edge in gadget_edges:
         assert space.drop_hasse_edge(edge).beat_points(), edge
+
+
+# -- layout maps against the label-by-label oracle ---------------------------
+
+
+def perturbed_spaces(spec) -> dict:
+    """The built space and copies broken in the ways a space file can be."""
+    full = build_space(spec)
+    apex = full.index_of(SPoint("A", 0, 0))
+    drop = full.index_of(SPoint("A", 2, 0))
+    cut = (full.index_of(SPoint("C", 1, 0)), full.index_of(SPoint("A", 1, 0)))
+    labels, hasse = list(full.labels), list(full.hasse)
+    return {
+        "intact": full,
+        "pointed": build_space(replace(spec, pointed=True)),
+        "missing-point": full.induced([i for i in range(len(full)) if i != drop]),
+        "plain-label": FinitePoset.from_relations(labels + ["loose"], hasse + [(apex, len(full))]),
+        "orphan-attachment": FinitePoset.from_relations(labels + [SPoint("A", 9, 9)], hasse),
+        "stray-column": FinitePoset.from_relations(labels + [Base(2, 7)], hasse),
+        "rewired": FinitePoset.from_relations(labels, [e for e in hasse if e != cut]),
+    }
+
+
+def outcome(make):
+    """``("ok", images)``, or the error's type name and text."""
+    try:
+        return "ok", make().images
+    except Exception as exc:  # compared, type and text, with the oracle's
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", [
+    "intact", "pointed", "missing-point", "plain-label", "orphan-attachment",
+    "stray-column", "rewired",
+])
+def test_translations_and_folds_match_the_oracle_on_broken_spaces(d3_spec, name):
+    space = perturbed_spaces(d3_spec)[name]
+    for g in range(d3_spec.group.order):
+        want = outcome(lambda: oracle_left_translation(space, d3_spec, g))
+        assert outcome(lambda: left_translation(space, d3_spec, g)) == want
+    fence3 = build_space(replace(d3_spec, mode=GadgetMode("sandt", 3)))
+    for source, target in ((fence3, space), (space, space), (space, fence3)):
+        want = outcome(lambda: oracle_collapse_map(d3_spec, source=source, target=target))
+        assert outcome(lambda: collapse_map(d3_spec, source=source, target=target)) == want
+
+
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_translations_and_folds_match_the_oracle_on_shuffled_spaces(group, data):
+    spec = spec_for(builtin_group(group), standard_generator_labels(group), pointed=True)
+
+    def shuffled(space):
+        return permuted_copy(space, data.draw(st.permutations(range(len(space)))))
+
+    space = shuffled(build_space(spec))
+    for g in range(spec.group.order):
+        got = left_translation(space, spec, g)
+        assert got.images == oracle_left_translation(space, spec, g).images
+    fence = data.draw(st.integers(min_value=1, max_value=4))
+    spec_n = replace(spec, mode=GadgetMode("sandt", fence))
+    source = shuffled(build_space(spec_n))
+    got = collapse_map(spec_n, source=source, target=space)
+    assert got.images == oracle_collapse_map(spec_n, source=source, target=space).images

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -9,8 +10,13 @@ import pytest
 from posetgroups import verify
 from posetgroups import (
     CHECK_NAMES,
+    AutomorphismGroup,
+    FinitePoset,
     VerifyOptions,
+    build_space,
     builtin_group,
+    collapse_map,
+    left_translation,
     spec_for,
     verify_all,
     verify_one,
@@ -173,3 +179,23 @@ def test_h1_check_fails_on_a_relabelled_group_table():
     result = h1_check(ctx)
     assert result.status == "FAIL"
     assert result.detail.startswith("matrix composition disagrees for pair")
+
+
+def test_a_searched_and_verified_space_is_freed_with_its_indexes(c3_spec):
+    # The cover index and the layout live on the poset, so nothing keeps a
+    # space alive once the caller drops it.
+    def alive():
+        return {id(obj) for obj in gc.get_objects() if isinstance(obj, FinitePoset)}
+
+    gc.collect()
+    before = alive()
+    space = build_space(c3_spec)
+    auts = AutomorphismGroup.of(space)
+    assert all(m.is_isomorphism() for m in auts.maps)
+    assert left_translation(space, c3_spec, 1).is_isomorphism()
+    assert collapse_map(c3_spec, source=space, target=space).is_surjective()
+    assert space.cover_index is space.cover_index and space.layout is space.layout
+    assert verify_all(c3_spec, VerifyOptions(fence_range=(1, 2))).ok
+    del space, auts
+    gc.collect()
+    assert alive() - before == set()
