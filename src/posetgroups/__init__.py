@@ -14,13 +14,10 @@ induced action on first homology.
 """
 
 from .complexes import (
-    ChainComplex,
     CycleBasis,
     HasseGraph,
     HomologySummary,
     OrderComplex,
-    betti,
-    chain_complex,
     cycle_basis,
     h1_action_columns,
     h1_action_matrix,
@@ -44,7 +41,6 @@ from .groups import (
     builtin_group,
     cyclic,
     dihedral,
-    groups_isomorphic,
     klein_four,
     quaternion8,
     standard_generator_labels,
@@ -95,7 +91,6 @@ __all__ = [
     "AutomorphismGroup",
     "Base",
     "CHECK_NAMES",
-    "ChainComplex",
     "CheckResult",
     "ConstructionError",
     "ConstructionSpec",
@@ -129,11 +124,9 @@ __all__ = [
     "all_automorphisms",
     "attach_gadgets",
     "are_isomorphic",
-    "betti",
     "build_base",
     "build_space",
     "builtin_group",
-    "chain_complex",
     "collapse_map",
     "comparative_retractions",
     "core",
@@ -147,7 +140,6 @@ __all__ = [
     "find_isomorphism",
     "group_from_json",
     "group_to_doc",
-    "groups_isomorphic",
     "h1_action_columns",
     "h1_action_matrix",
     "hasse_undirected",

@@ -41,9 +41,23 @@ from .spaces import ConstructionSpec, build_space, spec_for
 from .verify import CHECK_NAMES, VerifyOptions, verify_all, verify_one
 
 
+# Flags whose default comes from the environment.  The variable is read
+# only when the parsed subcommand has the flag and it was not passed, so a
+# bad value breaks no other command.
+_ENV_DEFAULTS = {
+    "budget_aut": ("POSETGROUPS_BUDGET_AUT", DEFAULT_AUT_BUDGET),
+    "budget_maps": ("POSETGROUPS_BUDGET_MAPS", DEFAULT_MAP_BUDGET),
+}
+
+
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else fallback
+    if not raw:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer; got {raw!r}") from None
 
 
 def _add_construction_args(parser: argparse.ArgumentParser, *, with_space_file=False):
@@ -157,18 +171,17 @@ def _cmd_aut(args) -> int:
         }
         _emit(json.dumps(doc, indent=2), args)
         return 0
-    lines = [
-        f"automorphisms: {auts.order}",
-        f"acts freely: {'yes' if auts.acts_freely() else 'no'}",
-    ]
-    for k, m in enumerate(auts.maps):
-        moved = [
-            f"{label_id(space.labels[i])}->{label_id(space.labels[m.images[i]])}"
-            for i in range(len(space))
-            if m.images[i] != i
-        ]
-        lines.append(f"f{k}: " + (" ".join(moved) if moved else "identity"))
-    _emit("\n".join(lines), args)
+    ids = [label_id(label) for label in space.labels]
+
+    # One line per map, so only that line is ever held (about 1 MB for
+    # one map of the symmetric:6 space).
+    def text_chunks():
+        yield f"automorphisms: {auts.order}\nacts freely: {'yes' if auts.acts_freely() else 'no'}"
+        for k, m in enumerate(auts.maps):
+            moved = [f"{ids[i]}->{ids[j]}" for i, j in enumerate(m.images) if i != j]
+            yield f"\nf{k}: " + (" ".join(moved) if moved else "identity")
+
+    _emit_chunks(text_chunks(), args)
     return 0
 
 
@@ -323,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--budget-aut",
                 type=int,
-                default=_env_int("POSETGROUPS_BUDGET_AUT", DEFAULT_AUT_BUDGET),
                 help="search-node budget for automorphism/isomorphism search",
             )
         p.set_defaults(handler=handler)
@@ -347,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget-maps",
         type=int,
-        default=_env_int("POSETGROUPS_BUDGET_MAPS", DEFAULT_MAP_BUDGET),
         help="search-node budget for self-map enumeration",
     )
     add("homology", _cmd_homology, "Betti numbers and torsion of the order complex",
@@ -372,9 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for dest, (name, fallback) in _ENV_DEFAULTS.items():
+            if hasattr(args, dest) and getattr(args, dest) is None:
+                setattr(args, dest, _env_int(name, fallback))
         return args.handler(args)
     except (PosetError, SizeLimitExceeded, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

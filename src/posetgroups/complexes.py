@@ -16,13 +16,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import SizeLimitExceeded
 from .posets import FinitePoset, PosetMap, bits
 from .snf import smith_normal_form
 
 DEFAULT_SIMPLEX_LIMIT = 2_000_000
+TOP_DIM = 2  # chains up to triangles suffice for b0, b1 and H1 torsion
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,14 @@ class OrderComplex:
         return _reduce(self)
 
 
-def order_complex(
-    space: FinitePoset, *, dim_cap: int = 2, limit: int = DEFAULT_SIMPLEX_LIMIT
-) -> OrderComplex:
-    """Enumerate chains up to ``dim_cap`` (2 suffices for b0, b1 and H1 torsion)."""
+def order_complex(space: FinitePoset, *, limit: int = DEFAULT_SIMPLEX_LIMIT) -> OrderComplex:
+    """Enumerate chains up to dimension :data:`TOP_DIM`."""
     n = len(space)
     strict_up = [space.up_mask(i) & ~(1 << i) for i in range(n)]
     by_dim: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
     total = n
     frontier = [((i,), i) for i in range(n)]
-    for _ in range(dim_cap):
+    for _ in range(TOP_DIM):
         grown: list[tuple[tuple[int, ...], int]] = []
         for chain, top in frontier:
             for nxt in bits(strict_up[top]):
@@ -82,13 +80,6 @@ class ChainComplex:
     counts: tuple[int, ...]
     boundary: tuple[tuple[tuple[int, int, int], ...], ...]
 
-    def rank_of_boundary(self, k: int) -> int:
-        if k < 1 or k >= len(self.counts):
-            return 0
-        return smith_normal_form(
-            self.boundary[k], self.counts[k - 1], self.counts[k]
-        ).rank
-
 
 def chain_complex(cx: OrderComplex) -> ChainComplex:
     counts = tuple(cx.count(d) for d in range(len(cx.simplices)))
@@ -115,12 +106,6 @@ def chain_complex(cx: OrderComplex) -> ChainComplex:
             if any(acc.values()):
                 raise AssertionError("boundary of boundary is not zero")
     return ChainComplex(counts, tuple(boundaries))
-
-
-def betti(cc: ChainComplex, k: int) -> int:
-    if k < 0 or k >= len(cc.counts):
-        return 0
-    return cc.counts[k] - cc.rank_of_boundary(k) - cc.rank_of_boundary(k + 1)
 
 
 @dataclass(frozen=True)
@@ -162,8 +147,22 @@ def hasse_undirected(space: FinitePoset) -> HasseGraph:
 # -- induced action on first homology ----------------------------------------
 
 
-class _Reduction(NamedTuple):
-    """The parts of a :class:`CycleBasis` other than its complex.
+@dataclass(frozen=True)
+class _Reduction:
+    """The fields of a :class:`CycleBasis` that the complex's one Smith
+    reduction yields: a basis of first homology in fundamental-cycle
+    coordinates.
+
+    Fundamental cycles come from an index-ordered spanning forest of the
+    1-skeleton; triangle boundaries expressed in those coordinates make up
+    the relation matrix, whose Smith reduction (with transforms) turns any
+    1-cycle into free-part coordinates: ``coords = (U @ nontree_coeffs)``
+    restricted to the non-pivot rows.  ``u_columns`` is that restriction by
+    columns, keyed by edge position: a non-tree edge maps to its
+    ``(coordinate, value)`` nonzeros, and an edge with none is absent.
+    ``chains_by_edge`` is ``basis_chains`` by edges: an edge position maps
+    to its ``(basis index, coefficient)`` nonzeros.  ``components`` counts
+    the trees of the forest, which is b0.
 
     Memoized on the complex, so it must not refer back to it: the pair
     would then be a reference cycle, freed only by the cyclic collector.
@@ -180,34 +179,15 @@ class _Reduction(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CycleBasis:
-    """A basis of first homology in fundamental-cycle coordinates.
+class CycleBasis(_Reduction):
+    """A basis of first homology: the fields of :class:`_Reduction` plus
+    the complex they were computed from.
 
-    Fundamental cycles come from an index-ordered spanning forest of the
-    1-skeleton; triangle boundaries expressed in those coordinates make up
-    the relation matrix, whose Smith reduction (with transforms) turns any
-    1-cycle into free-part coordinates: ``coords = (U @ nontree_coeffs)``
-    restricted to the non-pivot rows.  ``u_columns`` is that restriction by
-    columns, keyed by edge position: a non-tree edge maps to its
-    ``(coordinate, value)`` nonzeros, and an edge with none is absent.
-    ``chains_by_edge`` is ``basis_chains`` by edges: an edge position maps
-    to its ``(basis index, coefficient)`` nonzeros.  ``components`` counts
-    the trees of the forest, which is b0.
-
-    Every field but ``complex`` comes from the complex's one Smith
-    reduction and is shared, not copied, by every basis of that complex;
-    treat it as read-only.
+    Every field but ``complex`` is shared, not copied, by every basis of
+    that complex; treat it as read-only.
     """
 
     complex: OrderComplex
-    edge_positions: dict[tuple[int, int], int]
-    nontree: tuple[int, ...]
-    basis_chains: tuple[dict[int, int], ...]
-    u_columns: dict[int, tuple[tuple[int, int], ...]]
-    chains_by_edge: dict[int, tuple[tuple[int, int], ...]]
-    free_rows: tuple[int, ...]
-    torsion: tuple[int, ...]
-    components: int
 
     @property
     def betti(self) -> int:
@@ -216,7 +196,7 @@ class CycleBasis:
 
 def cycle_basis(cx: OrderComplex) -> CycleBasis:
     """A basis over the complex's memoized reduction (built on first use)."""
-    return CycleBasis(cx, **cx._reduction._asdict())
+    return CycleBasis(**vars(cx._reduction), complex=cx)
 
 
 def _reduce(cx: OrderComplex) -> _Reduction:

@@ -17,10 +17,7 @@ from .errors import (
     DoesNotGenerateError,
     DuplicateGeneratorError,
     GroupError,
-    SizeLimitExceeded,
 )
-
-DEFAULT_ISO_ORDER_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -182,24 +179,6 @@ def klein_four() -> FiniteGroup:
     return FiniteGroup(labels, table)
 
 
-def _word_labels(elements, identity, gen_pairs, mul) -> list[str]:
-    """Shortest product-of-generators word per element, by breadth-first search."""
-    words = {identity: "e"}
-    queue = [identity]
-    while queue:
-        nxt = []
-        for x in queue:
-            for letter, g in gen_pairs:
-                y = mul(x, g)
-                if y not in words:
-                    words[y] = (words[x] + letter) if words[x] != "e" else letter
-                    nxt.append(y)
-        queue = nxt
-    if len(words) != len(elements):
-        raise GroupError("generators do not span the family element set")
-    return [words[x] for x in elements]
-
-
 def dihedral(k: int) -> FiniteGroup:
     """Symmetries of the regular ``k``-gon, order ``2k``.
 
@@ -214,24 +193,24 @@ def dihedral(k: int) -> FiniteGroup:
         return (rot, x[1] ^ y[1])
 
     identity = (0, 0)
-    gen_a = (0, 1)
-    gen_b = (k - 1, 1)
+    gens = (("a", (0, 1)), ("b", (k - 1, 1)))
 
-    elements = [identity]
-    seen = {identity}
+    # Breadth-first from the identity: the first word to reach an element
+    # is a shortest one, and the dict keeps the order elements are found.
+    words = {identity: "e"}
     queue = [identity]
     while queue:
         nxt = []
         for x in queue:
-            for g in (gen_a, gen_b):
+            for letter, g in gens:
                 y = mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    elements.append(y)
+                if y not in words:
+                    words[y] = letter if x == identity else words[x] + letter
                     nxt.append(y)
         queue = nxt
 
-    labels = tuple(_word_labels(elements, identity, [("a", gen_a), ("b", gen_b)], mul))
+    elements = list(words)
+    labels = tuple(words.values())
     pos = {x: i for i, x in enumerate(elements)}
     table = tuple(tuple(pos[mul(x, y)] for y in elements) for x in elements)
     return FiniteGroup(labels, table)
@@ -330,74 +309,3 @@ def standard_generator_labels(name: str) -> list[str]:
         n = int(param)
         return [f"({i}{i + 1})" for i in range(n - 1)]
     raise GroupError(f"unknown group family {family!r}")
-
-
-# -- isomorphism testing ----------------------------------------------------
-
-
-def groups_isomorphic(
-    g: FiniteGroup, h: FiniteGroup, *, max_order: int = DEFAULT_ISO_ORDER_CAP
-) -> bool:
-    """Brute-force isomorphism test for small groups.
-
-    Tries generator images with matching element orders and verifies the
-    induced map on all pairs.  Guarded by ``max_order``.
-    """
-    if g.order != h.order:
-        return False
-    if g.order > max_order:
-        raise SizeLimitExceeded(
-            f"group isomorphism test capped at order {max_order}; got {g.order}"
-        )
-    if g.order_profile() != h.order_profile():
-        return False
-
-    gens = _greedy_generators(g)
-    if not gens:
-        return True  # both trivial
-
-    # Express every element of g as parent * generator, breadth-first.
-    parent = {g.identity: None}
-    order_out = [g.identity]
-    queue = [g.identity]
-    while queue:
-        nxt = []
-        for x in queue:
-            for gi, s in enumerate(gens):
-                y = g.op(x, s)
-                if y not in parent:
-                    parent[y] = (x, gi)
-                    order_out.append(y)
-                    nxt.append(y)
-        queue = nxt
-
-    gen_orders = [g.element_order(s) for s in gens]
-    candidates = [
-        [x for x in range(h.order) if h.element_order(x) == og] for og in gen_orders
-    ]
-
-    def try_images(images: list[int]) -> bool:
-        phi = {g.identity: h.identity}
-        for y in order_out[1:]:
-            x, gi = parent[y]
-            phi[y] = h.op(phi[x], images[gi])
-        if len(set(phi.values())) != h.order:
-            return False
-        return all(
-            phi[g.op(a, b)] == h.op(phi[a], phi[b])
-            for a in range(g.order)
-            for b in range(g.order)
-        )
-
-    def assign(depth: int, images: list[int]) -> bool:
-        if depth == len(gens):
-            return try_images(images)
-        g_span = len(g.closure(gens[: depth + 1]))
-        for cand in candidates[depth]:
-            images.append(cand)
-            if len(h.closure(images)) == g_span and assign(depth + 1, images):
-                return True
-            images.pop()
-        return False
-
-    return assign(0, [])

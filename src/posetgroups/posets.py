@@ -437,9 +437,3 @@ class PosetMap:
         for i, v in enumerate(self.images):
             inv[v] = i
         return PosetMap(self.target, self.source, tuple(inv))
-
-    def pointwise_leq(self, other: "PosetMap") -> bool:
-        """``self(x) <= other(x)`` at every point (both into one target)."""
-        return all(
-            self.target.leq(a, b) for a, b in zip(self.images, other.images)
-        )

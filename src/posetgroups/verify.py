@@ -14,7 +14,7 @@ the README; names are stable so scripts can ``--skip`` or single-run them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .complexes import (
     cycle_basis,
@@ -25,7 +25,7 @@ from .complexes import (
 )
 from .groups import _greedy_generators
 from .homotopy import AutomorphismGroup, extension_restriction_check
-from .labels import Base, Star
+from .labels import Star
 from .posets import FinitePoset
 from .report import FAIL, PASS, SKIP, CheckResult, VerificationReport
 from .search import DEFAULT_AUT_BUDGET, find_isomorphism
@@ -46,6 +46,12 @@ class VerifyOptions:
     fence_range: tuple[int, ...] = (1, 2, 3)
     budget_aut: int = DEFAULT_AUT_BUDGET
     skip: frozenset = frozenset()
+
+    def __post_init__(self):
+        if not self.fence_range:
+            raise ValueError("fence_range needs at least one fence size")
+        if min(self.fence_range) < 1:
+            raise ValueError(f"fence size must be >= 1; got {min(self.fence_range)}")
 
 
 class _Skip(Exception):

@@ -13,6 +13,11 @@ pushed through the map and scattered through ``u_columns``.
 forest and Smith reduction, with the fundamental cycle of every non-tree
 edge built up front.  The property tests compare all three with the
 library.
+
+``betti`` reads Betti numbers off the boundary matrices of
+:func:`posetgroups.complexes.chain_complex`, one Smith reduction per
+boundary (``rank_of_boundary``): the homology oracle that
+:func:`posetgroups.homology_summary` is compared against.
 """
 
 from __future__ import annotations
@@ -20,6 +25,20 @@ from __future__ import annotations
 from collections import deque
 
 from posetgroups import smith_normal_form
+
+
+def rank_of_boundary(cc, k: int) -> int:
+    """Rank of ``cc.boundary[k]``; zero outside the complex."""
+    if k < 1 or k >= len(cc.counts):
+        return 0
+    return smith_normal_form(cc.boundary[k], cc.counts[k - 1], cc.counts[k]).rank
+
+
+def betti(cc, k: int) -> int:
+    """The k-th Betti number of a chain complex."""
+    if k < 0 or k >= len(cc.counts):
+        return 0
+    return cc.counts[k] - rank_of_boundary(cc, k) - rank_of_boundary(cc, k + 1)
 
 
 def oracle_basis_chains(cx):

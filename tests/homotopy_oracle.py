@@ -6,7 +6,7 @@ of the beat-point scan.  ``oracle_homotopy_classes`` joins every pointwise
 comparable pair of maps and looks for a two-sided homotopy inverse of each
 map among all the others.  Both are quadratic or worse but obviously
 correct, and the property tests compare :mod:`posetgroups.homotopy`
-against them.
+against them.  ``pointwise_leq`` is the comparison that joins two maps.
 
 ``transport_label`` moves one label along a base automorphism, and
 ``oracle_extension_restriction_check``, ``oracle_left_translation`` and
@@ -113,6 +113,11 @@ def oracle_core(space: FinitePoset) -> CoreResult:
     return CoreResult(current, tuple(trace), retraction, inclusion)
 
 
+def pointwise_leq(f: PosetMap, g: PosetMap) -> bool:
+    """``f(x) <= g(x)`` at every point (both into one target)."""
+    return all(f.target.leq(a, b) for a, b in zip(f.images, g.images))
+
+
 def oracle_homotopy_classes(maps: list[PosetMap]) -> HomotopyClasses:
     """Partition a *complete* list of continuous self-maps by homotopy.
 
@@ -141,7 +146,7 @@ def oracle_homotopy_classes(maps: list[PosetMap]) -> HomotopyClasses:
 
     for i in range(m):
         for j in range(i + 1, m):
-            if maps[i].pointwise_leq(maps[j]) or maps[j].pointwise_leq(maps[i]):
+            if pointwise_leq(maps[i], maps[j]) or pointwise_leq(maps[j], maps[i]):
                 union(i, j)
 
     class_ids = tuple(find(k) for k in range(m))

@@ -25,7 +25,6 @@ from posetgroups import (
     cycle_basis,
     enumerate_selfmaps,
     extension_restriction_check,
-    groups_isomorphic,
     h1_action_matrix,
     homology_summary,
     homotopy_classes,
@@ -36,6 +35,7 @@ from posetgroups import (
 )
 
 from conftest import fixture_space
+from groups_oracle import groups_isomorphic
 
 ZOO = (
     "cyclic:2",

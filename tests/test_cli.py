@@ -22,8 +22,10 @@ from posetgroups import (
     poset_from_json,
     poset_to_json,
     spec_for,
+    standard_generator_labels,
 )
 from posetgroups.cli import main
+from posetgroups.labels import label_id
 
 from conftest import fixture_space
 
@@ -128,6 +130,27 @@ def test_h1_action_json(capsys):
     assert doc["betti"] == 5
     assert doc["distinct"] is True
     assert len(doc["matrices"]) == 2
+
+
+def aut_text(space):
+    """The text of ``aut``, built whole."""
+    auts = AutomorphismGroup.of(space)
+    lines = [f"automorphisms: {auts.order}",
+             f"acts freely: {'yes' if auts.acts_freely() else 'no'}"]
+    for k, m in enumerate(auts.maps):
+        moved = [f"{label_id(space.labels[i])}->{label_id(space.labels[m(i)])}"
+                 for i in range(len(space)) if m(i) != i]
+        lines.append(f"f{k}: " + (" ".join(moved) if moved else "identity"))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("group", ["klein4", "dihedral:3"])
+def test_aut_streams_the_whole_text(capsys, tmp_path, group):
+    want = aut_text(build_space(spec_for(builtin_group(group), standard_generator_labels(group))))
+    assert run(capsys, "aut", "--group", group) == (0, want, "")
+    target = tmp_path / "aut.txt"
+    assert run(capsys, "aut", "--group", group, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == want.encode("utf-8")
 
 
 def h1_action_documents(space):
@@ -248,6 +271,13 @@ def test_verify_all_json_failure_exit(capsys):
     assert statuses["base-connected"] == "PASS"
 
 
+@pytest.mark.parametrize("fences", ["", "0", "2,0"])
+def test_verify_all_rejects_fence_lists_without_a_valid_size(capsys, fences):
+    code, out, err = run(capsys, "verify-all", "--group", "cyclic:2", "--fences", fences)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "fence" in err
+
+
 def test_unknown_group_is_a_usage_error(capsys):
     code, out, err = run(capsys, "build", "--group", "cyclic:one")
     assert code == 2
@@ -289,6 +319,20 @@ def test_aut_budget_env_var(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "budget" in err
     assert "--budget-aut" in err
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [("POSETGROUPS_BUDGET_AUT", "aut"), ("POSETGROUPS_BUDGET_MAPS", "selfmaps")],
+)
+def test_bad_budget_env_var_is_one_error_line(capsys, monkeypatch, name, command):
+    monkeypatch.setenv(name, "1e3")
+    code, out, err = run(capsys, command, "--group", "cyclic:2")
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be an integer; got '1e3'\n"
+    # a command without the flag never reads the variable
+    code, out, err = run(capsys, "core", "--group", "cyclic:3")
+    assert code == 0 and err == "" and "core" in out
 
 
 def test_aut_budget_flag_overrides_env(capsys, tmp_path, monkeypatch):

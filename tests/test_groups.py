@@ -14,7 +14,6 @@ from posetgroups import (
     builtin_group,
     cyclic,
     dihedral,
-    groups_isomorphic,
     klein_four,
     quaternion8,
     standard_generator_labels,
@@ -22,7 +21,7 @@ from posetgroups import (
     validate_generating_set,
 )
 
-from groups_oracle import oracle_check_associative
+from groups_oracle import groups_isomorphic, oracle_check_associative
 
 
 # -- table validation --------------------------------------------------------
@@ -327,6 +326,28 @@ def test_dihedral_defining_relations(k):
     assert g.element_order(a) == 2
     assert g.element_order(b) == 2
     assert g.element_order(g.op(a, b)) == k
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_dihedral_labels_are_shortest_words(k):
+    g = dihedral(k)
+    a, b = g.index_of("a"), g.index_of("b")
+    # breadth-first distances from the identity in the Cayley graph of {a, b}
+    dist = {g.identity: 0}
+    queue = [g.identity]
+    for x in queue:
+        for y in (g.op(x, a), g.op(x, b)):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    for x, label in enumerate(g.labels):
+        word = "" if label == "e" else label
+        assert set(word) <= {"a", "b"}
+        value = g.identity
+        for letter in word:
+            value = g.op(value, a if letter == "a" else b)
+        assert value == x
+        assert len(word) == dist[x]
 
 
 @given(st.permutations(list(range(4))))

@@ -25,6 +25,15 @@ from posetgroups import (
 from test_complexes import counting_snf
 
 
+@pytest.mark.parametrize(
+    "fences, message",
+    [((), "at least one fence size"), ((0,), "got 0"), ((1, 3, -1), "got -1")],
+)
+def test_options_reject_fence_ranges_without_a_valid_size(fences, message):
+    with pytest.raises(ValueError, match=message):
+        VerifyOptions(fence_range=fences)
+
+
 def result_map(report):
     return {r.name: r for r in report.results}
 
