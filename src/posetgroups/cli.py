@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import nullcontext
 
 from .complexes import (
@@ -143,6 +144,26 @@ def _emit_chunks(chunks, args) -> None:
             fh.write("\n")
 
 
+def _json_chunks(fields):
+    """The text of ``json.dumps(dict(fields), indent=2)``, in chunks.
+
+    A field whose value is an iterator becomes a JSON list written one
+    ``json.dumps`` per element, so only one element's text is ever held.
+    """
+    yield "{"
+    for k, (key, value) in enumerate(fields):
+        head = ("," if k else "") + f"\n  {json.dumps(key)}: "
+        if not isinstance(value, Iterator):
+            yield head + json.dumps(value, indent=2).replace("\n", "\n  ")
+            continue
+        sep = head + "["
+        for element in value:
+            yield sep + "\n    " + json.dumps(element, indent=2).replace("\n", "\n    ")
+            sep = ","
+        yield head + "[]" if sep != "," else "\n  ]"
+    yield "\n}"
+
+
 def _cmd_build(args) -> int:
     space = _resolve_space(args)
     if args.json:
@@ -162,19 +183,18 @@ def _cmd_build(args) -> int:
 def _cmd_aut(args) -> int:
     space = _resolve_space(args)
     auts = AutomorphismGroup.of(space, budget=args.budget_aut)
+    # Both formats write one chunk per map, so only that map's text is ever
+    # held (about 1 MB for one map of the symmetric:6 space).
     if args.json:
-        doc = {
-            "order": auts.order,
-            "acts_freely": auts.acts_freely(),
-            "maps": [list(m.images) for m in auts.maps],
-            "table": [list(row) for row in auts.table],
-        }
-        _emit(json.dumps(doc, indent=2), args)
+        _emit_chunks(_json_chunks([
+            ("order", auts.order),
+            ("acts_freely", auts.acts_freely()),
+            ("maps", (m.images for m in auts.maps)),
+            ("table", iter(auts.table)),
+        ]), args)
         return 0
     ids = [label_id(label) for label in space.labels]
 
-    # One line per map, so only that line is ever held (about 1 MB for
-    # one map of the symmetric:6 space).
     def text_chunks():
         yield f"automorphisms: {auts.order}\nacts freely: {'yes' if auts.acts_freely() else 'no'}"
         for k, m in enumerate(auts.maps):
@@ -264,17 +284,12 @@ def _cmd_h1_action(args) -> int:
     distinct = len(set(matrices)) == len(matrices)
     # One matrix is densified at a time, so only its own text is ever held.
     if args.json:
-        def json_chunks():
-            yield (
-                f'{{\n  "betti": {basis.betti},\n  "order": {auts.order},\n'
-                '  "matrices": ['
-            )
-            for k, columns in enumerate(matrices):
-                body = json.dumps(dense_matrix(columns), indent=2)
-                yield ("," if k else "") + "\n    " + body.replace("\n", "\n    ")
-            yield f'\n  ],\n  "distinct": {json.dumps(distinct)}\n}}'
-
-        _emit_chunks(json_chunks(), args)
+        _emit_chunks(_json_chunks([
+            ("betti", basis.betti),
+            ("order", auts.order),
+            ("matrices", map(dense_matrix, matrices)),
+            ("distinct", distinct),
+        ]), args)
         return 0
 
     def text_chunks():

@@ -1,34 +1,49 @@
 """Isomorphism and automorphism search for finite posets.
 
-The search is label-blind.  The points of both posets are coloured jointly
-as one disjoint union P ⊔ Q, first by down-set size, up-set size and cover
-degrees, then by splitter-queue partition refinement (Paige–Tarjan, "Three
-partition refinement algorithms"; McKay–Piperno, "Practical graph
-isomorphism, II"): popping a splitter cell counts, for every point next to
-it, its cover-up and cover-down neighbours in that cell, and only the
-counted points move.  Refinement stops at the coarsest equitable partition,
-where all points of a cell have the same number of cover neighbours in
-every cell.  The remaining ambiguity is resolved by individualize-and-refine
-backtracking on an explicit stack; each branch undoes its splits from a
-trail instead of copying the partition.  Every complete assignment is
-verified against every cover before being reported (one C-level check
-through the poset's cover index), so refinement only ever prunes, never
-certifies.
+The search is label-blind.  Each poset is coloured alone, first by down-set
+size, up-set size and cover degrees, then by splitter-queue partition
+refinement (Paige–Tarjan, "Three partition refinement algorithms";
+McKay–Piperno, "Practical graph isomorphism, II"): popping a splitter cell
+counts, for every point next to it, its cover-up and cover-down neighbours
+in that cell, and only the counted points move.  Refinement stops at the
+coarsest equitable partition, where all points of a cell have the same
+number of cover neighbours in every cell.  The remaining ambiguity is
+resolved by individualize-and-refine backtracking on an explicit stack;
+each branch undoes its splits from a trail instead of copying the
+partition.
 
-An isomorphism is the first verified leaf of a depth-first walk.  The
-automorphism group is not enumerated leaf by leaf but found from generators
-(Sims, "Computational methods in the study of permutation groups";
-McKay–Piperno's automorphism pruning): the identity path individualizes
-each point with its own copy and records the base points p₁…p_d; then, from
-the deepest level up, each candidate image q of pₖ that is not yet in pₖ's
-orbit under the generators found so far gets one first-leaf probe, and a
-verified leaf becomes a new generator that extends the orbit.  The group is
-the closure of the generators under composition, and its size must equal
-the product of the orbit sizes.  The closure is keyed on the base: the
-partition is discrete once p₁…p_d are individualized, so an automorphism is
-fixed by its base image, and a product whose base image is already known is
-neither composed in full nor verified.  Every new element is verified
-against every cover.
+Refinement is one-sided, as in bliss (Junttila–Kaski) and Traces: P and Q
+are never refined together.  Each split of a cell writes one trace record,
+its start and the start and count key of every piece, and the cells
+touched by a splitter split in the order of their starts, so the trace
+depends on the shape of the partition and not on how the points are
+numbered.  The first path refines P alone from the root down to a discrete
+leaf, individualizing the first point of the first smallest cell at each
+level, and records each level's cell and trace.  A node of Q's tree undoes
+to its level's trail mark, individualizes one point q of that same cell,
+and refines while comparing: it dies at the first record that differs from
+the first path's, or when its refinement ends at another trace position.
+A live node therefore has the first path's cells at its depth, so it reads
+its next target cell from the first path instead of scanning for one.  A
+discrete leaf of Q's tree maps the first leaf's point at each position to
+its own point there, and every such map is verified against every cover
+before being reported (one C-level check through the poset's cover index),
+so the trace only ever prunes, never certifies.
+
+An isomorphism P -> Q is the first verified leaf of a depth-first walk of
+Q's tree.  The automorphism group is the same walk with Q = P, and is not
+enumerated leaf by leaf but found from generators (Sims, "Computational
+methods in the study of permutation groups"; McKay–Piperno's automorphism
+pruning): the first path is the identity path and its individualized
+points p₁…p_d are the base; then, from the deepest level up, each candidate
+image q of pₖ that is not yet in pₖ's orbit under the generators found so
+far gets one first-leaf probe, and a verified leaf becomes a new generator
+that extends the orbit.  The group is the closure of the generators under
+composition, and its size must equal the product of the orbit sizes.  The
+closure is keyed on the base: the partition is discrete once p₁…p_d are
+individualized, so an automorphism is fixed by its base image, and a
+product whose base image is already known is neither composed in full nor
+verified.  Every new element is verified against every cover.
 
 All orderings are deterministic; results are sorted by image tuple.
 Search effort is bounded by an explicit node budget, which also bounds the
@@ -48,67 +63,64 @@ DEFAULT_AUT_BUDGET = 10**6
 
 
 class _Partition:
-    """An ordered partition of P ⊔ Q, refined in place and undone from a trail.
+    """An ordered partition of one poset's points, refined in place and undone from a trail.
 
-    P's points are ``0..n-1`` and Q's are ``n..2n-1``.  Each cell is the
-    contiguous range ``elems[start:end[start]]`` and is named by its start;
-    ``pcount[start]`` counts its P points.  ``trail`` holds the starts of
-    split-off cells in creation order.  ``balanced`` is False when some cell
-    holds unequal numbers of P and Q points: then no isomorphism respects
-    the partition.
+    Each cell is the contiguous range ``elems[start:end[start]]`` and is
+    named by its start.  ``trail`` holds the starts of split-off cells in
+    creation order.  ``colours`` lists the initial colour at each position;
+    two posets can only be isomorphic when their colour lists are equal.
     """
 
-    def __init__(self, poset_p: FinitePoset, poset_q: FinitePoset):
-        n = len(poset_p)
+    def __init__(self, poset: FinitePoset):
+        n = len(poset)
+        self.poset = poset
         self.n = n
-        # ids[v] = v - n: Q's point ids, shared by every image tuple.
-        self.ids = list(range(-n, n))
-        self.up: list[list[int]] = [[] for _ in range(2 * n)]
-        self.down: list[list[int]] = [[] for _ in range(2 * n)]
-        for offset, poset in ((0, poset_p), (n, poset_q)):
-            for a, b in poset.hasse:
-                self.up[offset + a].append(offset + b)
-                self.down[offset + b].append(offset + a)
+        self.up: list[list[int]] = [[] for _ in range(n)]
+        self.down: list[list[int]] = [[] for _ in range(n)]
+        for a, b in poset.hasse:
+            self.up[a].append(b)
+            self.down[b].append(a)
         sig = [
             (
                 poset.down_mask(i).bit_count(),
                 poset.up_mask(i).bit_count(),
-                len(self.down[offset + i]),
-                len(self.up[offset + i]),
+                len(self.down[i]),
+                len(self.up[i]),
             )
-            for offset, poset in ((0, poset_p), (n, poset_q))
             for i in range(n)
         ]
-        self.elems = sorted(range(2 * n), key=lambda v: (sig[v], v))
-        self.pos = [0] * (2 * n)
-        self.cell_of = [0] * (2 * n)
-        self.end = [0] * (2 * n)
-        self.pcount = [0] * (2 * n)
+        self.elems = sorted(range(n), key=lambda v: (sig[v], v))
+        self.colours = [sig[v] for v in self.elems]
+        self.pos = [0] * n
+        self.cell_of = [0] * n
+        self.end = [0] * n
         self.trail: list[int] = []
         self.starts: list[int] = []
         for i, v in enumerate(self.elems):
-            if i == 0 or sig[v] != sig[self.elems[i - 1]]:
+            if i == 0 or self.colours[i] != self.colours[i - 1]:
                 self.starts.append(i)
             start = self.starts[-1]
             self.pos[v] = i
             self.cell_of[v] = start
             self.end[start] = i + 1
-            self.pcount[start] += v < n
         self.ncells = len(self.starts)
-        self.balanced = all(2 * self.pcount[s] == self.end[s] - s for s in self.starts)
 
-    def refine(self, queue: list[int]) -> bool:
-        """Split cells until the partition is equitable.
+    def refine(self, queue: list[int], trace: list, compare: bool = False) -> bool:
+        """Split cells until the partition is equitable, one trace record per split.
 
         ``queue`` lists the splitter cells; every other cell must already
-        be a stable splitter.  Returns False as soon as a cell splits into
-        pieces with unequal P and Q counts.
+        be a stable splitter.  A record is the flat tuple of the start and
+        count key of each piece of the split cell, in order: the uncounted
+        points first, with key 0, then one piece per count.  Without
+        ``compare`` the records are appended to ``trace`` and the result
+        is True.  With it, the records must be exactly ``trace``: the
+        result is False at the first record that differs, and when the
+        refinement ends before the last one.
         """
-        n, elems, pos, cell_of, end, pcount = (
-            self.n, self.elems, self.pos, self.cell_of, self.end, self.pcount
-        )
-        down, up = self.down, self.up
+        elems, pos, cell_of, end = self.elems, self.pos, self.cell_of, self.end
+        down, up, split_off = self.down, self.up, self.split_off
         queued = set(queue)
+        at = 0
         while queue:
             splitter = queue.pop()
             queued.discard(splitter)
@@ -129,40 +141,55 @@ class _Partition:
                     touched[cell].append(u)
                 else:
                     touched[cell] = [u]
-            for cell, moved in touched.items():
+            # By start, not by first touch: the trace must not depend on
+            # the numbering of the points.
+            for cell, moved in sorted(touched.items()):
                 stop = end[cell]
                 back = stop - len(moved)
-                if len(moved) > 1:
+                if len(moved) == 1:
+                    if back == cell:
+                        continue
+                    record = (cell, 0, back, count[moved[0]])
+                else:
                     moved.sort(key=count.__getitem__)
                     if back == cell and count[moved[0]] == count[moved[-1]]:
                         continue
-                elif back == cell:
+                    # The counted points go to the back of the cell, by
+                    # count: one piece per count, after the uncounted points.
+                    split = [cell, 0] if back > cell else []
+                    last = 0
+                    for i, u in enumerate(moved, back):
+                        if count[u] != last:
+                            last = count[u]
+                            split += (i, last)
+                    record = tuple(split)
+                if not compare:
+                    trace.append(record)
+                elif at == len(trace) or trace[at] != record:
+                    return False
+                at += 1
+                if len(moved) == 1:
+                    # The common case: a single point leaves a larger cell.
+                    f = split_off(cell, moved[0])
+                    queued.add(f)
+                    queue.append(f)
                     continue
-                # Put the counted points at the back of the cell, by count.
                 holes = [pos[u] for u in moved if pos[u] < back]
                 if holes:
                     strays = [v for v in elems[back:stop] if v not in count]
                     for i, v in zip(holes, strays):
                         elems[i] = v
                         pos[v] = i
-                bounds = [cell] if back > cell else []
-                last = -1
                 for i, u in enumerate(moved, back):
                     elems[i] = u
                     pos[u] = i
-                    if count[u] != last:
-                        bounds.append(i)
-                        last = count[u]
+                bounds = split[::2]
                 bounds.append(stop)
                 was_queued = cell in queued
                 for f, g in zip(bounds[1:-1], bounds[2:]):
                     end[f] = g
-                    inside = 0
                     for u in elems[f:g]:
                         cell_of[u] = f
-                        inside += u < n
-                    pcount[f] = inside
-                    pcount[cell] -= inside
                     self.trail.append(f)
                 end[cell] = bounds[1]
                 self.ncells += len(bounds) - 2
@@ -170,81 +197,58 @@ class _Partition:
                 largest, largest_size = cell, 0
                 for f in pieces:
                     size = end[f] - f
-                    if 2 * pcount[f] != size:
-                        return False
                     if size > largest_size:
                         largest, largest_size = f, size
                 for f in pieces:
                     if f not in queued and (was_queued or f != largest):
                         queued.add(f)
                         queue.append(f)
-        return True
+        return not compare or at == len(trace)
 
-    def individualize(self, cell: int, p: int, q: int) -> bool:
-        """Split ``{p, q}`` off ``cell`` and refine an equitable partition."""
+    def split_off(self, cell: int, v: int) -> int:
+        """Move ``v`` to the back of ``cell`` as a cell of its own; return its start."""
         elems, pos = self.elems, self.pos
-        stop = self.end[cell]
-        for v, i in ((p, stop - 1), (q, stop - 2)):
-            w = elems[i]
-            elems[pos[v]] = w
-            pos[w] = pos[v]
-            elems[i] = v
-            pos[v] = i
-        pair = stop - 2
-        self.end[pair] = stop
-        self.end[cell] = pair
-        self.cell_of[p] = self.cell_of[q] = pair
-        self.pcount[pair] = 1
-        self.pcount[cell] -= 1
-        self.trail.append(pair)
+        last = self.end[cell] - 1
+        w = elems[last]
+        elems[pos[v]] = w
+        pos[w] = pos[v]
+        elems[last] = v
+        pos[v] = last
+        self.end[last] = last + 1
+        self.end[cell] = last
+        self.cell_of[v] = last
+        self.trail.append(last)
         self.ncells += 1
-        return self.refine([pair])
+        return last
+
+    def individualize(self, cell: int, v: int, trace: list, compare: bool = False) -> bool:
+        """Split ``v`` off ``cell`` and refine as :meth:`refine` does."""
+        return self.refine([self.split_off(cell, v)], trace, compare)
 
     def undo(self, mark: int) -> None:
         """Merge split-off cells back until the trail has ``mark`` entries."""
-        elems, cell_of, end, pcount, trail = (
-            self.elems, self.cell_of, self.end, self.pcount, self.trail
-        )
+        elems, cell_of, end, trail = self.elems, self.cell_of, self.end, self.trail
         while len(trail) > mark:
             f = trail.pop()
             parent = cell_of[elems[f - 1]]
             stop = end[f]
             end[parent] = stop
-            pcount[parent] += pcount[f]
             for u in elems[f:stop]:
                 cell_of[u] = parent
             self.ncells -= 1
 
     def target(self) -> int:
-        """Start of the first smallest cell with more than one P point."""
+        """Start of the first smallest cell with more than one point."""
         best, best_size = -1, 0
         start = 0
-        while start < 2 * self.n:
+        while start < self.n:
             size = self.end[start] - start
-            if size > 2 and (best < 0 or size < best_size):
+            if size > 1 and (best < 0 or size < best_size):
                 best, best_size = start, size
-                if size == 4:
+                if size == 2:
                     break
             start = self.end[start]
         return best
-
-    def branch(self) -> tuple[int, int, list[int]]:
-        """The target cell, its first P point and its Q points in order."""
-        cell = self.target()
-        members = self.elems[cell:self.end[cell]]
-        p = min(v for v in members if v < self.n)
-        return cell, p, sorted(v for v in members if v >= self.n)
-
-    def images(self) -> tuple[int, ...]:
-        """The bijection P -> Q of a discrete partition (every cell one pair)."""
-        n, ids = self.n, self.ids
-        images = [0] * n
-        pairs = iter(self.elems)
-        for a, b in zip(pairs, pairs):
-            if a > b:
-                a, b = b, a
-            images[a] = ids[b]
-        return tuple(images)
 
 
 def _budget_error(budget: int, order: int | None = None) -> SizeLimitExceeded:
@@ -260,57 +264,77 @@ def _budget_error(budget: int, order: int | None = None) -> SizeLimitExceeded:
 
 
 class _Tree:
-    """The individualize-and-refine tree over one joint partition of P ⊔ Q.
+    """The first path, refined on P's partition, and the search of Q's tree against it.
 
-    ``nodes`` counts the root and every individualization against ``budget``.
+    ``levels`` holds, for each individualization of the first path, its
+    cell, the cell's points in order (the first is the one individualized),
+    the trail mark before it and the trace of the refinement after it.
+    ``nodes`` counts the root, each first-path level and each Q
+    individualization against ``budget``.
     """
 
-    def __init__(self, poset_p: FinitePoset, poset_q: FinitePoset, budget: int):
-        self.part = _Partition(poset_p, poset_q)
-        self.poset_p = poset_p
-        self.poset_q = poset_q
+    def __init__(self, part: _Partition, budget: int):
         self.budget = budget
-        self.nodes = 0
-
-    def root(self) -> bool:
-        """Count the root node and refine the initial colouring."""
         self.nodes = 1
-        if self.budget < 1:
-            raise _budget_error(self.budget)
-        return self.part.refine(list(self.part.starts))
+        if budget < 1:
+            raise _budget_error(budget)
+        self.poset = part.poset
+        self.root_trace: list = []
+        part.refine(list(part.starts), self.root_trace)
+        self.levels: list[tuple[int, list[int], int, list]] = []
+        while part.ncells < part.n:
+            cell = part.target()
+            members = sorted(part.elems[cell:part.end[cell]])
+            self.count()
+            mark, trace = len(part.trail), []
+            part.individualize(cell, members[0], trace)
+            self.levels.append((cell, members, mark, trace))
+        # The first leaf's point at position i maps to a leaf's point there.
+        rank = [0] * part.n
+        for i, v in enumerate(part.elems):
+            rank[v] = i
+        self.leaf = tuple_getter(rank)
 
-    def step(self, cell: int, p: int, q: int) -> bool:
-        """Count one node and individualize ``(p, q)`` in ``cell``."""
+    def count(self) -> None:
+        """Count one node against the budget."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _budget_error(self.budget)
-        return self.part.individualize(cell, p, q)
 
-    def first_leaf(self, alive: bool) -> tuple[int, ...] | None:
-        """Walk depth-first below the current partition to its first verified leaf.
+    def step(self, part: _Partition, depth: int, q: int) -> bool:
+        """Count one node and individualize ``q`` in the first path's cell at ``depth``."""
+        self.count()
+        cell, _, mark, trace = self.levels[depth]
+        part.undo(mark)
+        return part.individualize(cell, q, trace, compare=True)
 
-        ``alive`` is what refining the current partition returned.  The
-        partition is left wherever the walk stopped.
+    def first_leaf(self, part: _Partition, depth: int, alive: bool) -> tuple[int, ...] | None:
+        """Walk Q's tree depth-first below ``part``'s node at ``depth`` to its first verified leaf.
+
+        ``alive`` is whether that node's refinement matched the first
+        path's trace.  The partition is left wherever the walk stopped.
         """
-        part = self.part
-        # Frames are [cell, p, candidates q, next candidate index, trail mark].
+        levels = self.levels
+        # Frames are [depth, candidates q, next candidate index].
         stack: list[list] = []
         while True:
-            if alive and part.ncells == part.n:
-                images = part.images()
-                if self.poset_p.maps_covers_onto(self.poset_q, images):
+            if alive and depth == len(levels):
+                images = self.leaf(part.elems)
+                if self.poset.maps_covers_onto(part.poset, images):
                     return images
             elif alive:
-                stack.append([*part.branch(), 0, len(part.trail)])
-            while stack and stack[-1][3] == len(stack[-1][2]):
+                cell = levels[depth][0]
+                stack.append([depth, part.elems[cell:part.end[cell]], 0])
+            while stack and stack[-1][2] == len(stack[-1][1]):
                 stack.pop()
             if not stack:
                 return None
             frame = stack[-1]
-            part.undo(frame[4])
-            q = frame[2][frame[3]]
-            frame[3] += 1
-            alive = self.step(frame[0], frame[1], q)
+            depth = frame[0]
+            q = frame[1][frame[2]]
+            frame[2] += 1
+            alive = self.step(part, depth, q)
+            depth += 1
 
 
 def find_isomorphism(
@@ -322,10 +346,12 @@ def find_isomorphism(
     """
     if len(poset_p) != len(poset_q) or len(poset_p.hasse) != len(poset_q.hasse):
         return None
-    tree = _Tree(poset_p, poset_q, budget)
-    if not tree.part.balanced:
+    part_p, part_q = _Partition(poset_p), _Partition(poset_q)
+    if part_p.colours != part_q.colours:
         return None
-    images = tree.first_leaf(tree.root())
+    tree = _Tree(part_p, budget)
+    alive = part_q.refine(list(part_q.starts), tree.root_trace, compare=True)
+    images = tree.first_leaf(part_q, 0, alive)
     if images is None:
         return None
     return PosetMap._trusted(poset_p, poset_q, images)
@@ -401,31 +427,25 @@ def all_automorphisms(
     docstring).  Raises :class:`SizeLimitExceeded` when the tree needs more
     than ``budget`` nodes or the group has more than ``budget`` elements.
     """
-    tree = _Tree(poset, poset, budget)
-    part, n = tree.part, len(poset)
-    tree.root()  # P = Q: the identity path never dies
-    # Levels are (cell, base point p, candidate images q in Q, trail mark).
-    levels = []
-    while part.ncells < n:
-        cell, p, candidates = part.branch()
-        levels.append((cell, p, candidates, len(part.trail)))
-        tree.step(cell, p, p + n)
+    part = _Partition(poset)
+    tree = _Tree(part, budget)  # the identity path: Q = P shares its partition
     gens: list[tuple[int, ...]] = []
     order = 1
-    for cell, p, candidates, mark in reversed(levels):
+    for depth in reversed(range(len(tree.levels))):
+        _, candidates, _, _ = tree.levels[depth]
+        p = candidates[0]
         # Generators found so far fix p, so p's orbit starts as {p}.
         orbit, seen = [p], {p}
         for q in candidates:
-            if q - n in seen:
+            if q in seen:
                 continue
-            part.undo(mark)
-            images = tree.first_leaf(tree.step(cell, p, q))
+            images = tree.first_leaf(part, depth + 1, tree.step(part, depth, q))
             if images is not None:
                 gens.append(images)
                 _grow_orbit(orbit, seen, gens)
         order *= len(orbit)
         if order > budget:
             raise _budget_error(budget, order)
-    base = [p for _, p, _, _ in levels]
+    base = [candidates[0] for _, candidates, _, _ in tree.levels]
     elements = _closure(poset, base, gens, order)
     return [PosetMap._trusted(poset, poset, images) for images in elements]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,24 @@ def test_aut_streams_the_whole_text(capsys, tmp_path, group):
     assert run(capsys, "aut", "--group", group) == (0, want, "")
     target = tmp_path / "aut.txt"
     assert run(capsys, "aut", "--group", group, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("group", ["klein4", "dihedral:3", "symmetric:4"])
+def test_aut_json_streams_the_whole_document(capsys, tmp_path, group):
+    auts = AutomorphismGroup.of(
+        build_space(spec_for(builtin_group(group), standard_generator_labels(group)))
+    )
+    doc = {
+        "order": auts.order,
+        "acts_freely": auts.acts_freely(),
+        "maps": [list(m.images) for m in auts.maps],
+        "table": [list(row) for row in auts.table],
+    }
+    want = json.dumps(doc, indent=2) + "\n"
+    assert run(capsys, "aut", "--group", group, "--json") == (0, want, "")
+    target = tmp_path / "aut.json"
+    assert run(capsys, "aut", "--group", group, "--json", "--out", str(target)) == (0, "", "")
     assert target.read_bytes() == want.encode("utf-8")
 
 
@@ -373,6 +392,36 @@ def test_selfmaps_deep_chain_stops_at_budget_without_traceback(capsys, tmp_path)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--budget-maps" in err and "Traceback" not in err
+
+
+PATHOLOGICAL_SPACES = {
+    "antichain-60": FinitePoset.from_relations([f"a{i}" for i in range(60)], []),
+    "2-chains-300": FinitePoset.from_relations(
+        [f"c{i}" for i in range(600)], [(2 * i, 2 * i + 1) for i in range(300)]
+    ),
+    "empty": FinitePoset.from_relations([], []),
+    "point": FinitePoset.from_relations(["x"], []),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["core", "selfmaps", "aut", "homology", "h1-action"])
+@pytest.mark.parametrize("name", sorted(PATHOLOGICAL_SPACES))
+def test_pathological_spaces_exit_cleanly_and_fast(capsys, tmp_path, name, command, flags):
+    # Huge symmetry groups, many components, no points at all: each command
+    # answers or stops at a guard, with one error line and no traceback.
+    path = tmp_path / "space.json"
+    path.write_text(poset_to_json(PATHOLOGICAL_SPACES[name]), encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, "--space-file", str(path), *flags)
+    assert time.perf_counter() - started < 2
+    assert code in (0, 2)
+    assert err.count("error:") <= 1 and err.count("\n") <= 1
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert out and not err
+    else:
+        assert err.startswith("error:") and not out
 
 
 def test_build_rejects_non_string_point_ids(capsys, tmp_path):

@@ -62,6 +62,16 @@ def test_label_blindness():
     assert witness is not None and witness.is_isomorphism()
 
 
+def crowns(*sizes: int) -> FinitePoset:
+    """Disjoint crowns: the k-crown has minima a_i < b_i, b_{i+1} (mod k), a 2k-cycle."""
+    pairs, offset = [], 0
+    for k in sizes:
+        for i in range(k):
+            pairs += [(offset + i, offset + k + i), (offset + i, offset + k + (i + 1) % k)]
+        offset += 2 * k
+    return FinitePoset.from_relations(list(range(offset)), pairs)
+
+
 def test_distinguishes_same_sized_posets():
     # Both have four points and four cover edges, but the crown is a cycle
     # of length four while the diamond has a top and a bottom.
@@ -69,6 +79,31 @@ def test_distinguishes_same_sized_posets():
     diamond = fixture_space("diamond")
     assert not are_isomorphic(crown, diamond)
     assert find_isomorphism(crown, diamond) is None
+    # A 12-cycle and two 6-cycles: every point has the same set sizes and
+    # cover degrees, so only the trace below the root can tell them apart.
+    cycle12, two_cycles6 = crowns(6), crowns(3, 3)
+    assert find_isomorphism(cycle12, two_cycles6) is None
+    assert find_isomorphism(two_cycles6, cycle12) is None
+    assert find_isomorphism(cycle12, permuted_copy(cycle12, [*range(1, 12), 0])) is not None
+
+
+def test_a_refinement_that_stops_short_of_the_trace_dies():
+    # Two copies of a 2-chain beside an N, against two copies of a V beside
+    # a Λ.  Every point has the same set sizes and cover degrees in both, but
+    # the second colouring is already equitable: its root refinement makes
+    # no split, a proper prefix of the first path's trace.  That root must
+    # die, so the search stops after the root and the first path's two
+    # levels, without a node of its own.
+    def doubled(pairs):
+        return FinitePoset.from_relations(
+            list(range(12)), [*pairs, *((a + 6, b + 6) for a, b in pairs)]
+        )
+
+    chain_and_n = doubled([(0, 1), (2, 3), (2, 5), (4, 5)])
+    vee_and_wedge = doubled([(0, 1), (0, 3), (2, 5), (4, 5)])
+    assert find_isomorphism(chain_and_n, vee_and_wedge, budget=3) is None
+    with pytest.raises(SizeLimitExceeded):
+        find_isomorphism(chain_and_n, vee_and_wedge, budget=2)
 
 
 def test_size_mismatch_is_cheap_rejection():
@@ -262,3 +297,18 @@ def test_base_keyed_closure_equals_the_full_tuple_closure(poset):
     assert found == oracle_closure(poset, gens, order)
     # the base images tell the automorphisms apart
     assert len({tuple(images[b] for b in base) for images in found}) == len(found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_posets(), deep_posets(modes=("none", "sandt"))),
+       st.randoms(use_true_random=False))
+def test_traces_agree_on_shuffled_copies(poset, rng):
+    # A copy differs only in how its points are numbered, so its tree
+    # follows the first path's trace: a witness exists, and the group found
+    # from the copy's first path is the one every leaf of the joint tree gives.
+    perm = list(range(len(poset)))
+    rng.shuffle(perm)
+    copy = permuted_copy(poset, perm)
+    witness = find_isomorphism(poset, copy)
+    assert witness is not None and witness.is_isomorphism()
+    assert [m.images for m in all_automorphisms(copy)] == leaf_search(copy, copy)
