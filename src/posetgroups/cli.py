@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator
 from contextlib import nullcontext
 
 from .complexes import (
@@ -144,16 +143,17 @@ def _emit_chunks(chunks, args) -> None:
             fh.write("\n")
 
 
-def _json_chunks(fields):
+def _json_chunks(fields, streamed):
     """The text of ``json.dumps(dict(fields), indent=2)``, in chunks.
 
-    A field whose value is an iterator becomes a JSON list written one
-    ``json.dumps`` per element, so only one element's text is ever held.
+    A field named in ``streamed`` holds an iterable and becomes a JSON
+    list written one ``json.dumps`` per element, so only one element's
+    text is ever held.  Every other field is written whole.
     """
     yield "{"
     for k, (key, value) in enumerate(fields):
         head = ("," if k else "") + f"\n  {json.dumps(key)}: "
-        if not isinstance(value, Iterator):
+        if key not in streamed:
             yield head + json.dumps(value, indent=2).replace("\n", "\n  ")
             continue
         sep = head + "["
@@ -190,8 +190,8 @@ def _cmd_aut(args) -> int:
             ("order", auts.order),
             ("acts_freely", auts.acts_freely()),
             ("maps", (m.images for m in auts.maps)),
-            ("table", iter(auts.table)),
-        ]), args)
+            ("table", auts.table),
+        ], streamed={"maps", "table"}), args)
         return 0
     ids = [label_id(label) for label in space.labels]
 
@@ -289,7 +289,7 @@ def _cmd_h1_action(args) -> int:
             ("order", auts.order),
             ("matrices", map(dense_matrix, matrices)),
             ("distinct", distinct),
-        ]), args)
+        ], streamed={"matrices"}), args)
         return 0
 
     def text_chunks():

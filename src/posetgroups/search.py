@@ -17,12 +17,14 @@ are never refined together.  Each split of a cell writes one trace record,
 its start and the start and count key of every piece, and the cells
 touched by a splitter split in the order of their starts, so the trace
 depends on the shape of the partition and not on how the points are
-numbered.  The first path refines P alone from the root down to a discrete
-leaf, individualizing the first point of the first smallest cell at each
-level, and records each level's cell and trace.  A node of Q's tree undoes
-to its level's trail mark, individualizes one point q of that same cell,
-and refines while comparing: it dies at the first record that differs from
-the first path's, or when its refinement ends at another trace position.
+numbered.  Q's root refinement is compared with P's first, so a pair it
+tells apart costs no more.  Then the first path refines P alone from the
+root down to a discrete leaf, individualizing the first point of the first
+smallest cell at each level, and records each level's cell and trace.  A
+node of Q's tree undoes to its level's trail mark, individualizes one
+point q of that same cell, and refines while comparing: it dies at the
+first record that differs from the first path's, or when its refinement
+ends at another trace position.
 A live node therefore has the first path's cells at its depth, so it reads
 its next target cell from the first path instead of scanning for one.  A
 discrete leaf of Q's tree maps the first leaf's point at each position to
@@ -146,6 +148,7 @@ class _Partition:
             for cell, moved in sorted(touched.items()):
                 stop = end[cell]
                 back = stop - len(moved)
+                # Most splits move one point (see split_off below).
                 if len(moved) == 1:
                     if back == cell:
                         continue
@@ -169,7 +172,6 @@ class _Partition:
                     return False
                 at += 1
                 if len(moved) == 1:
-                    # The common case: a single point leaves a larger cell.
                     f = split_off(cell, moved[0])
                     queued.add(f)
                     queue.append(f)
@@ -206,7 +208,13 @@ class _Partition:
         return not compare or at == len(trace)
 
     def split_off(self, cell: int, v: int) -> int:
-        """Move ``v`` to the back of ``cell`` as a cell of its own; return its start."""
+        """Move ``v`` to the back of ``cell`` as a cell of its own; return its start.
+
+        This is the general split in :meth:`refine` for one moved point,
+        without its sort and rearrangement.  The result is the same: ``v``
+        becomes the last piece, and only it is queued, since the rest of
+        the cell is larger or as large and keeps its start.
+        """
         elems, pos = self.elems, self.pos
         last = self.end[cell] - 1
         w = elems[last]
@@ -266,11 +274,13 @@ def _budget_error(budget: int, order: int | None = None) -> SizeLimitExceeded:
 class _Tree:
     """The first path, refined on P's partition, and the search of Q's tree against it.
 
-    ``levels`` holds, for each individualization of the first path, its
-    cell, the cell's points in order (the first is the one individualized),
-    the trail mark before it and the trace of the refinement after it.
-    ``nodes`` counts the root, each first-path level and each Q
-    individualization against ``budget``.
+    Construction refines P's root and records its trace, so a Q whose
+    root refinement differs is rejected before any level is built.
+    ``levels``, filled by :meth:`first_path`, holds, for each
+    individualization of the first path, its cell, the cell's points in
+    order (the first is the one individualized), the trail mark before it
+    and the trace of the refinement after it.  ``nodes`` counts the root,
+    each first-path level and each Q individualization against ``budget``.
     """
 
     def __init__(self, part: _Partition, budget: int):
@@ -282,6 +292,9 @@ class _Tree:
         self.root_trace: list = []
         part.refine(list(part.starts), self.root_trace)
         self.levels: list[tuple[int, list[int], int, list]] = []
+
+    def first_path(self, part: _Partition) -> None:
+        """Individualize and refine P's partition from the root down to a discrete leaf."""
         while part.ncells < part.n:
             cell = part.target()
             members = sorted(part.elems[cell:part.end[cell]])
@@ -350,8 +363,10 @@ def find_isomorphism(
     if part_p.colours != part_q.colours:
         return None
     tree = _Tree(part_p, budget)
-    alive = part_q.refine(list(part_q.starts), tree.root_trace, compare=True)
-    images = tree.first_leaf(part_q, 0, alive)
+    if not part_q.refine(list(part_q.starts), tree.root_trace, compare=True):
+        return None
+    tree.first_path(part_p)
+    images = tree.first_leaf(part_q, 0, True)
     if images is None:
         return None
     return PosetMap._trusted(poset_p, poset_q, images)
@@ -428,7 +443,8 @@ def all_automorphisms(
     than ``budget`` nodes or the group has more than ``budget`` elements.
     """
     part = _Partition(poset)
-    tree = _Tree(part, budget)  # the identity path: Q = P shares its partition
+    tree = _Tree(part, budget)
+    tree.first_path(part)  # the identity path: Q = P shares its partition
     gens: list[tuple[int, ...]] = []
     order = 1
     for depth in reversed(range(len(tree.levels))):
