@@ -60,7 +60,8 @@ def order_complex(space: FinitePoset, *, limit: int = DEFAULT_SIMPLEX_LIMIT) -> 
                 total += 1
                 if total > limit:
                     raise SizeLimitExceeded(
-                        f"order complex exceeded {limit} simplices; raise the limit"
+                        f"order complex enumeration stopped after {limit} simplices, "
+                        "its limit; raise it with the limit argument of order_complex()"
                     )
         if not grown:
             break

@@ -505,7 +505,7 @@ def homotopy_classes(maps: list[PosetMap]) -> HomotopyClasses:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    covers_above = [space.hasse_above(x) for x in range(len(space))]
+    covers_above = space.cover_index.up
     for k, mp in enumerate(maps):
         images = mp.images
         for x, fx in enumerate(images):

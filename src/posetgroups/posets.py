@@ -10,16 +10,19 @@ neighbourhood of a point is its down-set, and a map between posets is
 continuous exactly when it is order-preserving.
 
 Two indexes are built on first use and kept on the poset: the cover index
-(the covers' sources and targets as ``itemgetter``s, plus the set of
-covers), through which every covers-onto-covers and order check reads an
-image tuple in C; and the layout (the points by ``(site, role)``), through
-which the maps of the built spaces are one lookup per point.
+and the layout.  The cover index is the poset's one cover adjacency: each
+point's upper and lower covers, which refinement, beat points, components
+and homotopy classes read, and the covers' sources and targets as
+``itemgetter``s plus the set of covers, through which every
+covers-onto-covers and order check reads an image tuple in C.  The layout
+(the points by ``(site, role)``) makes the maps of the built spaces one
+lookup per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,18 +47,29 @@ def tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 
 class CoverIndex:
-    """The covers of a poset, ready to read an image tuple in C.
+    """The covers of a poset, by point and ready to read an image tuple in C.
 
-    ``sources(images)`` and ``targets(images)`` are the images of the lower
-    and upper ends of every cover, in ``hasse`` order; ``edges`` is the set
-    of covers.
+    ``up[i]`` and ``down[i]`` are the upper and lower covers of point ``i``,
+    ascending.  ``sources(images)`` and ``targets(images)`` are the images
+    of the lower and upper ends of every cover, in ``hasse`` order;
+    ``edges`` is the set of covers.
     """
 
-    __slots__ = ("sources", "targets", "edges")
+    __slots__ = ("up", "down", "sources", "targets", "edges")
 
-    def __init__(self, hasse: tuple[tuple[int, int], ...]):
-        self.sources = tuple_getter([a for a, _ in hasse])
-        self.targets = tuple_getter([b for _, b in hasse])
+    def __init__(self, n: int, hasse: tuple[tuple[int, int], ...]):
+        up: list[list[int]] = [[] for _ in range(n)]
+        down: list[list[int]] = [[] for _ in range(n)]
+        sources, targets = [], []
+        for a, b in hasse:
+            up[a].append(b)
+            down[b].append(a)
+            sources.append(a)
+            targets.append(b)
+        self.up = tuple(map(tuple, up))
+        self.down = tuple(map(tuple, down))
+        self.sources = tuple_getter(sources)
+        self.targets = tuple_getter(targets)
         self.edges = frozenset(hasse)
 
 
@@ -212,12 +226,6 @@ class FinitePoset:
     def leq(self, a: int, b: int) -> bool:
         return bool(self._down[b] >> a & 1)
 
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
-
-    def comparable(self, a: int, b: int) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
     def down_mask(self, i: int) -> int:
         return self._down[i]
 
@@ -228,26 +236,11 @@ class FinitePoset:
         """The smallest open set containing ``i``: its down-set."""
         return tuple(bits(self._down[i]))
 
-    def up_set(self, i: int) -> tuple[int, ...]:
-        return tuple(bits(self._up[i]))
-
-    def minimal_points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self)) if self._down[i] == 1 << i)
-
-    def maximal_points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self)) if self._up[i] == 1 << i)
-
-    def hasse_below(self, i: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.hasse if b == i)
-
-    def hasse_above(self, i: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.hasse if a == i)
-
     @property
     def cover_index(self) -> CoverIndex:
-        """The covers as two gathers and a set, built on first use."""
+        """The covers by point, as two gathers and as a set, built on first use."""
         if self._covers is None:
-            self._covers = CoverIndex(self.hasse)
+            self._covers = CoverIndex(len(self), self.hasse)
         return self._covers
 
     @property
@@ -273,10 +266,6 @@ class FinitePoset:
             zip(covers.sources(images), covers.targets(images))
         )
 
-    def topological_order(self) -> tuple[int, ...]:
-        """A linear extension: every point after everything below it."""
-        return tuple(sorted(range(len(self)), key=lambda i: (self._down[i].bit_count(), i)))
-
     # -- structure ---------------------------------------------------------
 
     def beat_partner(self, i: int, kind: str, alive: int) -> int | None:
@@ -284,7 +273,9 @@ class FinitePoset:
 
         Only the points in the bitmask ``alive`` count.  For ``kind`` "down"
         this is the unique maximal element of the strict down-set of ``i``,
-        for "up" the unique minimal element of its strict up-set.
+        for "up" the unique minimal element of its strict up-set.  On the
+        whole poset :meth:`beat_points` reads the same from cover counts;
+        :func:`homotopy.core` needs it inside a shrinking subspace.
         """
         if kind == "down":
             strict, masks = self._down[i] & alive & ~(1 << i), self._up
@@ -303,44 +294,41 @@ class FinitePoset:
 
         A point is a "down" beat point when its strict down-set has a unique
         maximal element, an "up" beat point when its strict up-set has a
-        unique minimal element.  Entries are ``(index, kind)`` with kind
+        unique minimal element.  The maximal elements of a strict down-set
+        are the lower covers, and the minimal ones of a strict up-set the
+        upper covers, so these are the points with exactly one lower or
+        one upper cover.  Entries are ``(index, kind)`` with kind
         ``"down"``/``"up"``, ordered by index then kind; a point carrying
         both kinds appears twice.
         """
-        alive = (1 << len(self)) - 1
+        covers = self.cover_index
         return [
             (i, kind)
             for i in range(len(self))
-            for kind in ("down", "up")
-            if self.beat_partner(i, kind, alive) is not None
+            for kind, adjacent in (("down", covers.down), ("up", covers.up))
+            if len(adjacent[i]) == 1
         ]
 
     def components(self) -> list[tuple[int, ...]]:
-        """Connected components of the comparability graph, each sorted."""
-        n = len(self)
-        seen = 0
-        out: list[tuple[int, ...]] = []
-        for start in range(n):
-            if seen >> start & 1:
-                continue
-            comp = 0
-            frontier = 1 << start
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for i in bits(frontier):
-                    nxt |= self._down[i] | self._up[i]
-                frontier = nxt & ~comp
-            seen |= comp
-            out.append(tuple(bits(comp)))
-        return out
+        """Connected components of the comparability graph, each sorted.
 
-    def is_path_connected(self) -> bool:
-        """For finite spaces path components and components coincide.
-
-        The empty poset counts as connected.
+        They are those of the covering graph, searched over the covers.
         """
-        return len(self.components()) <= 1
+        up, down = self.cover_index.up, self.cover_index.down
+        seen = [False] * len(self)
+        out: list[tuple[int, ...]] = []
+        for start in range(len(self)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp = [start]
+            for i in comp:  # ``comp`` grows while it is read
+                for j in chain(up[i], down[i]):
+                    if not seen[j]:
+                        seen[j] = True
+                        comp.append(j)
+            out.append(tuple(sorted(comp)))
+        return out
 
     def induced(self, keep: Sequence[int]) -> "FinitePoset":
         """Subposet on ``keep`` (order inherited, covers recomputed)."""
@@ -362,12 +350,6 @@ class FinitePoset:
         return FinitePoset.from_relations(
             self.labels, [e for e in self.hasse if e != edge]
         )
-
-    def relabel(self, fn: Callable[[Label], Label]) -> "FinitePoset":
-        labels = tuple(fn(lab) for lab in self.labels)
-        if len(set(labels)) != len(labels):
-            raise PosetError("relabeling must keep labels pairwise distinct")
-        return FinitePoset(labels, self.hasse, self._down, self._up)
 
 
 @dataclass(frozen=True)
@@ -413,18 +395,19 @@ class PosetMap:
         return cls(poset, poset, tuple(range(len(poset))))
 
     def compose(self, inner: "PosetMap") -> "PosetMap":
-        """``self`` after ``inner``."""
+        """``self`` after ``inner``.
+
+        Not checked again: a composite of order-preserving maps preserves
+        order.
+        """
         if inner.target is not self.source and inner.target != self.source:
             raise MapError("composition mismatch: inner.target != outer.source")
-        return PosetMap(
+        return PosetMap._trusted(
             inner.source, self.target, tuple(self.images[v] for v in inner.images)
         )
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == len(self.target)
-
-    def is_bijective(self) -> bool:
-        return len(self.source) == len(self.target) and self.is_surjective()
 
     def is_isomorphism(self) -> bool:
         """Bijective with order-preserving inverse (covers map onto covers)."""

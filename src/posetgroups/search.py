@@ -56,6 +56,7 @@ partial answer.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 
 from .errors import MapError, SizeLimitExceeded
@@ -77,17 +78,13 @@ class _Partition:
         n = len(poset)
         self.poset = poset
         self.n = n
-        self.up: list[list[int]] = [[] for _ in range(n)]
-        self.down: list[list[int]] = [[] for _ in range(n)]
-        for a, b in poset.hasse:
-            self.up[a].append(b)
-            self.down[b].append(a)
+        covers = poset.cover_index
         sig = [
             (
                 poset.down_mask(i).bit_count(),
                 poset.up_mask(i).bit_count(),
-                len(self.down[i]),
-                len(self.up[i]),
+                len(covers.down[i]),
+                len(covers.up[i]),
             )
             for i in range(n)
         ]
@@ -120,7 +117,8 @@ class _Partition:
         refinement ends before the last one.
         """
         elems, pos, cell_of, end = self.elems, self.pos, self.cell_of, self.end
-        down, up, split_off = self.down, self.up, self.split_off
+        covers, split_off = self.poset.cover_index, self.split_off
+        down, up = covers.down, covers.up
         queued = set(queue)
         at = 0
         while queue:
@@ -245,19 +243,6 @@ class _Partition:
                 cell_of[u] = parent
             self.ncells -= 1
 
-    def target(self) -> int:
-        """Start of the first smallest cell with more than one point."""
-        best, best_size = -1, 0
-        start = 0
-        while start < self.n:
-            size = self.end[start] - start
-            if size > 1 and (best < 0 or size < best_size):
-                best, best_size = start, size
-                if size == 2:
-                    break
-            start = self.end[start]
-        return best
-
 
 def _budget_error(budget: int, order: int | None = None) -> SizeLimitExceeded:
     reached = (
@@ -294,14 +279,25 @@ class _Tree:
         self.levels: list[tuple[int, list[int], int, list]] = []
 
     def first_path(self, part: _Partition) -> None:
-        """Individualize and refine P's partition from the root down to a discrete leaf."""
-        while part.ncells < part.n:
-            cell = part.target()
-            members = sorted(part.elems[cell:part.end[cell]])
+        """Individualize and refine P's partition from the root down to a discrete leaf.
+
+        Each level's target is the first smallest cell with more than one
+        point.  It is looked for among the wide cells alone: the first path
+        undoes no split, so a singleton stays one, and the cells a level
+        splits off are on the trail after its mark.
+        """
+        end = part.end
+        wide = [start for start in range(part.n) if end[start] - start > 1
+                and part.cell_of[part.elems[start]] == start]
+        while wide:
+            cell = min(wide, key=lambda start: (end[start] - start, start))
+            members = sorted(part.elems[cell:end[cell]])
             self.count()
             mark, trace = len(part.trail), []
             part.individualize(cell, members[0], trace)
             self.levels.append((cell, members, mark, trace))
+            wide = [start for start in chain(wide, part.trail[mark:])
+                    if end[start] - start > 1]
         # The first leaf's point at position i maps to a leaf's point there.
         rank = [0] * part.n
         for i, v in enumerate(part.elems):

@@ -14,6 +14,9 @@ against them.
 comprehension per map, and ``oracle_closure`` closes generators keyed by
 whole image tuples, composing and verifying every product; the property
 tests compare the cover-index check and the base-keyed closure with them.
+``oracle_target`` picks the first path's target cell by scanning every
+cell, as the search did before it kept a list of the cells with more than
+one point.
 """
 
 from __future__ import annotations
@@ -345,6 +348,19 @@ def _enumerate(poset_p, poset_q, side_p, side_q, cols_p, cols_q, out, budget, fi
         if first_only and out:
             return budget
     return budget
+
+
+def oracle_target(part) -> int:
+    """Start of the first smallest cell of a ``search._Partition`` with more
+    than one point, found by walking every cell."""
+    best, best_size = -1, 0
+    start = 0
+    while start < part.n:
+        size = part.end[start] - start
+        if size > 1 and (best < 0 or size < best_size):
+            best, best_size = start, size
+        start = part.end[start]
+    return best
 
 
 def oracle_search(poset_p: FinitePoset, poset_q: FinitePoset, *, first_only: bool = False,

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
@@ -118,8 +119,14 @@ def test_dim_cap():
 
 
 def test_simplex_limit(crown):
-    with pytest.raises(SizeLimitExceeded, match="simplices"):
+    # The message names the layer, how far it got and the argument that
+    # raises the limit (no flag or environment variable does).
+    with pytest.raises(SizeLimitExceeded, match=re.escape(
+        "order complex enumeration stopped after 5 simplices, its limit; "
+        "raise it with the limit argument of order_complex()"
+    )):
         order_complex(crown, limit=5)
+    assert len(order_complex(crown, limit=8).simplices[1]) == 4
 
 
 # -- Betti numbers -------------------------------------------------------------

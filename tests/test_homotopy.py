@@ -57,7 +57,7 @@ def test_core_retraction_section(pentad):
     # the other composite moves each point to a comparable one
     other = result.inclusion.compose(result.retraction)
     for i in range(len(pentad)):
-        assert pentad.comparable(i, other(i))
+        assert pentad.leq(i, other(i)) or pentad.leq(other(i), i)
 
 
 def test_contractible_spaces_core_to_a_point():
@@ -401,7 +401,7 @@ def test_class_count_is_a_homotopy_invariant(poset):
 @given(small_posets(max_points=4))
 @settings(max_examples=40, deadline=None)
 def test_connected_spaces_have_one_constant_class(poset):
-    if len(poset) == 0 or not poset.is_path_connected():
+    if len(poset.components()) != 1:
         return
     classes = homotopy_classes(enumerate_selfmaps(poset))
     constant_ids = {

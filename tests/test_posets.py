@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetgroups import FinitePoset, MapError, PosetError, PosetMap
+from posetgroups import FinitePoset, MapError, PosetError, PosetMap, enumerate_selfmaps
+from posetgroups.posets import bits
 
 from conftest import fixture_space
 from homotopy_oracle import by_labels, pointwise_leq
@@ -73,7 +74,7 @@ def test_from_hasse_rejects_redundant_edge():
 def test_empty_poset():
     empty = FinitePoset.from_relations([], [])
     assert len(empty) == 0
-    assert empty.is_path_connected()
+    assert empty.components() == []
     assert empty.beat_points() == []
 
 
@@ -82,30 +83,24 @@ def test_empty_poset():
 
 def test_leq_lt_comparable(pentad):
     a, b, c, e = 0, 1, 2, 4
-    assert pentad.leq(a, e) and pentad.lt(a, e)
-    assert pentad.leq(c, c) and not pentad.lt(c, c)
-    assert not pentad.comparable(a, b)
-    assert pentad.comparable(e, c)
+    assert pentad.leq(a, e) and not pentad.leq(e, a)
+    assert pentad.leq(c, c)
+    assert not pentad.leq(a, b) and not pentad.leq(b, a)
+    assert pentad.leq(c, e)
 
 
 def test_minimal_open_set_is_down_set(pentad):
     assert pentad.minimal_open_set(2) == (0, 1, 2)
     assert pentad.minimal_open_set(0) == (0,)
-    assert pentad.up_set(2) == (2, 4)
+    assert tuple(bits(pentad.up_mask(2))) == (2, 4)
 
 
 def test_extreme_points(pentad):
-    assert pentad.minimal_points() == (0, 1)
-    assert pentad.maximal_points() == (3, 4)
-
-
-def test_topological_order_is_linear_extension(pentad):
-    topo = pentad.topological_order()
-    position = {p: k for k, p in enumerate(topo)}
-    for a in range(len(pentad)):
-        for b in range(len(pentad)):
-            if pentad.lt(a, b):
-                assert position[a] < position[b]
+    covers = pentad.cover_index
+    assert [i for i in range(len(pentad)) if not covers.down[i]] == [0, 1]
+    assert [i for i in range(len(pentad)) if not covers.up[i]] == [3, 4]
+    assert covers.up == ((2, 3), (2, 3), (4,), (), ())
+    assert covers.down == ((), (), (0, 1), (0, 1), (2,))
 
 
 # -- beat points -------------------------------------------------------------
@@ -131,12 +126,43 @@ def test_crown_has_no_beat_points(crown):
     assert crown.beat_points() == []
 
 
+def assert_cover_adjacency_matches_scan(poset):
+    """``cover_index.up`` / ``.down`` against a scan of ``hasse`` per point."""
+    covers = poset.cover_index
+    points = range(len(poset))
+    assert covers.up == tuple(tuple(b for a, b in poset.hasse if a == i) for i in points)
+    assert covers.down == tuple(tuple(a for a, b in poset.hasse if b == i) for i in points)
+
+
+def assert_beat_points_match_masks(poset):
+    """``beat_points()`` against the mask definition through ``beat_partner``."""
+    alive = (1 << len(poset)) - 1
+    assert poset.beat_points() == [
+        (i, kind)
+        for i in range(len(poset))
+        for kind in ("down", "up")
+        if poset.beat_partner(i, kind, alive) is not None
+    ]
+
+
+@given(small_posets())
+@settings(max_examples=150, deadline=None)
+def test_cover_adjacency_matches_a_scan_of_hasse(poset):
+    assert_cover_adjacency_matches_scan(poset)
+
+
+@given(small_posets())
+@settings(max_examples=150, deadline=None)
+def test_beat_points_match_the_mask_definition(poset):
+    assert_beat_points_match_masks(poset)
+
+
 # -- connectivity ------------------------------------------------------------
 
 
 def test_components():
     assert fixture_space("antichain2").components() == [(0,), (1,)]
-    assert fixture_space("wedge").is_path_connected()
+    assert len(fixture_space("wedge").components()) == 1
 
 
 @given(small_posets())
@@ -153,7 +179,7 @@ def test_components_match_brute_force(poset):
 
     for a in range(n):
         for b in range(n):
-            if poset.comparable(a, b):
+            if poset.leq(a, b):
                 parent[find(a)] = find(b)
     expected = {tuple(sorted(i for i in range(n) if find(i) == root))
                 for root in {find(i) for i in range(n)}}
@@ -176,18 +202,9 @@ def test_drop_hasse_edge():
     diamond = fixture_space("diamond")
     dropped = diamond.drop_hasse_edge((1, 3))
     assert dropped.hasse == ((0, 1), (0, 2), (2, 3))
-    assert 1 in dropped.maximal_points()
+    assert dropped.cover_index.up[1] == ()  # 1 is now maximal
     with pytest.raises(PosetError, match="covering relation"):
         diamond.drop_hasse_edge((0, 3))
-
-
-def test_relabel_roundtrip(pentad):
-    upper = pentad.relabel(str.upper)
-    assert upper.labels == ("A", "B", "C", "D", "E")
-    assert upper.hasse == pentad.hasse
-    assert upper.index_of("C") == 2
-    with pytest.raises(PosetError, match="distinct"):
-        pentad.relabel(lambda lab: "same")
 
 
 # -- property tests ----------------------------------------------------------
@@ -271,12 +288,25 @@ def test_identity_and_composition(pentad):
         collapse.compose(PosetMap.identity(fixture_space("chain2")))
 
 
+@given(small_posets(max_points=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_of_self_maps_pass_the_validating_constructor(poset, data):
+    # ``compose`` does not check its product again; the constructor that
+    # does accepts every product of two continuous self-maps.
+    maps = enumerate_selfmaps(poset)
+    for _ in range(20):
+        outer, inner = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
+        product = outer.compose(inner)
+        assert PosetMap(poset, poset, product.images) == product
+        assert product.images == tuple(outer(inner(i)) for i in range(len(poset)))
+
+
 def test_isomorphism_and_inverse(crown):
     swap = PosetMap(crown, crown, (1, 0, 2, 3))
     assert swap.is_isomorphism()
     assert swap.inverse().images == (1, 0, 2, 3)
     fold = PosetMap(crown, crown, (0, 0, 2, 2))
-    assert not fold.is_bijective()
+    assert not fold.is_surjective()
     with pytest.raises(MapError, match="not an isomorphism"):
         fold.inverse()
 
@@ -285,7 +315,7 @@ def test_bijection_need_not_be_isomorphism():
     chain = fixture_space("chain2")
     anti = fixture_space("antichain2")
     bij = PosetMap(anti, chain, (0, 1))
-    assert bij.is_bijective()
+    assert len(anti) == len(chain) and bij.is_surjective()
     assert not bij.is_isomorphism()
 
 

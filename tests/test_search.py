@@ -28,7 +28,7 @@ from posetgroups import (
 )
 
 from conftest import fixture_space
-from search_oracle import leaf_search, oracle_closure, oracle_search
+from search_oracle import leaf_search, oracle_closure, oracle_search, oracle_target
 from test_posets import small_posets
 
 
@@ -55,8 +55,7 @@ def test_finds_isomorphism_between_shuffled_copies():
 
 def test_label_blindness():
     space = fixture_space("crown")
-    new_names = {lab: f"pt{i}" for i, lab in enumerate(space.labels)}
-    renamed = space.relabel(new_names.__getitem__)
+    renamed = FinitePoset.from_hasse([f"pt{i}" for i in range(len(space))], space.hasse)
     assert are_isomorphic(space, renamed)
     witness = find_isomorphism(space, renamed)
     assert witness is not None and witness.is_isomorphism()
@@ -150,8 +149,7 @@ def test_budget_trips_on_group_order_before_enumerating():
 
 def test_isomorphism_composes_with_inverse():
     space = fixture_space("wedge")
-    new_names = {lab: f"q{i}" for i, lab in enumerate(space.labels)}
-    renamed = space.relabel(new_names.__getitem__)
+    renamed = FinitePoset.from_hasse([f"q{i}" for i in range(len(space))], space.hasse)
     fwd = find_isomorphism(space, renamed)
     back = find_isomorphism(renamed, space)
     assert fwd is not None and back is not None
@@ -240,7 +238,7 @@ def disjoint_unions(draw, max_copies=4):
     (the wreath product with the permutations of the copies) stays below
     1300 elements and the leaf-by-leaf oracles stay quick.
     """
-    piece = draw(small_posets(max_points=4).filter(lambda p: len(p) and p.is_path_connected()))
+    piece = draw(small_posets(max_points=4).filter(lambda p: len(p.components()) == 1))
     copies = draw(st.integers(min_value=2, max_value=min(max_copies, 4 if len(piece) < 4 else 3)))
     m = len(piece)
     pairs = [(a + k * m, b + k * m) for k in range(copies) for a, b in piece.hasse]
@@ -296,6 +294,20 @@ def test_base_keyed_closure_equals_the_full_tuple_closure(poset):
     assert found == oracle_closure(poset, gens, order)
     # the base images tell the automorphisms apart
     assert len({tuple(images[b] for b in base) for images in found}) == len(found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_posets(), deep_posets(modes=("none", "sonly", "sandt"))))
+def test_first_path_targets_equal_a_scan_of_every_cell(poset):
+    part = search._Partition(poset)
+    tree = search._Tree(part, search.DEFAULT_AUT_BUDGET)
+    tree.first_path(part)
+    replay = search._Partition(poset)
+    replay.refine(list(replay.starts), [])
+    for cell, members, _, _ in tree.levels:
+        assert cell == oracle_target(replay)
+        replay.individualize(cell, members[0], [])
+    assert oracle_target(replay) == -1 and replay.elems == part.elems
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,7 +28,8 @@ from posetgroups.spaces import fence_sequence
 
 from conftest import fixture_space
 from homotopy_oracle import oracle_collapse_map, oracle_left_translation
-from test_search import permuted_copy
+from test_posets import assert_beat_points_match_masks, assert_cover_adjacency_matches_scan
+from test_search import permuted_copy, shuffled_built_spaces
 
 
 # -- mode parsing ------------------------------------------------------------
@@ -100,7 +101,7 @@ def test_base_cross_covers(klein_spec):
         assert (first, base.index_of(Base(g, 1))) in base.hasse
         assert (second, base.index_of(Base(g, 2))) in base.hasse
         # level-2 link through the first generator is implied, not a cover
-        assert base.lt(first, base.index_of(Base(g, 2)))
+        assert base.leq(first, base.index_of(Base(g, 2)))
         assert (first, base.index_of(Base(g, 2))) not in base.hasse
 
 
@@ -131,8 +132,9 @@ def test_four_point_attachment_relations():
         pa, pb = space.index_of(SPoint("A", g, 0)), space.index_of(SPoint("B", g, 0))
         pc, pd = space.index_of(SPoint("C", g, 0)), space.index_of(SPoint("D", g, 0))
         assert {(pc, pa), (pd, pa), (pc, pb), (apex, pb), (pd, apex)} <= set(space.hasse)
-        assert pa in space.maximal_points() and pb in space.maximal_points()
-        assert pc in space.minimal_points() and pd in space.minimal_points()
+        covers = space.cover_index
+        assert not covers.up[pa] and not covers.up[pb]  # maximal
+        assert not covers.down[pc] and not covers.down[pd]  # minimal
 
 
 def test_fence_sequence_size_one_is_the_classic_order():
@@ -171,9 +173,9 @@ def test_six_point_attachment_relations():
         }
         assert expected <= set(space.hasse)
         # the apex meets the fence in exactly one point above and one below
-        fence_above = [j for j in space.hasse_above(apex)
+        fence_above = [j for j in space.cover_index.up[apex]
                        if isinstance(space.labels[j], TPoint)]
-        fence_below = [j for j in space.hasse_below(apex)
+        fence_below = [j for j in space.cover_index.down[apex]
                        if isinstance(space.labels[j], TPoint)]
         assert (fence_above, fence_below) == ([at["E"]], [at["H"]])
 
@@ -201,8 +203,9 @@ def test_basepoint_covers_every_bottom_level_point(c3_spec):
     space = build_space(c3_spec)
     pointed = add_basepoint(space)
     star = pointed.index_of(Star())
-    assert pointed.maximal_points()[-1] == star
-    below = set(pointed.hasse_below(star))
+    maximal = [i for i, above in enumerate(pointed.cover_index.up) if not above]
+    assert maximal[-1] == star
+    below = set(pointed.cover_index.down[star])
     assert below == {pointed.index_of(Base(g, -1)) for g in range(3)}
     with pytest.raises(ConstructionError, match="already"):
         add_basepoint(pointed)
@@ -361,3 +364,10 @@ def test_translations_and_folds_match_the_oracle_on_shuffled_spaces(group, data)
     source = shuffled(build_space(spec_n))
     got = collapse_map(spec_n, source=source, target=space)
     assert got.images == oracle_collapse_map(spec_n, source=source, target=space).images
+
+
+@given(shuffled_built_spaces(modes=("none", "sonly", "sandt")))
+@settings(max_examples=20, deadline=None)
+def test_cover_adjacency_and_beat_points_on_shuffled_built_spaces(space):
+    assert_cover_adjacency_matches_scan(space)
+    assert_beat_points_match_masks(space)
