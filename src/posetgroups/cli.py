@@ -316,7 +316,7 @@ def _verify_options(args) -> VerifyOptions:
     return VerifyOptions(
         fence_range=fences,
         budget_aut=args.budget_aut,
-        skip=frozenset(args.skip or ()),
+        skip=frozenset(getattr(args, "skip", None) or ()),
     )
 
 
@@ -386,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, "run a single named check", aut_budget=True)
     p.add_argument("--check", required=True, choices=CHECK_NAMES)
     p.add_argument("--fences", default="1,2,3", help="fence sizes for variant checks")
-    p.add_argument("--skip", action="append", help=argparse.SUPPRESS)
 
     p = add("verify-all", _cmd_verify_all, "run the full verification registry",
             aut_budget=True)

@@ -39,7 +39,7 @@ class OrderComplex:
         return len(self.simplices[dim])
 
     @cached_property
-    def _reduction(self) -> _Reduction:
+    def _basis(self) -> CycleBasis:
         """The one Smith reduction behind :func:`homology_summary` and
         :func:`cycle_basis`, computed on first use."""
         return _reduce(self)
@@ -118,10 +118,8 @@ class HomologySummary:
 
 def homology_summary(cx: OrderComplex) -> HomologySummary:
     """b0, b1 and the torsion coefficients of first homology."""
-    reduction = cx._reduction
-    return HomologySummary(
-        b0=reduction.components, b1=len(reduction.free_rows), h1_torsion=reduction.torsion
-    )
+    basis = cx._basis
+    return HomologySummary(b0=basis.components, b1=basis.betti, h1_torsion=basis.torsion)
 
 
 @dataclass(frozen=True)
@@ -149,26 +147,27 @@ def hasse_undirected(space: FinitePoset) -> HasseGraph:
 
 
 @dataclass(frozen=True)
-class _Reduction:
-    """The fields of a :class:`CycleBasis` that the complex's one Smith
-    reduction yields: a basis of first homology in fundamental-cycle
-    coordinates.
+class CycleBasis:
+    """A basis of first homology in fundamental-cycle coordinates.
 
-    Fundamental cycles come from an index-ordered spanning forest of the
-    1-skeleton; triangle boundaries expressed in those coordinates make up
-    the relation matrix, whose Smith reduction (with transforms) turns any
-    1-cycle into free-part coordinates: ``coords = (U @ nontree_coeffs)``
-    restricted to the non-pivot rows.  ``u_columns`` is that restriction by
-    columns, keyed by edge position: a non-tree edge maps to its
-    ``(coordinate, value)`` nonzeros, and an edge with none is absent.
-    ``chains_by_edge`` is ``basis_chains`` by edges: an edge position maps
-    to its ``(basis index, coefficient)`` nonzeros.  ``components`` counts
-    the trees of the forest, which is b0.
+    ``edges`` are the complex's edges, ``simplices[1]``.  Fundamental
+    cycles come from an index-ordered spanning forest of the 1-skeleton;
+    triangle boundaries expressed in those coordinates make up the relation
+    matrix, whose Smith reduction (with transforms) turns any 1-cycle into
+    free-part coordinates: ``coords = (U @ nontree_coeffs)`` restricted to
+    the non-pivot rows.  ``u_columns`` is that restriction by columns,
+    keyed by edge position: a non-tree edge maps to its ``(coordinate,
+    value)`` nonzeros, and an edge with none is absent.  ``chains_by_edge``
+    is ``basis_chains`` by edges: an edge position maps to its ``(basis
+    index, coefficient)`` nonzeros.  ``components`` counts the trees of the
+    forest, which is b0.
 
-    Memoized on the complex, so it must not refer back to it: the pair
-    would then be a reference cycle, freed only by the cyclic collector.
+    It is the complex's memo, shared by every caller; treat it as
+    read-only.  It must not refer back to the complex: the pair would then
+    be a reference cycle, freed only by the cyclic collector.
     """
 
+    edges: tuple[tuple[int, int], ...]
     edge_positions: dict[tuple[int, int], int]
     nontree: tuple[int, ...]
     basis_chains: tuple[dict[int, int], ...]
@@ -178,29 +177,17 @@ class _Reduction:
     torsion: tuple[int, ...]
     components: int
 
-
-@dataclass(frozen=True)
-class CycleBasis(_Reduction):
-    """A basis of first homology: the fields of :class:`_Reduction` plus
-    the complex they were computed from.
-
-    Every field but ``complex`` is shared, not copied, by every basis of
-    that complex; treat it as read-only.
-    """
-
-    complex: OrderComplex
-
     @property
     def betti(self) -> int:
         return len(self.free_rows)
 
 
 def cycle_basis(cx: OrderComplex) -> CycleBasis:
-    """A basis over the complex's memoized reduction (built on first use)."""
-    return CycleBasis(**vars(cx._reduction), complex=cx)
+    """The complex's memoized basis (built on first use)."""
+    return cx._basis
 
 
-def _reduce(cx: OrderComplex) -> _Reduction:
+def _reduce(cx: OrderComplex) -> CycleBasis:
     n = len(cx.space)
     edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
     triangles = cx.simplices[2] if len(cx.simplices) > 2 else ()
@@ -296,7 +283,8 @@ def _reduce(cx: OrderComplex) -> _Reduction:
         for t, value in snf.u[row].items():
             u_columns.setdefault(nontree[t], []).append((coordinate, value))
 
-    return _Reduction(
+    return CycleBasis(
+        edges=edges,
         edge_positions=edge_positions,
         nontree=nontree,
         basis_chains=tuple(basis_chains),
@@ -321,8 +309,7 @@ def h1_action_columns(basis: CycleBasis, automorphism: PosetMap):
     every chain entry.  Functorial by construction: composing
     automorphisms multiplies the matrices.
     """
-    cx = basis.complex
-    edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
+    edges = basis.edges
     inverse = [-1] * len(automorphism.images)
     for i, image in enumerate(automorphism.images):
         inverse[image] = i

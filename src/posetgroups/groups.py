@@ -269,43 +269,38 @@ def quaternion8() -> FiniteGroup:
     return FiniteGroup(labels, table)
 
 
+# Each builtin family: its constructor, whether it takes a parameter, and
+# its standard generator labels as a function of the parameter.
 _FAMILIES = {
-    "cyclic": (cyclic, True),
-    "dihedral": (dihedral, True),
-    "symmetric": (symmetric, True),
-    "klein4": (klein_four, False),
-    "quaternion8": (quaternion8, False),
+    "cyclic": (cyclic, True, lambda n: [] if n == 1 else ["a"]),
+    "dihedral": (dihedral, True, lambda k: ["a", "b"]),
+    "symmetric": (symmetric, True, lambda n: [f"({i}{i + 1})" for i in range(n - 1)]),
+    "klein4": (klein_four, False, lambda: ["a", "b"]),
+    "quaternion8": (quaternion8, False, lambda: ["i", "j"]),
 }
+
+
+def _family(name: str):
+    """The constructor, generator rule and arguments a builtin group name asks for."""
+    family, _, param = name.partition(":")
+    if family not in _FAMILIES:
+        raise GroupError(f"unknown group family {family!r}")
+    make, wants_param, generators = _FAMILIES[family]
+    if wants_param and not param:
+        raise GroupError(f"family {family!r} needs a parameter, e.g. {family}:3")
+    if param and not wants_param:
+        raise GroupError(f"family {family!r} takes no parameter")
+    return make, generators, (int(param),) if wants_param else ()
 
 
 def builtin_group(name: str) -> FiniteGroup:
     """Look up a builtin family: ``cyclic:N``, ``dihedral:K``, ``symmetric:N``,
     ``klein4``, ``quaternion8``."""
-    family, _, param = name.partition(":")
-    if family not in _FAMILIES:
-        raise GroupError(f"unknown group family {family!r}")
-    fn, wants_param = _FAMILIES[family]
-    if wants_param:
-        if not param:
-            raise GroupError(f"family {family!r} needs a parameter, e.g. {family}:3")
-        return fn(int(param))
-    if param:
-        raise GroupError(f"family {family!r} takes no parameter")
-    return fn()
+    make, _, args = _family(name)
+    return make(*args)
 
 
 def standard_generator_labels(name: str) -> list[str]:
     """The conventional generating set used for a builtin family."""
-    family, _, param = name.partition(":")
-    if family == "cyclic":
-        return [] if int(param) == 1 else ["a"]
-    if family == "dihedral":
-        return ["a", "b"]
-    if family == "klein4":
-        return ["a", "b"]
-    if family == "quaternion8":
-        return ["i", "j"]
-    if family == "symmetric":
-        n = int(param)
-        return [f"({i}{i + 1})" for i in range(n - 1)]
-    raise GroupError(f"unknown group family {family!r}")
+    _, generators, args = _family(name)
+    return generators(*args)

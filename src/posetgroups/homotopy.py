@@ -315,7 +315,8 @@ def _enumerate_maps(
     copy of the masks per level.
 
     ``budget`` counts candidate nodes plus the image entries of the leaves
-    held so far, so it bounds memory as well as time.
+    held so far, so it bounds memory as well as time.  Forward checking
+    makes every leaf order-preserving, so callers wrap it unchecked.
     """
     n = len(space)
     if n == 0:
@@ -421,7 +422,7 @@ def enumerate_selfmaps(
     _check_points(space, max_points, layer)
     full = (1 << len(space)) - 1
     found = _enumerate_maps(space, [full] * len(space), budget, layer)
-    return [PosetMap(space, space, images) for images in found]
+    return [PosetMap._trusted(space, space, images) for images in found]
 
 
 def comparative_retractions(
@@ -440,7 +441,7 @@ def comparative_retractions(
     _check_points(space, max_points, layer)
     masks = [space.down_mask(i) | space.up_mask(i) for i in range(len(space))]
     found = _enumerate_maps(space, masks, budget, layer, idempotent=True)
-    return [PosetMap(space, space, images) for images in found]
+    return [PosetMap._trusted(space, space, images) for images in found]
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ attachments glued onto a base point ("apex"), points of the sized cyclic
 fence attachment, and the optional distinguished basepoint.  Arbitrary
 posets just use plain strings.
 
-``label_id`` / ``parse_label_id`` are inverse bijections; serialized
-documents store labels through them, and round-trips are exact.
 ``site_role`` / ``label_at`` split a label into the column point it sits
 at and its role there, and put the two back together; the maps of the
 built spaces move sites and keep roles (see ``FinitePoset.layout``).
+``label_id`` / ``parse_label_id`` are inverse bijections written over
+them: an id is a label's role followed by its site.  Serialized documents
+store labels through them, and round-trips are exact.
 """
 
 from __future__ import annotations
@@ -76,67 +77,11 @@ class Star:
 Label = Base | SPoint | TPoint | FencePoint | Star | str
 
 
-def label_id(label: Label) -> str:
-    """Canonical, human-readable string form of a label."""
-    if isinstance(label, Base):
-        return f"base:g{label.g}:lv{label.level}"
-    if isinstance(label, SPoint):
-        return f"S:{label.kind}:base:g{label.g}:lv{label.level}"
-    if isinstance(label, TPoint):
-        return f"T:{label.kind}:base:g{label.g}:lv{label.level}"
-    if isinstance(label, FencePoint):
-        return f"Tn:{label.role}:{label.index}:base:g{label.g}:lv{label.level}"
-    if isinstance(label, Star):
-        return "star"
-    if isinstance(label, str):
-        if label == "star" or label.startswith(RESERVED_PREFIXES):
-            raise ValueError(f"string label {label!r} collides with a reserved id")
-        return label
-    raise TypeError(f"not a label: {label!r}")
-
-
-def _parse_base(parts: list[str]) -> tuple[int, int]:
-    if len(parts) != 3 or parts[0] != "base":
-        raise ValueError(f"bad base id segment: {':'.join(parts)!r}")
-    if not (parts[1].startswith("g") and parts[2].startswith("lv")):
-        raise ValueError(f"bad base id segment: {':'.join(parts)!r}")
-    return int(parts[1][1:]), int(parts[2][2:])
-
-
-def parse_label_id(text: str) -> Label:
-    """Inverse of :func:`label_id`.
-
-    Unreserved strings come back unchanged.
-    """
-    if text == "star":
-        return Star()
-    parts = text.split(":")
-    if parts[0] == "base":
-        g, lv = _parse_base(parts)
-        return Base(g, lv)
-    if parts[0] == "S" and len(parts) == 5:
-        if parts[1] not in S_KINDS:
-            raise ValueError(f"unknown kind in {text!r}")
-        g, lv = _parse_base(parts[2:])
-        return SPoint(parts[1], g, lv)
-    if parts[0] == "T" and len(parts) == 5:
-        if parts[1] not in T_KINDS:
-            raise ValueError(f"unknown kind in {text!r}")
-        g, lv = _parse_base(parts[2:])
-        return TPoint(parts[1], g, lv)
-    if parts[0] == "Tn" and len(parts) == 6:
-        role, index = parts[1], int(parts[2])
-        if role not in FENCE_ROLES:
-            raise ValueError(f"unknown fence role in {text!r}")
-        g, lv = _parse_base(parts[3:])
-        return FencePoint(role, index, g, lv)
-    if any(text.startswith(p) for p in RESERVED_PREFIXES):
-        raise ValueError(f"malformed structured label id: {text!r}")
-    return text
-
-
 COLUMN = "base"  # the role of a column point, which is its own site
 STAR = "star"
+# By the first segment of a structured id: how many segments its role has
+# before the site, and what its second segment may name.
+_ROLES = {COLUMN: (0, ()), "S": (2, S_KINDS), "T": (2, T_KINDS), "Tn": (3, FENCE_ROLES)}
 
 
 def site_role(label: Label) -> tuple:
@@ -175,3 +120,52 @@ def label_at(site, role: str | None) -> Label:
         return TPoint(rest, *site)
     fence_role, _, index = rest.partition(":")
     return FencePoint(fence_role, int(index), *site)
+
+
+def label_id(label: Label) -> str:
+    """Canonical, human-readable string form of a label: its role, then its site.
+
+    A site ``(g, level)`` reads ``base:g<g>:lv<level>``, the id of its
+    column point, and any other point there prefixes its role.
+    """
+    site, role = site_role(label)
+    if role is None:
+        if not isinstance(label, str):
+            raise TypeError(f"not a label: {label!r}")
+        if label == STAR or label.startswith(RESERVED_PREFIXES):
+            raise ValueError(f"string label {label!r} collides with a reserved id")
+        return label
+    if role == STAR:
+        return STAR
+    site_id = "base:g{}:lv{}".format(*site)
+    return site_id if role == COLUMN else f"{role}:{site_id}"
+
+
+def _parse_site(parts: list[str]) -> tuple[int, int]:
+    if (len(parts) != 3 or parts[0] != "base"
+            or not (parts[1].startswith("g") and parts[2].startswith("lv"))):
+        raise ValueError(f"bad base id segment: {':'.join(parts)!r}")
+    return int(parts[1][1:]), int(parts[2][2:])
+
+
+def parse_label_id(text: str) -> Label:
+    """Inverse of :func:`label_id`.
+
+    Unreserved strings, ``base`` among them, come back unchanged.
+    """
+    if text == STAR:
+        return Star()
+    parts = text.split(":")
+    if parts[0] not in _ROLES or len(parts) == 1:
+        return text
+    width, kinds = _ROLES[parts[0]]
+    if width == 0:
+        return label_at(_parse_site(parts), COLUMN)
+    if len(parts) != width + 3:
+        raise ValueError(f"malformed structured label id: {text!r}")
+    family, kind = parts[0], parts[1]
+    # A fence id's index is parsed first: a bad index is reported before a bad role.
+    role = f"Tn:{kind}:{int(parts[2])}" if family == "Tn" else f"{family}:{kind}"
+    if kind not in kinds:
+        raise ValueError(f"unknown {'fence role' if family == 'Tn' else 'kind'} in {text!r}")
+    return label_at(_parse_site(parts[width:]), role)

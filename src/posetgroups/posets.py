@@ -136,7 +136,8 @@ class FinitePoset:
 
     @staticmethod
     def _close(n: int, pairs: Iterable[tuple[int, int]]):
-        """Validate a relation digraph and return down/up closure bitmasks."""
+        """Validate a relation digraph; return its covers, sorted, and its
+        down/up closure bitmasks."""
         below: list[set[int]] = [set() for _ in range(n)]  # direct predecessors
         above: list[set[int]] = [set() for _ in range(n)]
         for lo, hi in pairs:
@@ -163,11 +164,19 @@ class FinitePoset:
         if len(topo) != n:
             raise PosetError("relations contain a cycle (antisymmetry fails)")
 
+        # One pass finds the covers and the down-sets: a direct predecessor
+        # j of i is covered by i unless j lies below another one.
         down = [0] * n
+        hasse: list[tuple[int, int]] = []
         for i in topo:
-            acc = 1 << i
+            beneath = 0  # the points strictly below some direct predecessor
             for j in below[i]:
-                acc |= down[j]
+                beneath |= down[j] ^ 1 << j
+            acc = beneath | 1 << i
+            for j in below[i]:
+                if not beneath >> j & 1:
+                    hasse.append((j, i))
+                    acc |= 1 << j
             down[i] = acc
         up = [0] * n
         for i in reversed(topo):
@@ -175,7 +184,7 @@ class FinitePoset:
             for j in above[i]:
                 acc |= up[j]
             up[i] = acc
-        return tuple(down), tuple(up)
+        return tuple(sorted(hasse)), tuple(down), tuple(up)
 
     @classmethod
     def from_relations(cls, labels: Sequence[Label], pairs: Iterable[tuple[int, int]]):
@@ -183,17 +192,7 @@ class FinitePoset:
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise PosetError("point labels must be pairwise distinct")
-        n = len(labels)
-        down, up = cls._close(n, pairs)
-        hasse = []
-        for b in range(n):
-            strict = down[b] & ~(1 << b)
-            for a in bits(strict):
-                # a is covered by b iff nothing else sits strictly between.
-                if up[a] & strict == 1 << a:
-                    hasse.append((a, b))
-        hasse.sort()
-        return cls(labels, tuple(hasse), down, up)
+        return cls(labels, *cls._close(len(labels), pairs))
 
     @classmethod
     def from_hasse(cls, labels: Sequence[Label], edges: Iterable[tuple[int, int]]):

@@ -102,7 +102,6 @@ class _Partition:
             self.pos[v] = i
             self.cell_of[v] = start
             self.end[start] = i + 1
-        self.ncells = len(self.starts)
 
     def refine(self, queue: list[int], trace: list, compare: bool = False) -> bool:
         """Split cells until the partition is equitable, one trace record per split.
@@ -192,7 +191,6 @@ class _Partition:
                         cell_of[u] = f
                     self.trail.append(f)
                 end[cell] = bounds[1]
-                self.ncells += len(bounds) - 2
                 pieces = bounds[:-1]
                 largest, largest_size = cell, 0
                 for f in pieces:
@@ -224,7 +222,6 @@ class _Partition:
         self.end[cell] = last
         self.cell_of[v] = last
         self.trail.append(last)
-        self.ncells += 1
         return last
 
     def individualize(self, cell: int, v: int, trace: list, compare: bool = False) -> bool:
@@ -241,7 +238,6 @@ class _Partition:
             end[parent] = stop
             for u in elems[f:stop]:
                 cell_of[u] = parent
-            self.ncells -= 1
 
 
 def _budget_error(budget: int, order: int | None = None) -> SizeLimitExceeded:
@@ -262,10 +258,12 @@ class _Tree:
     Construction refines P's root and records its trace, so a Q whose
     root refinement differs is rejected before any level is built.
     ``levels``, filled by :meth:`first_path`, holds, for each
-    individualization of the first path, its cell, the cell's points in
-    order (the first is the one individualized), the trail mark before it
-    and the trace of the refinement after it.  ``nodes`` counts the root,
-    each first-path level and each Q individualization against ``budget``.
+    individualization of the first path, its cell, the point
+    individualized there (the cell's least: a point of the base), the
+    trail mark before it and the trace of the refinement after it; undone
+    to that mark, the partition's cell holds the level's points again.
+    ``nodes`` counts the root, each first-path level and each Q
+    individualization against ``budget``.
     """
 
     def __init__(self, part: _Partition, budget: int):
@@ -276,7 +274,7 @@ class _Tree:
         self.poset = part.poset
         self.root_trace: list = []
         part.refine(list(part.starts), self.root_trace)
-        self.levels: list[tuple[int, list[int], int, list]] = []
+        self.levels: list[tuple[int, int, int, list]] = []
 
     def first_path(self, part: _Partition) -> None:
         """Individualize and refine P's partition from the root down to a discrete leaf.
@@ -291,11 +289,11 @@ class _Tree:
                 and part.cell_of[part.elems[start]] == start]
         while wide:
             cell = min(wide, key=lambda start: (end[start] - start, start))
-            members = sorted(part.elems[cell:end[cell]])
+            point = min(part.elems[cell:end[cell]])
             self.count()
             mark, trace = len(part.trail), []
-            part.individualize(cell, members[0], trace)
-            self.levels.append((cell, members, mark, trace))
+            part.individualize(cell, point, trace)
+            self.levels.append((cell, point, mark, trace))
             wide = [start for start in chain(wide, part.trail[mark:])
                     if end[start] - start > 1]
         # The first leaf's point at position i maps to a leaf's point there.
@@ -444,11 +442,11 @@ def all_automorphisms(
     gens: list[tuple[int, ...]] = []
     order = 1
     for depth in reversed(range(len(tree.levels))):
-        _, candidates, _, _ = tree.levels[depth]
-        p = candidates[0]
+        cell, p, mark, _ = tree.levels[depth]
+        part.undo(mark)
         # Generators found so far fix p, so p's orbit starts as {p}.
         orbit, seen = [p], {p}
-        for q in candidates:
+        for q in sorted(part.elems[cell:part.end[cell]]):
             if q in seen:
                 continue
             images = tree.first_leaf(part, depth + 1, tree.step(part, depth, q))
@@ -458,6 +456,6 @@ def all_automorphisms(
         order *= len(orbit)
         if order > budget:
             raise _budget_error(budget, order)
-    base = [candidates[0] for _, candidates, _, _ in tree.levels]
+    base = [p for _, p, _, _ in tree.levels]
     elements = _closure(poset, base, gens, order)
     return [PosetMap._trusted(poset, poset, images) for images in elements]

@@ -47,10 +47,12 @@ class GadgetMode:
     @classmethod
     def parse(cls, text: str) -> "GadgetMode":
         """Parse ``none`` / ``sonly`` / ``sandt`` / ``sandt:N``."""
-        kind, _, param = text.partition(":")
-        if param and kind != "sandt":
+        kind, sep, param = text.partition(":")
+        if sep and kind != "sandt":
             raise ConstructionError(f"mode {kind!r} takes no parameter")
-        return cls(kind, int(param) if param else 1)
+        if sep and not param:
+            raise ConstructionError("mode 'sandt:' needs a fence size, e.g. sandt:2")
+        return cls(kind, int(param) if sep else 1)
 
     def __str__(self) -> str:
         if self.kind == "sandt" and self.fence != 1:

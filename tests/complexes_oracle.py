@@ -106,8 +106,7 @@ def oracle_basis_chains(cx):
 
 def oracle_h1_action_columns(basis, automorphism):
     """Sparse columns of the action, each chain edge pushed forward."""
-    cx = basis.complex
-    edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
+    edges = basis.edges
     images = automorphism.images
     positions, u_columns = basis.edge_positions, basis.u_columns
     columns = []
@@ -129,8 +128,12 @@ def oracle_h1_action_columns(basis, automorphism):
 
 def oracle_u_rows(basis):
     """Rows of ``U`` as ``{nontree slot: value}``, reduced afresh."""
-    cx = basis.complex
-    triangles = cx.simplices[2] if len(cx.simplices) > 2 else ()
+    # The triangles are the sorted 3-cliques of the edges (the comparable pairs).
+    above: dict[int, list[int]] = {}
+    for a, b in basis.edges:
+        above.setdefault(a, []).append(b)
+    triangles = sorted((a, b, c) for a, b in basis.edges for c in above.get(b, ())
+                       if (a, c) in basis.edge_positions)
     slot = {pos: t for t, pos in enumerate(basis.nontree)}
     triples = []
     for col, (a, b, c) in enumerate(triangles):
@@ -146,8 +149,7 @@ def oracle_u_rows(basis):
 def oracle_h1_action_matrix(basis, automorphism):
     """The matrix of an automorphism on free first homology, as dense rows."""
     u = oracle_u_rows(basis)
-    cx = basis.complex
-    edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
+    edges = basis.edges
     images = automorphism.images
     slot = {pos: t for t, pos in enumerate(basis.nontree)}
     columns = []

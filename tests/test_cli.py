@@ -66,6 +66,16 @@ def test_build_json_roundtrips(capsys):
     assert rebuilt == build_space(spec_for(builtin_group("cyclic:2"), ["a"]))
 
 
+def test_a_point_named_base_round_trips_through_a_space_file(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(poset_to_json(FinitePoset.from_relations(["base", "top"], [(0, 1)])),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "build", "--space-file", str(path), "--json")
+    assert code == 0 and poset_from_json(out).labels == ("base", "top")
+    path.write_text(out, encoding="utf-8")
+    assert run(capsys, "build", "--space-file", str(path), "--json") == (0, out, "")
+
+
 def test_build_out_writes_file(capsys, tmp_path):
     target = tmp_path / "space.json"
     code, out, _ = run(
@@ -253,6 +263,13 @@ def test_verify_rejects_unknown_check_name(capsys):
     assert excinfo.value.code == 2
 
 
+def test_verify_has_no_skip_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--group", "cyclic:2", "--check", "generators", "--skip", "generators"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --skip generators" in capsys.readouterr().err
+
+
 def test_verify_all_text_and_skip(capsys):
     code, out, _ = run(
         capsys,
@@ -295,6 +312,13 @@ def test_verify_all_rejects_fence_lists_without_a_valid_size(capsys, fences):
     code, out, err = run(capsys, "verify-all", "--group", "cyclic:2", "--fences", fences)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "fence" in err
+
+
+@pytest.mark.parametrize("mode", ["sandt:", "none:"])
+def test_a_mode_with_an_empty_parameter_is_a_usage_error(capsys, mode):
+    code, out, err = run(capsys, "build", "--group", "cyclic:2", "--mode", mode)
+    assert code == 2 and out == ""
+    assert err.startswith("error: mode") and err.count("\n") == 1
 
 
 def test_unknown_group_is_a_usage_error(capsys):

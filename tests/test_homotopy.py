@@ -301,6 +301,15 @@ def test_comparative_retractions_of_tiny_spaces():
     assert [m.images for m in comparative_retractions(anti)] == [(0, 1)]
 
 
+@given(small_posets(max_points=5))
+@settings(max_examples=60, deadline=None)
+def test_enumerated_maps_pass_the_validating_constructor(poset):
+    # Both enumerators wrap their leaves without checking them again.
+    for maps in (enumerate_selfmaps(poset), comparative_retractions(poset)):
+        for m in maps:
+            assert PosetMap(poset, poset, m.images).images == m.images
+
+
 def test_four_point_attachment_alone_is_not_rigid():
     # apex < B and D < apex, so folding the apex up or down is allowed;
     # rigidity comes from assembling attachments, not from one in isolation.

@@ -9,6 +9,7 @@ from posetgroups.posets import bits
 
 from conftest import fixture_space
 from homotopy_oracle import by_labels, pointwise_leq
+from posets_oracle import oracle_order
 from search_oracle import oracle_verified_map
 
 
@@ -221,6 +222,26 @@ def test_order_axioms(poset):
     for a, b, c in itertools.product(range(n), repeat=3):
         if poset.leq(a, b) and poset.leq(b, c):
             assert poset.leq(a, c)
+
+
+def assert_closure_matches_the_oracle(poset, rng):
+    """``from_relations`` on the covers plus a random share of the other
+    order pairs, shuffled, against the oracle's closure and cover scan."""
+    n = len(poset)
+    order = [(a, b) for b in range(n) for a in bits(poset.down_mask(b)) if a != b]
+    pairs = list(poset.hasse) + [pair for pair in order if rng.random() < 0.5]
+    rng.shuffle(pairs)
+    built = FinitePoset.from_relations(poset.labels, pairs)
+    hasse, down, up = oracle_order(n, pairs)
+    assert built.hasse == hasse == poset.hasse
+    assert [built.down_mask(i) for i in range(n)] == down
+    assert [built.up_mask(i) for i in range(n)] == up
+
+
+@given(small_posets(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_from_relations_matches_the_cover_scan_oracle(poset, rng):
+    assert_closure_matches_the_oracle(poset, rng)
 
 
 @given(small_posets())

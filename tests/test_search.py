@@ -304,9 +304,9 @@ def test_first_path_targets_equal_a_scan_of_every_cell(poset):
     tree.first_path(part)
     replay = search._Partition(poset)
     replay.refine(list(replay.starts), [])
-    for cell, members, _, _ in tree.levels:
+    for cell, point, _, _ in tree.levels:
         assert cell == oracle_target(replay)
-        replay.individualize(cell, members[0], [])
+        replay.individualize(cell, point, [])
     assert oracle_target(replay) == -1 and replay.elems == part.elems
 
 

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetgroups import (
     Base,
     FencePoint,
+    FinitePoset,
     GroupError,
     PosetError,
     SPoint,
@@ -21,6 +24,7 @@ from posetgroups import (
     poset_to_json,
     spec_for,
 )
+from posetgroups.labels import RESERVED_PREFIXES
 from posetgroups.serialize import group_from_doc, poset_from_doc
 
 from conftest import fixture_space
@@ -56,6 +60,54 @@ def test_reserved_ids_are_protected():
         parse_label_id("S:nope")
     with pytest.raises(ValueError, match="unknown kind"):
         parse_label_id("T:Z:base:g0:lv0")
+
+
+# Each malformed id with the exception type and text it has always raised.
+MALFORMED_IDS = [
+    ("S:nope", "malformed structured label id: 'S:nope'"),
+    ("T:Z:base:g0:lv0", "unknown kind in 'T:Z:base:g0:lv0'"),
+    ("base:g1:lv0:extra", "bad base id segment: 'base:g1:lv0:extra'"),
+    ("S:A:base:g0", "malformed structured label id: 'S:A:base:g0'"),
+    ("S:A:bass:g0:lv0", "bad base id segment: 'bass:g0:lv0'"),
+    ("Tn:foo:1:base:g0:lv0", "unknown fence role in 'Tn:foo:1:base:g0:lv0'"),
+    ("Tn:max:x:base:g0:lv0", "invalid literal for int() with base 10: 'x'"),
+    ("base:gx:lv0", "invalid literal for int() with base 10: 'x'"),
+    ("base:g0", "bad base id segment: 'base:g0'"),
+    ("Tn:max:1:base:g0", "malformed structured label id: 'Tn:max:1:base:g0'"),
+    ("S:", "malformed structured label id: 'S:'"),
+    ("T:", "malformed structured label id: 'T:'"),
+    ("Tn:", "malformed structured label id: 'Tn:'"),
+    ("base:", "bad base id segment: 'base:'"),
+    ("S:AB:base:g0:lv0", "unknown kind in 'S:AB:base:g0:lv0'"),
+    ("T::base:g0:lv0", "unknown kind in 'T::base:g0:lv0'"),
+    ("Tn:max:1:bas:g0:lv0", "bad base id segment: 'bas:g0:lv0'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_IDS)
+def test_malformed_ids_raise_their_usual_error(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        parse_label_id(text)
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
+
+# Plain string labels, often drawn close to the reserved ids.
+PLAIN_LABELS = st.one_of(
+    st.text(max_size=8), st.text(alphabet="STnbaselvg:0-", max_size=10)
+).filter(lambda s: s != "star" and not s.startswith(RESERVED_PREFIXES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(PLAIN_LABELS, max_size=6), st.data())
+def test_plain_string_labels_round_trip(labels, data):
+    labels = list(dict.fromkeys(["base", *labels]))
+    for lab in labels:
+        assert parse_label_id(label_id(lab)) == lab
+    n = len(labels)
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda p: p[0] < p[1]), max_size=8))
+    poset = FinitePoset.from_relations(labels, pairs)
+    assert poset_from_json(poset_to_json(poset)) == poset
 
 
 # -- poset documents -----------------------------------------------------------

@@ -28,7 +28,11 @@ from posetgroups.spaces import fence_sequence
 
 from conftest import fixture_space
 from homotopy_oracle import oracle_collapse_map, oracle_left_translation
-from test_posets import assert_beat_points_match_masks, assert_cover_adjacency_matches_scan
+from test_posets import (
+    assert_beat_points_match_masks,
+    assert_closure_matches_the_oracle,
+    assert_cover_adjacency_matches_scan,
+)
 from test_search import permuted_copy, shuffled_built_spaces
 
 
@@ -45,8 +49,9 @@ def test_mode_parse_and_str():
 
 
 def test_mode_rejects_bad_input():
-    with pytest.raises(ConstructionError):
-        GadgetMode.parse("sonly:2")
+    for text in ("sonly:2", "sandt:", "none:"):
+        with pytest.raises(ConstructionError):
+            GadgetMode.parse(text)
     with pytest.raises(ConstructionError):
         GadgetMode("sandt", 0)
     with pytest.raises(ConstructionError):
@@ -371,3 +376,10 @@ def test_translations_and_folds_match_the_oracle_on_shuffled_spaces(group, data)
 def test_cover_adjacency_and_beat_points_on_shuffled_built_spaces(space):
     assert_cover_adjacency_matches_scan(space)
     assert_beat_points_match_masks(space)
+
+
+@given(shuffled_built_spaces(modes=("none", "sonly", "sandt")),
+       st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_from_relations_matches_the_cover_scan_oracle_on_shuffled_built_spaces(space, rng):
+    assert_closure_matches_the_oracle(space, rng)
