@@ -282,13 +282,13 @@ _FAMILIES = {
 
 def _family(name: str):
     """The constructor, generator rule and arguments a builtin group name asks for."""
-    family, _, param = name.partition(":")
+    family, sep, param = name.partition(":")
     if family not in _FAMILIES:
         raise GroupError(f"unknown group family {family!r}")
     make, wants_param, generators = _FAMILIES[family]
     if wants_param and not param:
         raise GroupError(f"family {family!r} needs a parameter, e.g. {family}:3")
-    if param and not wants_param:
+    if sep and not wants_param:
         raise GroupError(f"family {family!r} takes no parameter")
     return make, generators, (int(param),) if wants_param else ()
 

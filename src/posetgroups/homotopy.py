@@ -225,8 +225,8 @@ def _extension(
 def extension_restriction_check(
     base: FinitePoset,
     full: FinitePoset,
-    base_auts: AutomorphismGroup,
-    full_auts: AutomorphismGroup,
+    base_group: AutomorphismGroup,
+    full_group: AutomorphismGroup,
 ) -> ExtensionCheck:
     """Verify automorphisms of ``full`` are exactly the natural extensions
     of automorphisms of ``base``.
@@ -244,14 +244,14 @@ def extension_restriction_check(
     back = {full_idx: base_idx for base_idx, full_idx in enumerate(base_positions)}
 
     restrictions: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for k, m in enumerate(full_auts.maps):
+    for k, m in enumerate(full_group.maps):
         hit = [m.images[i] for i in base_positions]
         if any(v not in base_set for v in hit):
             failures.append(f"full automorphism {k} moves a column point off the columns")
             continue
         restrictions[m.images] = tuple(back[v] for v in hit)
 
-    base_images = {m.images for m in base_auts.maps}
+    base_images = {m.images for m in base_group.maps}
     for full_images, restricted in restrictions.items():
         if restricted not in base_images:
             failures.append("a restriction is not an automorphism of the base")
@@ -260,8 +260,8 @@ def extension_restriction_check(
         failures.append("two full automorphisms restrict to the same base map")
 
     extended: dict[tuple[int, ...], tuple[int, ...]] = {}
-    full_images_set = {m.images for m in full_auts.maps}
-    for k, m in enumerate(base_auts.maps):
+    full_images_set = {m.images for m in full_group.maps}
+    for k, m in enumerate(base_group.maps):
         try:
             lifted = _extension(base, full, base_positions, m.images)
             if lifted not in full_images_set:
@@ -275,16 +275,16 @@ def extension_restriction_check(
         if restrictions.get(lifted) != m.images:
             failures.append(f"restriction does not invert extension for map {k}")
 
-    if len(restrictions) != len(extended) or full_auts.order != base_auts.order:
+    if len(restrictions) != len(extended) or full_group.order != base_group.order:
         failures.append(
-            f"automorphism counts differ: base {base_auts.order}, full {full_auts.order}"
+            f"automorphism counts differ: base {base_group.order}, full {full_group.order}"
         )
 
     return ExtensionCheck(
         ok=not failures,
         failures=tuple(failures),
-        base_order=base_auts.order,
-        full_order=full_auts.order,
+        base_order=base_group.order,
+        full_order=full_group.order,
     )
 
 
@@ -462,12 +462,6 @@ class HomotopyClasses:
     @property
     def class_count(self) -> int:
         return len(set(self.class_ids))
-
-    def classes(self) -> list[tuple[int, ...]]:
-        grouped: dict[int, list[int]] = {}
-        for k, c in enumerate(self.class_ids):
-            grouped.setdefault(c, []).append(k)
-        return [tuple(grouped[c]) for c in sorted(grouped)]
 
 
 def homotopy_classes(maps: list[PosetMap]) -> HomotopyClasses:

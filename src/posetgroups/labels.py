@@ -151,7 +151,9 @@ def _parse_site(parts: list[str]) -> tuple[int, int]:
 def parse_label_id(text: str) -> Label:
     """Inverse of :func:`label_id`.
 
-    Unreserved strings, ``base`` among them, come back unchanged.
+    Unreserved strings, ``base`` among them, come back unchanged.  A
+    structured id is accepted only in its canonical form, the one
+    :func:`label_id` writes, so ``base:g01:lv0`` is refused.
     """
     if text == STAR:
         return Star()
@@ -159,13 +161,16 @@ def parse_label_id(text: str) -> Label:
     if parts[0] not in _ROLES or len(parts) == 1:
         return text
     width, kinds = _ROLES[parts[0]]
-    if width == 0:
-        return label_at(_parse_site(parts), COLUMN)
-    if len(parts) != width + 3:
-        raise ValueError(f"malformed structured label id: {text!r}")
-    family, kind = parts[0], parts[1]
-    # A fence id's index is parsed first: a bad index is reported before a bad role.
-    role = f"Tn:{kind}:{int(parts[2])}" if family == "Tn" else f"{family}:{kind}"
-    if kind not in kinds:
-        raise ValueError(f"unknown {'fence role' if family == 'Tn' else 'kind'} in {text!r}")
-    return label_at(_parse_site(parts[width:]), role)
+    role = COLUMN
+    if width:
+        if len(parts) != width + 3:
+            raise ValueError(f"malformed structured label id: {text!r}")
+        family, kind = parts[0], parts[1]
+        # A fence id's index is parsed first: a bad index is reported before a bad role.
+        role = f"Tn:{kind}:{int(parts[2])}" if family == "Tn" else f"{family}:{kind}"
+        if kind not in kinds:
+            raise ValueError(f"unknown {'fence role' if family == 'Tn' else 'kind'} in {text!r}")
+    label = label_at(_parse_site(parts[width:]), role)
+    if label_id(label) != text:
+        raise ValueError(f"non-canonical label id {text!r}; write it {label_id(label)!r}")
+    return label

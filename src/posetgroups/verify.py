@@ -1,11 +1,16 @@
 """The verification suite: every structural claim as a named check.
 
 ``verify_all`` runs the registry in order against one construction spec
-and returns a :class:`VerificationReport`.  Checks are independent: a
-failure is recorded with a witness and the suite moves on.  Expensive
-intermediates (spaces, automorphism groups, complexes) are cached in a
-per-run context, including raised errors, so a broken builder fails every
-check that needs it without being re-run.
+and returns a :class:`VerificationReport`; ``verify_one`` runs one named
+check the same way.  Checks are independent: a failure is recorded with a
+witness and the suite moves on.  They share a per-run store keyed by
+construction, the run's group and generators with a given ``(mode,
+pointed)``: the column space is ``(none, unpointed)``, the full space the
+run's own key, the fence variants ``(sandt:N, run's pointed)`` and the
+pointed space ``(run's mode, pointed)``.  Each key is built, searched and
+reduced at most once, a pointed space being the cached unpointed one plus
+its basepoint.  Raised errors are cached too, so a broken builder fails
+every check that needs it without being re-run.
 
 Check names, and the mathematical statement each one tests, are listed in
 the README; names are stable so scripts can ``--skip`` or single-run them.
@@ -17,6 +22,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .complexes import (
+    OrderComplex,
     cycle_basis,
     h1_action_columns,
     hasse_undirected,
@@ -33,7 +39,6 @@ from .spaces import (
     ConstructionSpec,
     GadgetMode,
     add_basepoint,
-    build_base,
     build_space,
     collapse_map,
     expected_point_count,
@@ -58,77 +63,52 @@ class _Skip(Exception):
     """Raised inside a check to mark it not-applicable."""
 
 
+_BASE = (GadgetMode("none"), False)  # the column space
+
+
 class _Context:
-    """Lazy, error-caching store for the expensive build products."""
+    """Lazy, error-caching store: one space, automorphism group and order
+    complex per ``(mode, pointed)`` key."""
 
     def __init__(self, spec: ConstructionSpec, options: VerifyOptions):
         self.spec = spec
         self.options = options
-        self._cache: dict[str, object] = {}
+        self.key = (spec.mode, spec.pointed)
+        self._cache: dict[tuple, object] = {}
 
-    def _get(self, key: str, make):
-        if key not in self._cache:
+    def _get(self, slot: tuple, make):
+        if slot not in self._cache:
             try:
-                self._cache[key] = make()
+                self._cache[slot] = make()
             except Exception as exc:  # cached so dependents fail identically
-                self._cache[key] = exc
-        value = self._cache[key]
+                self._cache[slot] = exc
+        value = self._cache[slot]
         if isinstance(value, Exception):
             raise value
         return value
 
-    @property
-    def base(self) -> FinitePoset:
-        return self._get("base", lambda: build_base(self.spec))
+    def construction(self, key) -> ConstructionSpec:
+        mode, pointed = key
+        return replace(self.spec, mode=mode, pointed=pointed)
 
-    @property
-    def full(self) -> FinitePoset:
-        return self._get("full", lambda: build_space(self.spec))
+    def space(self, key) -> FinitePoset:
+        mode, pointed = key
+        if pointed:  # the unpointed space plus its basepoint, never a rebuild
+            return self._get(("space", key), lambda: add_basepoint(self.space((mode, False))))
+        return self._get(("space", key), lambda: build_space(self.construction(key)))
 
-    @property
-    def base_auts(self) -> AutomorphismGroup:
+    def auts(self, key) -> AutomorphismGroup:
         return self._get(
-            "base_auts",
-            lambda: AutomorphismGroup.of(self.base, budget=self.options.budget_aut),
+            ("auts", key),
+            lambda: AutomorphismGroup.of(self.space(key), budget=self.options.budget_aut),
         )
 
-    @property
-    def full_auts(self) -> AutomorphismGroup:
-        return self._get(
-            "full_auts",
-            lambda: AutomorphismGroup.of(self.full, budget=self.options.budget_aut),
-        )
+    def complex(self, key) -> OrderComplex:
+        return self._get(("complex", key), lambda: order_complex(self.space(key)))
 
-    @property
-    def pointed_space(self) -> FinitePoset:
-        if self.spec.pointed:
-            return self.full
-        return self._get("pointed_space", lambda: add_basepoint(self.full))
-
-    @property
-    def pointed_auts(self) -> AutomorphismGroup:
-        if self.spec.pointed:
-            return self.full_auts
-        return self._get(
-            "pointed_auts",
-            lambda: AutomorphismGroup.of(self.pointed_space, budget=self.options.budget_aut),
-        )
-
-    def variant_spec(self, fence: int) -> ConstructionSpec:
-        return replace(self.spec, mode=GadgetMode("sandt", fence))
-
-    def variant(self, fence: int) -> FinitePoset:
-        if self.variant_spec(fence) == self.spec:
-            return self.full
-        return self._get(f"variant:{fence}", lambda: build_space(self.variant_spec(fence)))
-
-    @property
-    def full_complex(self):
-        return self._get("full_complex", lambda: order_complex(self.full))
-
-    @property
-    def full_homology(self):
-        return self._get("full_homology", lambda: homology_summary(self.full_complex))
+    def fence(self, size: int) -> tuple:
+        """The key of the run's construction with a size-``size`` fence."""
+        return GadgetMode("sandt", size), self.spec.pointed
 
     def require_gadgets(self):
         if self.spec.mode.kind == "none":
@@ -153,18 +133,22 @@ def _check_generators(ctx: _Context):
     return PASS, f"{len(spec.gens)} generators [{names}] span the group"
 
 
+def _cosets(spec: ConstructionSpec) -> int:
+    """How many cosets the generated subgroup has: 1 when the list generates."""
+    return spec.group.order // len(spec.group.closure(spec.gens))
+
+
 def _check_base_point_count(ctx: _Context):
     n, r = ctx.spec.group.order, ctx.spec.levels
     expected = n * (r + 2)
-    actual = len(ctx.base)
+    actual = len(ctx.space(_BASE))
     status = PASS if actual == expected else FAIL
     return status, f"expected n(r+2)={expected}, built {actual}"
 
 
 def _check_base_connected(ctx: _Context):
-    spec = ctx.spec
-    cosets = spec.group.order // len(spec.group.closure(spec.gens))
-    components = len(ctx.base.components())
+    cosets = _cosets(ctx.spec)
+    components = len(ctx.space(_BASE).components())
     if cosets == 1:
         status = PASS if components == 1 else FAIL
         return status, f"{components} component(s); expected 1"
@@ -177,12 +161,12 @@ def _check_base_connected(ctx: _Context):
 
 def _check_base_aut_realization(ctx: _Context):
     group = ctx.spec.group
-    auts = ctx.base_auts
+    base, auts = ctx.space(_BASE), ctx.auts(_BASE)
     if auts.order != group.order:
         return FAIL, f"|Aut| = {auts.order}, |G| = {group.order}"
     # Aut = {L_g} with |Aut| = |G| makes g -> L_g an isomorphism onto Aut.
     translations = {
-        left_translation(ctx.base, ctx.spec, g).images for g in range(group.order)
+        left_translation(base, ctx.spec, g).images for g in range(group.order)
     }
     if {m.images for m in auts.maps} != translations:
         return FAIL, "automorphisms are not exactly the left translations"
@@ -190,16 +174,17 @@ def _check_base_aut_realization(ctx: _Context):
 
 
 def _check_base_free_action(ctx: _Context):
-    if ctx.base_auts.acts_freely():
+    auts = ctx.auts(_BASE)
+    if auts.acts_freely():
         return PASS, "no non-identity automorphism fixes a point"
-    sizes = ctx.base_auts.stabilizer_sizes()
+    sizes = auts.stabilizer_sizes()
     worst = max(sizes, key=sizes.get)
     return FAIL, f"point {worst} is fixed by {sizes[worst]} automorphisms"
 
 
 def _check_base_level_preservation(ctx: _Context):
-    base = ctx.base
-    for k, m in enumerate(ctx.base_auts.maps):
+    base = ctx.space(_BASE)
+    for k, m in enumerate(ctx.auts(_BASE).maps):
         for i, lab in enumerate(base.labels):
             if base.labels[m.images[i]].level != lab.level:
                 return FAIL, f"automorphism {k} moves a level-{lab.level} point"
@@ -209,14 +194,14 @@ def _check_base_level_preservation(ctx: _Context):
 def _check_full_point_count(ctx: _Context):
     ctx.require_gadgets()
     expected = expected_point_count(ctx.spec)
-    actual = len(ctx.full)
+    actual = len(ctx.space(ctx.key))
     status = PASS if actual == expected else FAIL
     return status, f"expected {expected}, built {actual}"
 
 
 def _check_full_no_beat_points(ctx: _Context):
     ctx.require_gadgets()
-    beats = ctx.full.beat_points()
+    beats = ctx.space(ctx.key).beat_points()
     if beats:
         i, kind = beats[0]
         return FAIL, f"{len(beats)} beat points, e.g. index {i} ({kind})"
@@ -226,7 +211,7 @@ def _check_full_no_beat_points(ctx: _Context):
 def _check_extension_bijection(ctx: _Context):
     ctx.require_gadgets()
     outcome = extension_restriction_check(
-        ctx.base, ctx.full, ctx.base_auts, ctx.full_auts
+        ctx.space(_BASE), ctx.space(ctx.key), ctx.auts(_BASE), ctx.auts(ctx.key)
     )
     if not outcome.ok:
         return FAIL, "; ".join(outcome.failures[:3])
@@ -238,8 +223,8 @@ def _check_extension_bijection(ctx: _Context):
 
 def _check_pointed_star_fixed(ctx: _Context):
     ctx.require_gadgets()
-    space = ctx.pointed_space
-    auts = ctx.pointed_auts
+    pointed = (ctx.spec.mode, True)
+    space, auts = ctx.space(pointed), ctx.auts(pointed)
     star = space.index_of(Star())
     moved = [k for k, m in enumerate(auts.maps) if m.images[star] != star]
     if moved:
@@ -254,7 +239,7 @@ def _check_variants_distinct(ctx: _Context):
     sizes = ctx.options.fence_range
     for a in range(len(sizes)):
         for b in range(a + 1, len(sizes)):
-            va, vb = ctx.variant(sizes[a]), ctx.variant(sizes[b])
+            va, vb = ctx.space(ctx.fence(sizes[a])), ctx.space(ctx.fence(sizes[b]))
             witness = find_isomorphism(va, vb, budget=ctx.options.budget_aut)
             if witness is not None:
                 return FAIL, f"fence {sizes[a]} and fence {sizes[b]} are isomorphic"
@@ -265,30 +250,38 @@ def _check_collapse_monotone(ctx: _Context):
     ctx.require_sandt()
     checked = []
     for fence in ctx.options.fence_range:
-        spec_n = ctx.variant_spec(fence)
-        fold = collapse_map(spec_n, source=ctx.variant(fence), target=ctx.variant(1))
+        key = ctx.fence(fence)
+        fold = collapse_map(
+            ctx.construction(key), source=ctx.space(key), target=ctx.space(ctx.fence(1))
+        )
         if not fold.is_surjective():
             return FAIL, f"fold from fence {fence} is not surjective"
         checked.append(fence)
     return PASS, f"folds from fence sizes {checked} are continuous surjections"
 
 
-def _betti_prediction(spec: ConstructionSpec) -> int:
-    n, r = spec.group.order, spec.levels
-    if spec.mode.kind == "sandt":
-        return 3 * n * r - n + 1
-    if spec.mode.kind == "sonly":
-        return 2 * n * r - n + 1
-    return n * (r - 1) + 1
+# Cycles per column site at levels 0..r-1: one from the column links,
+# plus one for each attachment glued on there.
+_CYCLES_PER_SITE = {"sandt": 3, "sonly": 2, "none": 1}
+
+
+def _betti_prediction(spec: ConstructionSpec) -> tuple[int, int]:
+    """``(b0, b1)`` of the full space.
+
+    Each of the ``c`` cosets of the generated subgroup is one component;
+    the basepoint joins them and adds ``n - c`` independent cycles.
+    """
+    n, r, c = spec.group.order, spec.levels, _cosets(spec)
+    b1 = _CYCLES_PER_SITE[spec.mode.kind] * n * r
+    return (1, b1) if spec.pointed else (c, b1 - n + c)
 
 
 def _check_betti_prediction(ctx: _Context):
-    hs = ctx.full_homology
-    expected_b1 = _betti_prediction(ctx.spec)
-    cosets = ctx.spec.group.order // len(ctx.spec.group.closure(ctx.spec.gens))
+    hs = homology_summary(ctx.complex(ctx.key))
+    expected_b0, expected_b1 = _betti_prediction(ctx.spec)
     problems = []
-    if hs.b0 != cosets:
-        problems.append(f"b0 = {hs.b0}, expected {cosets}")
+    if hs.b0 != expected_b0:
+        problems.append(f"b0 = {hs.b0}, expected {expected_b0}")
     if hs.b1 != expected_b1:
         problems.append(f"b1 = {hs.b1}, expected {expected_b1}")
     if hs.h1_torsion:
@@ -300,12 +293,10 @@ def _check_betti_prediction(ctx: _Context):
 
 def _check_betti_variant_invariance(ctx: _Context):
     ctx.require_sandt()
-    summaries = {}
-    for fence in ctx.options.fence_range:
-        space = ctx.variant(fence)
-        summaries[fence] = (
-            ctx.full_homology if space is ctx.full else homology_summary(order_complex(space))
-        )
+    summaries = {
+        fence: homology_summary(ctx.complex(ctx.fence(fence)))
+        for fence in ctx.options.fence_range
+    }
     values = {(hs.b0, hs.b1, hs.h1_torsion) for hs in summaries.values()}
     if len(values) != 1:
         return FAIL, f"homology varies across fences: {summaries}"
@@ -314,8 +305,8 @@ def _check_betti_variant_invariance(ctx: _Context):
 
 
 def _check_graph_complex_agreement(ctx: _Context):
-    graph = hasse_undirected(ctx.full)
-    hs = ctx.full_homology
+    graph = hasse_undirected(ctx.space(ctx.key))
+    hs = homology_summary(ctx.complex(ctx.key))
     if graph.cycle_rank != hs.b1 or graph.components != hs.b0:
         return FAIL, (
             f"covering graph: rank {graph.cycle_rank}, {graph.components} comps; "
@@ -328,8 +319,8 @@ def _check_graph_complex_agreement(ctx: _Context):
 
 def _check_h1_action_faithful(ctx: _Context):
     ctx.require_gadgets()
-    basis = cycle_basis(ctx.full_complex)
-    auts = ctx.full_auts
+    basis = cycle_basis(ctx.complex(ctx.key))
+    auts = ctx.auts(ctx.key)
     matrices = [h1_action_columns(basis, m) for m in auts.maps]
     if matrices[auts.identity_index()] != tuple(((j, 1),) for j in range(basis.betti)):
         return FAIL, "the identity automorphism does not act as the identity matrix"
@@ -403,21 +394,25 @@ def describe_spec(spec: ConstructionSpec) -> str:
     )
 
 
+def _run(spec, checks, options, subject) -> VerificationReport:
+    """Run ``(name, fn)`` checks in order against one shared context."""
+    options = options or VerifyOptions()
+    ctx = _Context(spec, options)
+    results = tuple(
+        CheckResult(name, SKIP, "skipped by request", 0.0)
+        if name in options.skip else _run_check(name, fn, ctx)
+        for name, fn in checks
+    )
+    return VerificationReport(subject or describe_spec(spec), results)
+
+
 def verify_all(
     spec: ConstructionSpec,
     options: VerifyOptions | None = None,
     *,
     subject: str | None = None,
 ) -> VerificationReport:
-    options = options or VerifyOptions()
-    ctx = _Context(spec, options)
-    results = []
-    for name, fn in REGISTRY:
-        if name in options.skip:
-            results.append(CheckResult(name, SKIP, "skipped by request", 0.0))
-            continue
-        results.append(_run_check(name, fn, ctx))
-    return VerificationReport(subject or describe_spec(spec), tuple(results))
+    return _run(spec, REGISTRY, options, subject)
 
 
 def verify_one(
@@ -430,6 +425,4 @@ def verify_one(
     table = dict(REGISTRY)
     if name not in table:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    ctx = _Context(spec, options or VerifyOptions())
-    result = _run_check(name, table[name], ctx)
-    return VerificationReport(subject or describe_spec(spec), (result,))
+    return _run(spec, [(name, table[name])], options, subject)

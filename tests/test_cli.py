@@ -321,6 +321,21 @@ def test_a_mode_with_an_empty_parameter_is_a_usage_error(capsys, mode):
     assert err.startswith("error: mode") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("group", ["klein4:", "quaternion8:"])
+def test_a_group_with_an_empty_parameter_is_a_usage_error(capsys, group):
+    code, out, err = run(capsys, "build", "--group", group)
+    assert code == 2 and out == ""
+    assert err.startswith("error: family") and err.count("\n") == 1
+
+
+def test_a_space_file_with_a_non_canonical_id_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": ["base:g01:lv0"], "hasse": []}), encoding="utf-8")
+    code, out, err = run(capsys, "build", "--space-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: non-canonical label id") and err.count("\n") == 1
+
+
 def test_unknown_group_is_a_usage_error(capsys):
     code, out, err = run(capsys, "build", "--group", "cyclic:one")
     assert code == 2

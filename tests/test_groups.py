@@ -216,6 +216,13 @@ def test_builtin_group_lookup():
         builtin_group("klein4:2")
 
 
+@pytest.mark.parametrize("name", ["klein4:", "quaternion8:"])
+def test_a_family_without_a_parameter_rejects_an_empty_one(name):
+    for lookup in (builtin_group, standard_generator_labels):
+        with pytest.raises(GroupError, match="takes no parameter"):
+            lookup(name)
+
+
 @pytest.mark.parametrize(
     "name",
     ["cyclic:1", "cyclic:4", "klein4", "dihedral:3", "dihedral:4", "symmetric:3",

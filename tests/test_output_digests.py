@@ -1,0 +1,88 @@
+"""Golden digests of deterministic CLI output.
+
+Each entry of ``output_digests.json`` names an argument list for
+``cli.main``, its exit code and the sha256 of everything it wrote to
+stdout.  Only outputs without timings are listed, so a refactor that keeps
+every report byte-identical keeps every digest.  After a deliberate change
+to an output, regenerate the file with
+``PYTHONPATH=src python3 tests/test_output_digests.py`` and name the
+changed entries in the change log.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+import pytest
+
+from posetgroups.cli import main
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_digests.json")
+
+
+def _verify_all(*args):
+    return ("verify-all",) + args
+
+
+COMMANDS = (
+    [_verify_all("--group", g) for g in (
+        "cyclic:8", "quaternion8", "dihedral:4", "symmetric:3", "dihedral:6", "symmetric:4",
+    )]
+    + [
+        _verify_all("--group", "cyclic:3", "--mode", mode, *pointed)
+        for mode in ("sandt", "sonly", "none")
+        for pointed in ((), ("--pointed",))
+    ]
+    + [_verify_all("--group", g, "--pointed") for g in ("klein4", "dihedral:3")]
+    + [
+        _verify_all("--group", "cyclic:4", "--gens", "a2", "--allow-non-generating",
+                    "--mode", mode, *pointed)
+        for mode in ("sandt", "sonly", "none")
+        for pointed in ((), ("--pointed",))
+    ]
+    + [
+        ("aut", "--group", "symmetric:4", "--json"),
+        ("h1-action", "--group", "dihedral:6", "--json"),
+        ("homology", "--group", "dihedral:4", "--json"),
+        ("build", "--group", "cyclic:2", "--mode", "sandt:2", "--pointed", "--json"),
+        ("export-dot", "--group", "cyclic:2"),
+        ("core", "--group", "symmetric:3", "--mode", "none", "--json"),
+    ]
+)
+
+
+def run(argv) -> tuple[int, str]:
+    """Exit code and sha256 of the stdout of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def _load():
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return {" ".join(entry["argv"]): entry for entry in json.load(fh)}
+
+
+def test_every_command_has_a_digest():
+    assert sorted(_load()) == sorted(" ".join(argv) for argv in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_output_matches_its_digest(argv):
+    entry = _load()[" ".join(argv)]
+    assert run(argv) == (entry["exit"], entry["sha256"])
+
+
+if __name__ == "__main__":
+    entries = []
+    for argv in COMMANDS:
+        code, digest = run(argv)
+        entries.append({"argv": list(argv), "exit": code, "sha256": digest})
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")

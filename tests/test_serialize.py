@@ -91,6 +91,25 @@ def test_malformed_ids_raise_their_usual_error(text, message):
     assert type(excinfo.value) is ValueError and str(excinfo.value) == message
 
 
+NON_CANONICAL_IDS = [
+    ("base:g01:lv0", "base:g1:lv0"),
+    ("base:g 1:lv0", "base:g1:lv0"),
+    ("base:g1_0:lv0", "base:g10:lv0"),
+    ("base:g+1:lv0", "base:g1:lv0"),
+    ("S:A:base:g01:lv0", "S:A:base:g1:lv0"),
+    ("Tn:max:03:base:g0:lv0", "Tn:max:3:base:g0:lv0"),
+]
+
+
+@pytest.mark.parametrize("text, canonical", NON_CANONICAL_IDS)
+def test_non_canonical_ids_are_refused(text, canonical):
+    with pytest.raises(ValueError) as excinfo:
+        parse_label_id(text)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"non-canonical label id {text!r}; write it {canonical!r}"
+    assert label_id(parse_label_id(canonical)) == canonical
+
+
 # Plain string labels, often drawn close to the reserved ids.
 PLAIN_LABELS = st.one_of(
     st.text(max_size=8), st.text(alphabet="STnbaselvg:0-", max_size=10)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from posetgroups import verify
+from posetgroups import spaces, verify
 from posetgroups import (
     CHECK_NAMES,
     AutomorphismGroup,
@@ -54,6 +56,65 @@ def test_verify_all_reduces_each_distinct_space_once(monkeypatch):
     report = verify_all(spec, VerifyOptions(fence_range=(1, 2, 3)))
     assert report.ok
     assert len(calls) == 3
+
+
+MODES = ("sandt", "sonly", "none")
+
+
+@pytest.mark.parametrize("pointed", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_passes_with_and_without_the_basepoint(mode, pointed):
+    spec = spec_for(builtin_group("cyclic:3"), ["a"], mode=mode, pointed=pointed)
+    report = verify_all(spec, VerifyOptions(fence_range=(1, 2)))
+    assert report.ok, report.to_text()
+
+
+def count_calls(monkeypatch, owner, name, record):
+    """Rebind ``owner.name`` wherever the package holds it, and pass each
+    call's arguments to ``record`` before running it."""
+    raw = owner.__dict__[name]
+    real = raw.__func__ if isinstance(raw, classmethod) else raw
+
+    def counted(*args, **kwargs):
+        record(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    if isinstance(raw, classmethod):
+        monkeypatch.setattr(owner, name, classmethod(counted))
+        return
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("posetgroups"):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+
+
+@pytest.mark.parametrize("pointed", [False, True])
+@pytest.mark.parametrize("mode", MODES + ("sandt:2",))
+def test_each_construction_is_built_searched_and_reduced_once(monkeypatch, mode, pointed):
+    built, columns, pointed_from, searched, reduced = [], [], [], Counter(), Counter()
+    count_calls(monkeypatch, spaces, "build_space",
+                lambda spec: built.append((spec.mode, spec.pointed)))
+    count_calls(monkeypatch, spaces, "build_base", lambda spec: columns.append(spec))
+    count_calls(monkeypatch, spaces, "add_basepoint", lambda space: pointed_from.append(space))
+    count_calls(monkeypatch, AutomorphismGroup, "of",
+                lambda cls, space, **kw: searched.update([id(space)]))
+    count_calls(monkeypatch, verify, "order_complex",
+                lambda space, **kw: reduced.update([id(space)]))
+    spec = spec_for(builtin_group("cyclic:3"), ["a"], mode=mode, pointed=pointed)
+    assert verify_all(spec, VerifyOptions(fence_range=(1, 2, 3))).ok
+
+    assert len(set(built)) == len(built) and not any(p for _, p in built)
+    assert len({id(space) for space in pointed_from}) == len(pointed_from)
+    assert set(searched.values()) == {1} and set(reduced.values()) <= {1}
+    fences = {"sandt", "sandt:2", "sandt:3"} if spec.mode.kind == "sandt" else set()
+    assert {str(m) for m, _ in built} == {"none", str(mode)} | fences
+    if pointed:  # the full space and every fence variant gain the basepoint
+        assert len(pointed_from) == len(fences | {str(mode)})
+    else:  # only pointed-star-fixed adds one, and it needs attachments
+        assert len(pointed_from) == (mode != "none")
+    if mode == "none":
+        assert len(columns) == 1  # the column space is the full space
 
 
 def test_gadget_checks_skip_when_nothing_is_attached():
@@ -145,7 +206,7 @@ def h1_check(ctx):
 def test_h1_check_fails_on_one_corrupted_matrix(monkeypatch, k):
     ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
     assert h1_check(ctx).status == "PASS"
-    wrong = ctx.full_auts.maps[k]
+    wrong = ctx.auts(ctx.key).maps[k]
     real = verify.h1_action_columns
 
     def corrupted(basis, automorphism):
@@ -161,10 +222,10 @@ def test_h1_check_fails_on_one_corrupted_matrix(monkeypatch, k):
 @pytest.mark.parametrize("row", range(3))
 def test_h1_check_fails_on_one_swapped_table_entry(row):
     ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
-    auts = ctx.full_auts
+    auts = ctx.auts(ctx.key)
     table = [list(r) for r in auts.table]
     table[row][1], table[row][2] = table[row][2], table[row][1]
-    ctx._cache["full_auts"] = replace(auts, table=tuple(map(tuple, table)))
+    ctx._cache["auts", ctx.key] = replace(auts, table=tuple(map(tuple, table)))
     assert h1_check(ctx).status == "FAIL"
 
 
@@ -173,7 +234,7 @@ def test_h1_check_fails_on_a_relabelled_group_table():
     # that is not the table of these maps: only the matrix products see it.
     group = builtin_group("dihedral:3")
     ctx = verify._Context(spec_for(group, ["a", "b"]), VerifyOptions())
-    auts = ctx.full_auts
+    auts = ctx.auts(ctx.key)
     e = auts.identity_index()
     rotation = next(k for k in range(auts.order) if k != e and auts.table[k][k] != e)
     reflection = next(k for k in range(auts.order) if k != e and auts.table[k][k] == e)
@@ -183,8 +244,8 @@ def test_h1_check_fails_on_a_relabelled_group_table():
         tuple(swap[auts.table[swap[a]][swap[b]]] for b in range(auts.order))
         for a in range(auts.order)
     )
-    ctx._cache["full_auts"] = replace(auts, table=table)
-    ctx.full_auts.as_group()  # still a group table
+    ctx._cache["auts", ctx.key] = replace(auts, table=table)
+    ctx.auts(ctx.key).as_group()  # still a group table
     result = h1_check(ctx)
     assert result.status == "FAIL"
     assert result.detail.startswith("matrix composition disagrees for pair")
