@@ -24,7 +24,7 @@ from .search import DEFAULT_AUT_BUDGET, all_automorphisms
 DEFAULT_MAP_BUDGET = 10**7
 DEFAULT_MAP_POINTS = 8
 
-_KINDS = ("down", "up")
+_FLIP = {"down": "up", "up": "down"}
 _INCOMPLETE = (
     "map list is incomplete (not closed under composition, or missing a "
     "continuous map); pass every continuous self-map"
@@ -52,43 +52,53 @@ class CoreResult:
 def core(space: FinitePoset) -> CoreResult:
     """Remove beat points (lowest index first, "down" before "up") until none remain.
 
-    One pass over the original order: an ``alive`` bitmask stands for the
-    current subspace and a min-heap holds the ``(index, kind)`` entries
-    whose beat status may have changed, each tested when popped.  Removing
-    ``x`` only changes the tests of the points covering ``x`` (their down
-    test) and of those ``x`` covers (their up test): for any other point,
-    ``x`` is not an extreme element of its strict down- or up-set, so those
-    extremes stay.  The core is built once, at the end.
+    One pass over the covers of the shrinking subspace: each point keeps
+    its live lower and upper covers, and ``(i, kind)`` is a beat point when
+    ``i`` has exactly one live cover of that kind, its partner.  A min-heap,
+    started from :meth:`FinitePoset.beat_points`, holds the entries whose
+    status may have changed, each tested when popped.  Removing a down beat
+    point ``x`` with partner ``p`` makes ``(p, b)`` a cover for each upper
+    cover ``b`` of ``x`` unless ``p`` lies below another lower cover of
+    ``b``; only the lower covers of each ``b`` and the upper covers of ``p``
+    change, so only those tests are pushed again.  An up beat point is the
+    mirror image.  The core is built once, at the end, from the kept covers.
     """
     n = len(space)
-    alive = (1 << n) - 1
-    heap = [(i, k) for i in range(n) for k in (0, 1)]  # sorted, so already a heap
-    removed: list[tuple[int, int, int]] = []  # (point, kind, partner)
+    covers = space.cover_index
+    adjacent = {"down": [list(c) for c in covers.down], "up": [list(c) for c in covers.up]}
+    side = {"down": space.down_mask, "up": space.up_mask}  # a point's down- or up-set
+    alive = [True] * n
+    heap = space.beat_points()  # sorted, so already a heap
+    removed: list[tuple[int, str, int]] = []  # (point, kind, partner)
     while heap:
-        i, k = heappop(heap)
-        if not alive >> i & 1:
+        x, kind = heappop(heap)
+        toward, away, reach = adjacent[kind], adjacent[_FLIP[kind]], side[kind]
+        if not alive[x] or len(toward[x]) != 1:
             continue
-        partner = space.beat_partner(i, _KINDS[k], alive)
-        if partner is None:
-            continue
-        removed.append((i, k, partner))
-        alive &= ~(1 << i)
-        above = space.up_mask(i) & alive
-        for j in bits(above):
-            if space.down_mask(j) & above == 1 << j:
-                heappush(heap, (j, 0))
-        below = space.down_mask(i) & alive
-        for j in bits(below):
-            if space.up_mask(j) & below == 1 << j:
-                heappush(heap, (j, 1))
+        p = toward[x][0]
+        alive[x] = False
+        removed.append((x, kind, p))
+        away[p].remove(x)
+        heappush(heap, (p, _FLIP[kind]))
+        for b in away[x]:
+            toward[b].remove(x)
+            if not any(reach(c) >> p & 1 for c in toward[b]):
+                toward[b].append(p)
+                away[p].append(b)
+            heappush(heap, (b, kind))
 
-    keep = tuple(bits(alive))
-    current = space.induced(keep) if removed else space
+    keep = tuple(i for i in range(n) if alive[i])
+    new_index = {old: new for new, old in enumerate(keep)}
+    current = space
+    if removed:
+        current = FinitePoset.from_relations(
+            [space.labels[i] for i in keep],
+            [(new_index[a], new_index[b]) for a in keep for b in adjacent["up"][a]],
+        )
     lands = list(range(n))  # the core point each point retracts onto
     for i, _, partner in reversed(removed):
         lands[i] = lands[partner]
-    new_index = {old: new for new, old in enumerate(keep)}
-    trace = tuple((space.labels[i], _KINDS[k]) for i, k, _ in removed)
+    trace = tuple((space.labels[i], kind) for i, kind, _ in removed)
     retraction = PosetMap(space, current, tuple(new_index[lands[i]] for i in range(n)))
     return CoreResult(current, trace, retraction, PosetMap(current, space, keep))
 

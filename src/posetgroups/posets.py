@@ -11,8 +11,8 @@ continuous exactly when it is order-preserving.
 
 Two indexes are built on first use and kept on the poset: the cover index
 and the layout.  The cover index is the poset's one cover adjacency: each
-point's upper and lower covers, which refinement, beat points, components
-and homotopy classes read, and the covers' sources and targets as
+point's upper and lower covers, which refinement, beat points, cores,
+components and homotopy classes read, and the covers' sources and targets as
 ``itemgetter``s plus the set of covers, through which every
 covers-onto-covers and order check reads an image tuple in C.  The layout
 (the points by ``(site, role)``) makes the maps of the built spaces one
@@ -267,27 +267,6 @@ class FinitePoset:
 
     # -- structure ---------------------------------------------------------
 
-    def beat_partner(self, i: int, kind: str, alive: int) -> int | None:
-        """The point a beat point ``i`` retracts onto, or None if it is not one.
-
-        Only the points in the bitmask ``alive`` count.  For ``kind`` "down"
-        this is the unique maximal element of the strict down-set of ``i``,
-        for "up" the unique minimal element of its strict up-set.  On the
-        whole poset :meth:`beat_points` reads the same from cover counts;
-        :func:`homotopy.core` needs it inside a shrinking subspace.
-        """
-        if kind == "down":
-            strict, masks = self._down[i] & alive & ~(1 << i), self._up
-        else:
-            strict, masks = self._up[i] & alive & ~(1 << i), self._down
-        partner = None
-        for j in bits(strict):
-            if masks[j] & strict == 1 << j:
-                if partner is not None:
-                    return None
-                partner = j
-        return partner
-
     def beat_points(self) -> list[tuple[int, str]]:
         """Points removable without changing homotopy type.
 
@@ -296,7 +275,8 @@ class FinitePoset:
         unique minimal element.  The maximal elements of a strict down-set
         are the lower covers, and the minimal ones of a strict up-set the
         upper covers, so these are the points with exactly one lower or
-        one upper cover.  Entries are ``(index, kind)`` with kind
+        one upper cover; :func:`homotopy.core` reads the same counts in the
+        shrinking subspace.  Entries are ``(index, kind)`` with kind
         ``"down"``/``"up"``, ordered by index then kind; a point carrying
         both kinds appears twice.
         """

@@ -100,7 +100,7 @@ def export_dot(space: FinitePoset) -> str:
     Column points of built spaces share a rank per level so the group
     columns line up; everything else ranks freely.
     """
-    ids = [label_id(lab) for lab in space.labels]
+    ids = [label_id(lab).replace('"', '\\"') for lab in space.labels]  # DOT's one escape
     lines = [
         "digraph poset {",
         "  rankdir=BT;",

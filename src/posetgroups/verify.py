@@ -57,6 +57,8 @@ class VerifyOptions:
             raise ValueError("fence_range needs at least one fence size")
         if min(self.fence_range) < 1:
             raise ValueError(f"fence size must be >= 1; got {min(self.fence_range)}")
+        if len(set(self.fence_range)) != len(self.fence_range):
+            raise ValueError(f"fence sizes must be distinct; got {list(self.fence_range)}")
 
 
 class _Skip(Exception):
@@ -67,8 +69,8 @@ _BASE = (GadgetMode("none"), False)  # the column space
 
 
 class _Context:
-    """Lazy, error-caching store: one space, automorphism group and order
-    complex per ``(mode, pointed)`` key."""
+    """Lazy, error-caching store: one space and automorphism group per
+    ``(mode, pointed)`` key, and the order complex of the run's own key."""
 
     def __init__(self, spec: ConstructionSpec, options: VerifyOptions):
         self.spec = spec
@@ -104,6 +106,8 @@ class _Context:
         )
 
     def complex(self, key) -> OrderComplex:
+        if key != self.key:  # a variant's complex is read once, so it is not kept
+            return order_complex(self.space(key))
         return self._get(("complex", key), lambda: order_complex(self.space(key)))
 
     def fence(self, size: int) -> tuple:

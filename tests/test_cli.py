@@ -233,6 +233,15 @@ def test_export_dot(capsys, tmp_path):
     assert text.rstrip().endswith("}")
 
 
+def test_export_dot_escapes_a_quote_in_a_space_file_id(capsys, tmp_path):
+    path = tmp_path / "quoted.json"
+    quoted = FinitePoset.from_relations(['a"b', "c"], [(0, 1)])
+    path.write_text(poset_to_json(quoted), encoding="utf-8")
+    code, out, _ = run(capsys, "export-dot", "--space-file", str(path))
+    assert code == 0
+    assert '  "a\\"b";\n' in out and '  "a\\"b" -> "c";\n' in out
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run(
         capsys, "verify", "--group", "cyclic:2", "--check", "base-point-count"
@@ -312,6 +321,16 @@ def test_verify_all_rejects_fence_lists_without_a_valid_size(capsys, fences):
     code, out, err = run(capsys, "verify-all", "--group", "cyclic:2", "--fences", fences)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "fence" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--fences", "1,1"),
+    ("verify", "--check", "variants-distinct", "--fences", "2,2"),
+])
+def test_repeated_fence_sizes_are_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--group", "cyclic:2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "distinct" in err
 
 
 @pytest.mark.parametrize("mode", ["sandt:", "none:"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -23,6 +24,8 @@ from posetgroups import (
     standard_generator_labels,
 )
 
+from posetgroups.labels import Base
+
 from conftest import fixture_space
 from groups_oracle import groups_isomorphic
 from homotopy_oracle import (
@@ -33,7 +36,7 @@ from homotopy_oracle import (
     pointwise_leq,
 )
 from test_posets import small_posets
-from test_search import deep_posets, permuted_copy
+from test_search import built_space, deep_posets, permuted_copy
 from test_spaces import perturbed_spaces
 
 
@@ -113,6 +116,64 @@ def test_core_equals_oracle_on_shuffled_column_spaces(group, rng):
     # the column space retracts onto its bottom two levels
     assert len(result.poset) == 2 * builtin_group(group).order
     assert result == oracle_core(copy)
+
+
+def assert_core_matches_oracle(space):
+    """Each part of ``core``'s result against the oracle's, one at a time."""
+    got, want = core(space), oracle_core(space)
+    assert got.trace == want.trace
+    assert got.poset == want.poset
+    assert got.retraction.images == want.retraction.images
+    assert got.inclusion.images == want.inclusion.images
+    return got
+
+
+def shuffled_copy(poset, rng):
+    return permuted_copy(poset, rng.sample(range(len(poset)), len(poset)))
+
+
+@pytest.mark.parametrize("density", [0.12, 0.2, 0.3, 0.45])
+def test_core_equals_oracle_on_random_posets_of_9_to_14_points(density):
+    rng = random.Random(int(density * 100))
+    for _ in range(150):
+        n = rng.randint(9, 14)
+        pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < density]
+        poset = FinitePoset.from_relations([f"p{i}" for i in range(n)], pairs)
+        assert_core_matches_oracle(shuffled_copy(poset, rng))
+
+
+def fan(width: int) -> FinitePoset:
+    """A three-point spine with ``width`` points below it and ``width`` above:
+    removing a spine point joins its neighbours by new covers."""
+    labels = ["s0", "s1", "s2"] + [f"b{k}" for k in range(width)] + [f"t{k}" for k in range(width)]
+    pairs = [(0, 1), (1, 2)]
+    pairs += [(3 + k, 0) for k in range(width)] + [(2, 3 + width + k) for k in range(width)]
+    return FinitePoset.from_relations(labels, pairs)
+
+
+@pytest.mark.parametrize("shape", ["chain", "fan"])
+def test_core_equals_oracle_on_shuffled_chains_and_fans(shape):
+    rng = random.Random(5)
+    for size in range(1, 13):
+        if shape == "chain":
+            poset = FinitePoset.from_relations(
+                [f"c{i}" for i in range(size)], [(i, i + 1) for i in range(size - 1)]
+            )
+        else:
+            poset = fan(size)
+        for _ in range(6):
+            assert len(assert_core_matches_oracle(shuffled_copy(poset, rng)).poset) == 1
+
+
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4"])
+@pytest.mark.parametrize("mode", ["sonly", "sandt"])
+def test_core_equals_oracle_when_a_dropped_attachment_cover_cascades(group, mode):
+    space = built_space(group, mode)
+    attachment = [e for e in space.hasse if not all(isinstance(space.labels[i], Base) for i in e)]
+    rng = random.Random(len(space))
+    for edge in rng.sample(attachment, 6):
+        result = assert_core_matches_oracle(shuffled_copy(space.drop_hasse_edge(edge), rng))
+        assert len(result.trace) > 1
 
 
 # -- automorphism groups ------------------------------------------------------

@@ -8,7 +8,7 @@ from posetgroups import FinitePoset, MapError, PosetError, PosetMap, enumerate_s
 from posetgroups.posets import bits
 
 from conftest import fixture_space
-from homotopy_oracle import by_labels, pointwise_leq
+from homotopy_oracle import _beat_points as oracle_beat_points, by_labels, pointwise_leq
 from posets_oracle import oracle_order
 from search_oracle import oracle_verified_map
 
@@ -136,14 +136,8 @@ def assert_cover_adjacency_matches_scan(poset):
 
 
 def assert_beat_points_match_masks(poset):
-    """``beat_points()`` against the mask definition through ``beat_partner``."""
-    alive = (1 << len(poset)) - 1
-    assert poset.beat_points() == [
-        (i, kind)
-        for i in range(len(poset))
-        for kind in ("down", "up")
-        if poset.beat_partner(i, kind, alive) is not None
-    ]
+    """``beat_points()`` against the mask definition of the oracle's scan."""
+    assert poset.beat_points() == oracle_beat_points(poset)
 
 
 @given(small_posets())

@@ -237,3 +237,11 @@ def test_export_dot_plain_labels():
     dot = export_dot(fixture_space("vee"))
     assert '"bot" -> "l";' in dot
     assert "rank=same" not in dot
+
+
+def test_export_dot_escapes_quotes_in_node_and_edge_ids():
+    dot = export_dot(FinitePoset.from_relations(['a"b', 'x"y"', "c"], [(0, 2), (2, 1)]))
+    assert '  "a\\"b";' in dot and '  "x\\"y\\"";' in dot
+    assert '  "a\\"b" -> "c";' in dot and '  "c" -> "x\\"y\\"";' in dot
+    # with the escapes taken out, every line holds an even number of quotes
+    assert all(line.replace('\\"', "").count('"') % 2 == 0 for line in dot.splitlines())

@@ -36,6 +36,13 @@ def test_options_reject_fence_ranges_without_a_valid_size(fences, message):
         VerifyOptions(fence_range=fences)
 
 
+@pytest.mark.parametrize("fences", [(1, 1), (2, 3, 2)])
+def test_options_reject_repeated_fence_sizes(fences):
+    # a repeated size would be reported as a variant isomorphic to itself
+    with pytest.raises(ValueError, match="fence sizes must be distinct"):
+        VerifyOptions(fence_range=fences)
+
+
 def result_map(report):
     return {r.name: r for r in report.results}
 
