@@ -406,6 +406,10 @@ def main(argv=None) -> int:
     except (PosetError, SizeLimitExceeded, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # The last resort: no layer's budget stopped the input in time.
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

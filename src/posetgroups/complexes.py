@@ -8,6 +8,13 @@ undirected covering graph of the spaces built in this package has the same
 first Betti number as the full complex (asserted in tests, and exposed via
 :func:`hasse_undirected`).
 
+Homology is not reduced on the complex itself.  An acyclic matching in the
+sense of discrete Morse theory (Forman 1998; the coreductions of
+Mrozek and Batko 2009) pairs every non-cover edge with a triangle, so the
+1-cells left are the covers and the 2-cells the unmatched triangles; first
+homology is the cycle space of the covering graph modulo those triangles'
+relations, which on the built spaces all vanish.
+
 Everything is exact integer arithmetic through :mod:`posetgroups.snf`.
 """
 
@@ -150,17 +157,19 @@ def hasse_undirected(space: FinitePoset) -> HasseGraph:
 class CycleBasis:
     """A basis of first homology in fundamental-cycle coordinates.
 
-    ``edges`` are the complex's edges, ``simplices[1]``.  Fundamental
-    cycles come from an index-ordered spanning forest of the 1-skeleton;
-    triangle boundaries expressed in those coordinates make up the relation
-    matrix, whose Smith reduction (with transforms) turns any 1-cycle into
-    free-part coordinates: ``coords = (U @ nontree_coeffs)`` restricted to
-    the non-pivot rows.  ``u_columns`` is that restriction by columns,
-    keyed by edge position: a non-tree edge maps to its ``(coordinate,
-    value)`` nonzeros, and an edge with none is absent.  ``chains_by_edge``
-    is ``basis_chains`` by edges: an edge position maps to its ``(basis
-    index, coefficient)`` nonzeros.  ``components`` counts the trees of the
-    forest, which is b0.
+    ``edges`` are the covers, ``space.hasse``, each oriented lower to
+    upper.  Fundamental cycles come from an index-ordered BFS forest of
+    the covering graph, one per non-tree cover (``nontree``).  A discrete
+    Morse matching collapses every other edge and most triangles of the
+    order complex; the unmatched triangles left give the relations among
+    the cover cycles, and their Smith reduction (with transforms) turns
+    any cover cycle into free-part coordinates: ``coords = (U @
+    nontree_coeffs)`` restricted to the non-pivot rows.  ``u_columns`` is
+    that restriction by columns, keyed by cover position: a non-tree
+    cover maps to its ``(coordinate, value)`` nonzeros, and a cover with
+    none is absent.  ``chains_by_edge`` is ``basis_chains`` by covers: a
+    cover position maps to its ``(basis index, coefficient)`` nonzeros.
+    ``components`` counts the trees of the forest, which is b0.
 
     It is the complex's memo, shared by every caller; treat it as
     read-only.  It must not refer back to the complex: the pair would then
@@ -188,79 +197,103 @@ def cycle_basis(cx: OrderComplex) -> CycleBasis:
 
 
 def _reduce(cx: OrderComplex) -> CycleBasis:
-    n = len(cx.space)
-    edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
-    triangles = cx.simplices[2] if len(cx.simplices) > 2 else ()
+    space = cx.space
+    n = len(space)
+    edges = space.hasse
     edge_positions = {e: k for k, e in enumerate(edges)}
+    up, down = space.cover_index.up, space.cover_index.down
 
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
+    # A BFS forest of the covering graph.  ``step[x]`` is the walk from x
+    # to its parent as ``(cover position, +1 up the cover or -1 down it)``.
+    depth = [-1] * n
     parent = [-1] * n
-    depth = [0] * n
-    seen = [False] * n
-    tree_edges: set[tuple[int, int]] = set()
+    step: list[tuple[int, int]] = [(-1, 0)] * n
+    tree: set[int] = set()
     components = 0
     for root in range(n):
-        if seen[root]:
+        if depth[root] >= 0:
             continue
         components += 1
-        seen[root] = True
+        depth[root] = 0
         queue = deque([root])
         while queue:
             here = queue.popleft()
-            for there in sorted(adjacency[here]):
-                if not seen[there]:
-                    seen[there] = True
-                    parent[there] = here
-                    depth[there] = depth[here] + 1
-                    tree_edges.add((min(here, there), max(here, there)))
+            for there in sorted(down[here] + up[here]):
+                if depth[there] < 0:
+                    depth[there], parent[there] = depth[here] + 1, here
+                    if here in up[there]:
+                        pos, sign = edge_positions[there, here], 1
+                    else:
+                        pos, sign = edge_positions[here, there], -1
+                    step[there] = (pos, sign)
+                    tree.add(pos)
                     queue.append(there)
+    nontree = tuple(k for k in range(len(edges)) if k not in tree)
+    slot = {k: t for t, k in enumerate(nontree)}
 
-    nontree = tuple(
-        k for k, e in enumerate(edges) if e not in tree_edges
-    )
-    nontree_slot = {k: t for t, k in enumerate(nontree)}
+    # The Morse matching pairs each non-cover a < c with the triangle
+    # (a, s, c), s the first upper cover of a below c, so a < c flows to
+    # the cover path P(a, c) = (a, s) + P(s, c).  ``paths[a][c]`` holds the
+    # non-tree covers of P(a, c) as slots in path order; an upward path
+    # takes each cover once and forward.  Points are visited after their
+    # upper covers, and the first cover of a to reach c is s.  Both this
+    # pass and the next cost one step per triangle.
+    pending = [len(up[i]) for i in range(n)]
+    ready = [i for i in range(n) if not pending[i]]
+    paths: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+    while ready:
+        a = ready.pop()
+        here = paths[a]
+        for s in up[a]:
+            t = slot.get(edge_positions[a, s])
+            first = () if t is None else (t,)
+            here[s] = first
+            for c, rest in paths[s].items():
+                if c not in here:
+                    here[c] = first + rest if first else rest
+        for b in down[a]:
+            pending[b] -= 1
+            if not pending[b]:
+                ready.append(b)
 
-    def step_chain(chain: dict[int, int], a: int, b: int, sign: int):
-        """Add the oriented edge a->b to a 1-chain."""
-        if a < b:
-            key, coeff = (a, b), sign
-        else:
-            key, coeff = (b, a), -sign
-        pos = edge_positions[key]
-        chain[pos] = chain.get(pos, 0) + coeff
-        if chain[pos] == 0:
-            del chain[pos]
+    # Every unmatched triangle a < b < c is a relation P(a, b) + P(b, c) -
+    # P(a, c) among the cover cycles; the matched ones (b = s) and those
+    # whose cover paths agree are zero on the non-tree covers.  Paths are
+    # disjoint on either side of b, so agreement is tuple equality.
+    triples: list[tuple[int, int, int]] = []
+    relations = 0
+    for a in range(n):
+        above = paths[a]
+        for b, head in above.items():
+            if not head and paths[b].items() <= above.items():
+                continue  # every P(b, c) is P(a, c): no relation through b
+            for c, tail in paths[b].items():
+                joined, whole = head + tail, above[c]
+                if joined == whole:
+                    continue
+                acc = dict.fromkeys(joined, 1)
+                for t in whole:
+                    acc[t] = acc.get(t, 0) - 1
+                triples.extend((t, relations, v) for t, v in acc.items() if v)
+                relations += 1
+    snf = smith_normal_form(triples, len(nontree), relations, want_transform=True)
 
     def fundamental_chain(edge_pos: int) -> dict[int, int]:
-        """The cycle through one nontree edge: the edge plus the tree path back."""
-        u, v = edges[edge_pos]
-        chain: dict[int, int] = {}
-        step_chain(chain, u, v, +1)
-        a, b = v, u  # walk from v back to u through the forest
+        """The cycle through one non-tree cover: the cover plus the tree path back."""
+        chain = {edge_pos: 1}
+        a, b = edges[edge_pos][1], edges[edge_pos][0]  # walk from the top back to the bottom
         while a != b:
             if depth[a] >= depth[b]:
-                step_chain(chain, a, parent[a], +1)
-                a = parent[a]
+                (pos, sign), a = step[a], parent[a]
             else:
-                step_chain(chain, parent[b], b, +1)
-                b = parent[b]
+                (pos, sign), b = step[b], parent[b]
+                sign = -sign
+            chain[pos] = sign  # a tree path takes each cover once
         return chain
-
-    triples = []
-    for col, (a, b, c) in enumerate(triangles):
-        for key, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
-            pos = edge_positions[key]
-            if pos in nontree_slot:
-                triples.append((nontree_slot[pos], col, sign))
-    snf = smith_normal_form(triples, len(nontree), len(triangles), want_transform=True)
 
     free = snf.free_rows()
     # Basis representatives: preimages (under U) of the free unit vectors,
-    # expanded from fundamental-cycle coordinates to edge chains.  Only the
+    # expanded from fundamental-cycle coordinates to cover chains.  Only the
     # fundamental cycles these columns of U^-1 name are ever built.
     fundamentals: dict[int, dict[int, int]] = {}
     basis_chains = []
@@ -301,13 +334,14 @@ def h1_action_columns(basis: CycleBasis, automorphism: PosetMap):
 
     Column ``j`` lists the nonzeros of the image of basis cycle ``j`` as
     ``(coordinate, value)`` pairs in coordinate order, so equal matrices
-    are equal (and hash alike) as tuples.  Only the edges in the support of
-    ``U`` (the keys of ``u_columns``) can carry a coordinate, so each is
+    are equal (and hash alike) as tuples.  Only the covers in the support
+    of ``U`` (the keys of ``u_columns``) can carry a coordinate, so each is
     pulled back through the inverse map and its column of ``U`` scattered
-    into the basis cycles that hold the preimage edge (``chains_by_edge``):
-    a map costs the support of ``U`` and the hits on it, not a push of
-    every chain entry.  Functorial by construction: composing
-    automorphisms multiplies the matrices.
+    into the basis cycles that hold the preimage cover
+    (``chains_by_edge``): a map costs the support of ``U`` and the hits on
+    it, not a push of every chain entry.  An automorphism maps covers to
+    covers, lower end to lower end, so no sign enters.  Functorial by
+    construction: composing automorphisms multiplies the matrices.
     """
     edges = basis.edges
     inverse = [-1] * len(automorphism.images)
@@ -320,13 +354,8 @@ def h1_action_columns(basis: CycleBasis, automorphism: PosetMap):
     accs: list[dict[int, int]] = [{} for _ in basis.basis_chains]
     for target, entries in basis.u_columns.items():
         u, v = edges[target]
-        a, b = inverse[u], inverse[v]
-        if a < b:
-            hits, sign = chains_by_edge.get(positions[a, b], ()), 1
-        else:
-            hits, sign = chains_by_edge.get(positions[b, a], ()), -1
-        for j, coeff in hits:
-            acc, coeff = accs[j], sign * coeff
+        for j, coeff in chains_by_edge.get(positions[inverse[u], inverse[v]], ()):
+            acc = accs[j]
             for coordinate, value in entries:
                 acc[coordinate] = acc.get(coordinate, 0) + coeff * value
     return tuple(tuple(sorted((k, v) for k, v in acc.items() if v)) for acc in accs)

@@ -98,9 +98,15 @@ def export_dot(space: FinitePoset) -> str:
     """Graphviz source for the covering diagram, drawn upward.
 
     Column points of built spaces share a rank per level so the group
-    columns line up; everything else ranks freely.
+    columns line up; everything else ranks freely.  An id that ends in a
+    backslash cannot be quoted (it would escape the closing quote) and
+    raises :class:`PosetError`.
     """
-    ids = [label_id(lab).replace('"', '\\"') for lab in space.labels]  # DOT's one escape
+    ids = [label_id(lab) for lab in space.labels]
+    for point_id in ids:
+        if point_id.endswith("\\"):
+            raise PosetError(f"point id {point_id!r} ends in a backslash, which DOT cannot quote")
+    ids = [point_id.replace('"', '\\"') for point_id in ids]  # DOT's one escape
     lines = [
         "digraph poset {",
         "  rankdir=BT;",

@@ -1,23 +1,30 @@
 """Reference cycle bases and H1 actions, kept for tests only.
 
-``oracle_h1_action_matrix`` is the row-by-row version of
-:func:`posetgroups.h1_action_matrix`: each image cycle is pushed forward
-whole, and every free row of ``U`` is then walked for every column, which
-costs b × nnz(U) per map.  ``U`` is taken from its own Smith reduction of
-the relation matrix, so the column view the fast path reads is not used.
+``oracle_cycle_basis`` is the reduction on the order complex itself: its
+1-cells are all comparable pairs (index-sorted, so a pair's orientation is
+its index order), its spanning forest is an index-ordered BFS forest of
+that 1-skeleton, and the Smith reduction with transforms runs on the
+(non-tree pairs × triangles) matrix.  It returns a
+:class:`posetgroups.complexes.CycleBasis` over those pairs.  The library's
+basis lives on the covers after a Morse matching, so the two bases differ
+by an integer change of basis; ``oracle_coordinates`` reads a cover chain
+in the oracle's coordinates, which is how the tests build that change of
+basis.
+
+``oracle_h1_action_matrix`` is the row-by-row action on the oracle basis:
+each image cycle is pushed forward whole, and every free row of ``U`` is
+then walked for every column, which costs b × nnz(U) per map.  ``U`` is
+taken from its own Smith reduction of the triangles (``oracle_u_rows``),
+so the column view is not used.
 
 ``oracle_h1_action_columns`` is the push-forward form of
 :func:`posetgroups.h1_action_columns`: every edge of every basis chain is
-pushed through the map and scattered through ``u_columns``.
-``oracle_basis_chains`` rebuilds the basis chains from its own spanning
-forest and Smith reduction, with the fundamental cycle of every non-tree
-edge built up front.  The property tests compare all three with the
-library.
+pushed through the map and scattered through ``u_columns``.  It reads any
+basis, the library's or the oracle's.
 
 ``betti`` reads Betti numbers off the boundary matrices of
 :func:`posetgroups.complexes.chain_complex`, one Smith reduction per
-boundary (``rank_of_boundary``): the homology oracle that
-:func:`posetgroups.homology_summary` is compared against.
+boundary (``rank_of_boundary``).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 
 from posetgroups import smith_normal_form
+from posetgroups.complexes import CycleBasis
 
 
 def rank_of_boundary(cc, k: int) -> int:
@@ -41,8 +49,18 @@ def betti(cc, k: int) -> int:
     return cc.counts[k] - rank_of_boundary(cc, k) - rank_of_boundary(cc, k + 1)
 
 
-def oracle_basis_chains(cx):
-    """Basis chains as ``{edge position: coefficient}``, rebuilt independently."""
+def _triangle_triples(triangles, position, slot):
+    """The boundaries of ``triangles`` on the non-tree pairs, as triples."""
+    return [
+        (slot[position[key]], col, sign)
+        for col, (a, b, c) in enumerate(triangles)
+        for key, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1))
+        if position[key] in slot
+    ]
+
+
+def oracle_cycle_basis(cx) -> CycleBasis:
+    """A basis of first homology reduced on the order complex's triangles."""
     n = len(cx.space)
     edges = cx.simplices[1] if len(cx.simplices) > 1 else ()
     triangles = cx.simplices[2] if len(cx.simplices) > 2 else ()
@@ -52,9 +70,11 @@ def oracle_basis_chains(cx):
         adjacency[u].append(v)
         adjacency[v].append(u)
     parent, depth, seen, tree = [-1] * n, [0] * n, [False] * n, set()
+    components = 0
     for root in range(n):
         if seen[root]:
             continue
+        components += 1
         seen[root] = True
         queue = deque([root])
         while queue:
@@ -65,7 +85,7 @@ def oracle_basis_chains(cx):
                     depth[there] = depth[here] + 1
                     tree.add((min(here, there), max(here, there)))
                     queue.append(there)
-    nontree = [k for k, e in enumerate(edges) if e not in tree]
+    nontree = tuple(k for k, e in enumerate(edges) if e not in tree)
 
     def add(chain, a, b):
         key, sign = ((a, b), 1) if a < b else ((b, a), -1)
@@ -87,43 +107,76 @@ def oracle_basis_chains(cx):
         fundamentals.append({pos: c for pos, c in chain.items() if c})
 
     slot = {k: t for t, k in enumerate(nontree)}
-    triples = [
-        (slot[position[key]], col, sign)
-        for col, (a, b, c) in enumerate(triangles)
-        for key, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1))
-        if position[key] in slot
-    ]
-    snf = smith_normal_form(triples, len(nontree), len(triangles), want_transform=True)
+    snf = smith_normal_form(_triangle_triples(triangles, position, slot),
+                            len(nontree), len(triangles), want_transform=True)
+    free = snf.free_rows()
     chains = []
-    for row in snf.free_rows():
+    for row in free:
         chain = {}
         for t, coeff in snf.u_inv[row].items():
             for pos, v in fundamentals[t].items():
                 chain[pos] = chain.get(pos, 0) + coeff * v
         chains.append({pos: v for pos, v in chain.items() if v})
-    return tuple(chains)
+    chains_by_edge: dict[int, list] = {}
+    for j, chain in enumerate(chains):
+        for pos, coeff in chain.items():
+            chains_by_edge.setdefault(pos, []).append((j, coeff))
+    u_columns: dict[int, list] = {}
+    for coordinate, row in enumerate(free):
+        for t, value in snf.u[row].items():
+            u_columns.setdefault(nontree[t], []).append((coordinate, value))
+    return CycleBasis(
+        edges=edges,
+        edge_positions=position,
+        nontree=nontree,
+        basis_chains=tuple(chains),
+        u_columns={pos: tuple(entries) for pos, entries in u_columns.items()},
+        chains_by_edge={pos: tuple(hits) for pos, hits in chains_by_edge.items()},
+        free_rows=free,
+        torsion=snf.torsion,
+        components=components,
+    )
+
+
+def _pushed(basis, chain, images):
+    """``chain`` pushed through ``images``, by the basis's edge positions."""
+    edges, positions = basis.edges, basis.edge_positions
+    pushed: dict[int, int] = {}
+    for pos, coeff in chain.items():
+        a, b = edges[pos]
+        key = (images[a], images[b])
+        if key not in positions:
+            key, coeff = key[::-1], -coeff
+        pushed[positions[key]] = pushed.get(positions[key], 0) + coeff
+    return pushed
+
+
+def _coordinates(basis, chain) -> dict[int, int]:
+    """Free coordinates of a 1-cycle given by the basis's edge positions."""
+    acc: dict[int, int] = {}
+    for pos, coeff in chain.items():
+        for coordinate, value in basis.u_columns.get(pos, ()):
+            acc[coordinate] = acc.get(coordinate, 0) + coeff * value
+    return {k: v for k, v in acc.items() if v}
 
 
 def oracle_h1_action_columns(basis, automorphism):
     """Sparse columns of the action, each chain edge pushed forward."""
-    edges = basis.edges
-    images = automorphism.images
-    positions, u_columns = basis.edge_positions, basis.u_columns
-    columns = []
-    for chain in basis.basis_chains:
-        acc: dict[int, int] = {}
-        for pos, coeff in chain.items():
-            a, b = edges[pos]
-            fa, fb = images[a], images[b]
-            if fa < fb:
-                entries = u_columns.get(positions[fa, fb], ())
-            else:
-                entries = u_columns.get(positions[fb, fa], ())
-                coeff = -coeff
-            for coordinate, value in entries:
-                acc[coordinate] = acc.get(coordinate, 0) + coeff * value
-        columns.append(tuple(sorted((k, v) for k, v in acc.items() if v)))
-    return tuple(columns)
+    return tuple(
+        tuple(sorted(_coordinates(basis, _pushed(basis, chain, automorphism.images)).items()))
+        for chain in basis.basis_chains
+    )
+
+
+def oracle_coordinates(oracle, cover_chain, covers) -> tuple[int, ...]:
+    """The oracle's free coordinates of a chain on ``covers`` (lower, upper)."""
+    chain: dict[int, int] = {}
+    for pos, coeff in cover_chain.items():
+        a, b = covers[pos]
+        key, sign = ((a, b), coeff) if a < b else ((b, a), -coeff)
+        chain[oracle.edge_positions[key]] = chain.get(oracle.edge_positions[key], 0) + sign
+    coords = _coordinates(oracle, chain)
+    return tuple(coords.get(i, 0) for i in range(oracle.betti))
 
 
 def oracle_u_rows(basis):
@@ -135,35 +188,19 @@ def oracle_u_rows(basis):
     triangles = sorted((a, b, c) for a, b in basis.edges for c in above.get(b, ())
                        if (a, c) in basis.edge_positions)
     slot = {pos: t for t, pos in enumerate(basis.nontree)}
-    triples = []
-    for col, (a, b, c) in enumerate(triangles):
-        for key, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
-            pos = basis.edge_positions[key]
-            if pos in slot:
-                triples.append((slot[pos], col, sign))
     return smith_normal_form(
-        triples, len(slot), len(triangles), want_transform=True
+        _triangle_triples(triangles, basis.edge_positions, slot),
+        len(slot), len(triangles), want_transform=True,
     ).u
 
 
 def oracle_h1_action_matrix(basis, automorphism):
-    """The matrix of an automorphism on free first homology, as dense rows."""
+    """The action on an oracle basis, as dense rows."""
     u = oracle_u_rows(basis)
-    edges = basis.edges
-    images = automorphism.images
     slot = {pos: t for t, pos in enumerate(basis.nontree)}
     columns = []
     for chain in basis.basis_chains:
-        pushed: dict[int, int] = {}
-        for pos, coeff in chain.items():
-            a, b = edges[pos]
-            fa, fb = images[a], images[b]
-            if fa < fb:
-                key, sign = (fa, fb), coeff
-            else:
-                key, sign = (fb, fa), -coeff
-            new_pos = basis.edge_positions[key]
-            pushed[new_pos] = pushed.get(new_pos, 0) + sign
+        pushed = _pushed(basis, chain, automorphism.images)
         # fundamental coordinates = coefficients on nontree edges
         w = {slot[pos]: v for pos, v in pushed.items() if v and pos in slot}
         columns.append(

@@ -25,6 +25,7 @@ from posetgroups import (
     spec_for,
     standard_generator_labels,
 )
+from posetgroups import cli
 from posetgroups.cli import main
 from posetgroups.labels import label_id
 
@@ -410,6 +411,25 @@ def test_bad_budget_env_var_is_one_error_line(capsys, monkeypatch, name, command
     # a command without the flag never reads the variable
     code, out, err = run(capsys, "core", "--group", "cyclic:3")
     assert code == 0 and err == "" and "core" in out
+
+
+def test_an_id_ending_in_a_backslash_is_one_export_dot_error_line(capsys, tmp_path):
+    path = tmp_path / "backslash.json"
+    path.write_text(poset_to_json(FinitePoset.from_relations(["a\\", "c"], [(0, 1)])),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "export-dot", "--space-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "backslash" in err
+
+
+def test_memory_error_is_one_error_line_naming_the_subcommand(capsys, monkeypatch):
+    # The handler raises at once, so the test allocates nothing large.
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_homology", exhausted)
+    code, out, err = run(capsys, "homology", "--group", "cyclic:2")
+    assert (code, out, err) == (2, "", "error: homology ran out of memory\n")
 
 
 def test_aut_budget_flag_overrides_env(capsys, tmp_path, monkeypatch):

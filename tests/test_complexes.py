@@ -28,7 +28,8 @@ from posetgroups.complexes import chain_complex
 
 from complexes_oracle import (
     betti,
-    oracle_basis_chains,
+    oracle_coordinates,
+    oracle_cycle_basis,
     oracle_h1_action_columns,
     oracle_h1_action_matrix,
 )
@@ -201,11 +202,11 @@ def test_components_agree_between_graph_and_complex(poset):
 # -- cycle bases ---------------------------------------------------------------
 
 
-def chain_boundary(cx, chain):
+def chain_boundary(edges, chain):
     """Endpoint sum of a 1-chain given as {edge position: coefficient}."""
     acc = {}
     for pos, coeff in chain.items():
-        a, b = cx.simplices[1][pos]
+        a, b = edges[pos]
         acc[a] = acc.get(a, 0) - coeff
         acc[b] = acc.get(b, 0) + coeff
     return {k: v for k, v in acc.items() if v}
@@ -216,8 +217,9 @@ def test_cycle_basis_matches_betti(crown, c3_spec):
         cx = order_complex(space)
         basis = cycle_basis(cx)
         assert basis.betti == homology_summary(cx).b1
+        assert basis.edges == space.hasse  # the chains live on the covers
         for chain in basis.basis_chains:
-            assert chain_boundary(cx, chain) == {}
+            assert chain_boundary(basis.edges, chain) == {}
 
 
 def test_cycle_basis_sees_torsion():
@@ -227,9 +229,9 @@ def test_cycle_basis_sees_torsion():
 
 
 def test_basis_chains_expand_non_unit_columns_of_u_inverse(monkeypatch):
-    # <a, b | (a^2 b^3)^2> has H1 = Z^2 / (4, 6) = Z + Z/2.  Its reduction
-    # swaps pivot rows, and the free column of U^-1 it leaves is not a unit
-    # vector, so the coefficients of U^-1 shape the basis chain.
+    # <a, b | (a^2 b^3)^2> has H1 = Z^2 / (4, 6) = Z + Z/2.  The reduction
+    # of its Morse relations leaves a free column of U^-1 that is not a
+    # unit vector, so the coefficients of U^-1 shape the basis chain.
     reductions = []
     real = complexes.smith_normal_form
 
@@ -245,7 +247,7 @@ def test_basis_chains_expand_non_unit_columns_of_u_inverse(monkeypatch):
     (snf,) = reductions
     assert any(v != 1 for row in snf.free_rows() for v in snf.u_inv[row].values())
     for j, chain in enumerate(basis.basis_chains):
-        assert chain_boundary(cx, chain) == {}
+        assert chain_boundary(basis.edges, chain) == {}
         # the chain's coordinates through U are the unit vector e_j
         coords = [
             sum(snf.u[row].get(t, 0) * chain.get(pos, 0) for t, pos in enumerate(basis.nontree))
@@ -275,7 +277,7 @@ def test_one_reduction_serves_summary_and_bases(monkeypatch, c3_spec):
     first, second = cycle_basis(cx), cycle_basis(cx)
     assert len(calls) == 1
     assert summary.b1 == first.betti == 7
-    assert first is second and first.edges is cx.simplices[1]
+    assert first is second and first.edges is cx.space.hasse
 
 
 def test_a_complex_with_a_basis_is_freed_without_the_cycle_collector(c3_spec):
@@ -326,14 +328,6 @@ def test_action_matrices_are_functorial():
     basis = cycle_basis(order_complex(space))
     auts = AutomorphismGroup.of(space)
     matrices = [h1_action_matrix(basis, m) for m in auts.maps]
-    size = basis.betti
-
-    def matmul(x, y):
-        return tuple(
-            tuple(sum(x[i][k] * y[k][j] for k in range(size)) for j in range(size))
-            for i in range(size)
-        )
-
     for i in range(auts.order):
         for j in range(auts.order):
             assert matmul(matrices[i], matrices[j]) == matrices[auts.table[i][j]]
@@ -352,19 +346,95 @@ def test_action_separates_the_translations(c3_spec):
     assert matrices[auts.identity_index()] == identity
 
 
-def sparse(chains):
-    return tuple(tuple(sorted(chain.items())) for chain in chains)
+def matmul(x, y):
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0])))
+        for i in range(len(x))
+    )
+
+
+def determinant(rows) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in rows]
+    size, sign, last = len(m), 1, 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // last
+        last = m[k][k]
+    return sign * last if size else 1
+
+
+def test_determinant():
+    assert determinant(()) == 1
+    assert determinant(((0, 1), (1, 0))) == -1
+    assert determinant(((2, 1, 0), (1, 3, 1), (0, 1, 4))) == 18
+    assert determinant(((1, 2), (2, 4))) == 0
+
+
+def assert_homology_matches_oracle(space):
+    """b0, b1 and torsion of the cover basis equal the order-complex oracle's."""
+    cx = order_complex(space)
+    basis, oracle = cycle_basis(cx), oracle_cycle_basis(cx)
+    summary = homology_summary(cx)
+    assert (summary.b0, summary.b1, summary.h1_torsion) == (
+        oracle.components, oracle.betti, oracle.torsion
+    )
+    return cx, basis, oracle
 
 
 def assert_action_matches_oracle(space):
-    cx = order_complex(space)
-    basis = cycle_basis(cx)
-    assert sparse(basis.basis_chains) == sparse(oracle_basis_chains(cx))
+    """The cover basis and the oracle's are one integer change of basis P
+    apart, |det P| = 1, and every automorphism a has M_oracle(a)·P =
+    P·M(a)."""
+    cx, basis, oracle = assert_homology_matches_oracle(space)
+    for chain in basis.basis_chains:
+        assert chain_boundary(basis.edges, chain) == {}
+    # column j of P is basis cycle j in the oracle's coordinates
+    columns = [oracle_coordinates(oracle, chain, basis.edges) for chain in basis.basis_chains]
+    change = tuple(tuple(column[i] for column in columns) for i in range(basis.betti))
+    assert abs(determinant(change)) == 1
     for m in all_automorphisms(space):
         columns = h1_action_columns(basis, m)
         assert all(v and list(c) == sorted(c) for c in columns for _, v in c)
         assert columns == oracle_h1_action_columns(basis, m)
-        assert h1_action_matrix(basis, m) == oracle_h1_action_matrix(basis, m)
+        if basis.betti:
+            assert matmul(oracle_h1_action_matrix(oracle, m), change) == matmul(
+                change, h1_action_matrix(basis, m)
+            )
+
+
+@given(small_posets())
+@settings(max_examples=80, deadline=None)
+def test_homology_equals_oracle_on_random_posets(poset):
+    assert_homology_matches_oracle(poset)
+
+
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
+@pytest.mark.parametrize("mode", ["sonly", "sandt"])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_homology_equals_oracle_on_shuffled_built_spaces(group, mode, data):
+    space = built_space(group, mode)
+    assert_homology_matches_oracle(
+        permuted_copy(space, data.draw(st.permutations(range(len(space)))))
+    )
+
+
+def test_homology_equals_oracle_on_the_projective_plane():
+    cx, _, _ = assert_homology_matches_oracle(projective_plane_face_poset())
+    assert homology_summary(cx).h1_torsion == (2,)
+
+
+@given(st.text("aAbB", min_size=1, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_homology_and_action_equal_oracle_on_presentation_complexes(word):
+    assert_action_matches_oracle(presentation_complex(word))
 
 
 @given(small_posets())

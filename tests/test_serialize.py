@@ -245,3 +245,13 @@ def test_export_dot_escapes_quotes_in_node_and_edge_ids():
     assert '  "a\\"b" -> "c";' in dot and '  "c" -> "x\\"y\\"";' in dot
     # with the escapes taken out, every line holds an even number of quotes
     assert all(line.replace('\\"', "").count('"') % 2 == 0 for line in dot.splitlines())
+
+
+@pytest.mark.parametrize("bad", ["a\\", 'a"\\', "\\"])
+def test_export_dot_rejects_an_id_ending_in_a_backslash(bad):
+    # "a\" would be written as "a\"; and its backslash would escape the quote
+    space = FinitePoset.from_relations([bad, "c"], [(0, 1)])
+    with pytest.raises(PosetError, match="ends in a backslash"):
+        export_dot(space)
+    # a backslash anywhere else is kept as it is
+    assert '  "a\\b" -> "c";' in export_dot(FinitePoset.from_relations(["a\\b", "c"], [(0, 1)]))
