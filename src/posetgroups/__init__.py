@@ -19,8 +19,8 @@ from .complexes import (
     HomologySummary,
     OrderComplex,
     cycle_basis,
-    h1_action_columns,
     h1_action_matrix,
+    h1_action_rows,
     hasse_undirected,
     homology_summary,
     order_complex,
@@ -140,8 +140,8 @@ __all__ = [
     "find_isomorphism",
     "group_from_json",
     "group_to_doc",
-    "h1_action_columns",
     "h1_action_matrix",
+    "h1_action_rows",
     "hasse_undirected",
     "homology_summary",
     "homotopy_classes",

@@ -17,8 +17,8 @@ from contextlib import nullcontext
 
 from .complexes import (
     cycle_basis,
-    dense_matrix,
-    h1_action_columns,
+    dense_rows,
+    h1_action_rows,
     hasse_undirected,
     homology_summary,
     order_complex,
@@ -148,7 +148,8 @@ def _json_chunks(fields, streamed):
 
     A field named in ``streamed`` holds an iterable and becomes a JSON
     list written one ``json.dumps`` per element, so only one element's
-    text is ever held.  Every other field is written whole.
+    text is ever held.  Every other field is written whole.  ``fields``
+    is read lazily, a field only after the one before it is written.
     """
     yield "{"
     for k, (key, value) in enumerate(fields):
@@ -280,26 +281,37 @@ def _cmd_h1_action(args) -> int:
     space = _resolve_space(args)
     basis = cycle_basis(order_complex(space))
     auts = AutomorphismGroup.of(space, budget=args.budget_aut)
-    matrices = [h1_action_columns(basis, m) for m in auts.maps]
-    distinct = len(set(matrices)) == len(matrices)
-    # One matrix is densified at a time, so only its own text is ever held.
+    # Each map is computed, densified and written before the next, so only
+    # one dense matrix is ever held.  Its sparse rows are kept for
+    # ``distinct``; on the built spaces they are the basis's own rows, so
+    # that costs a reference per row.
+    seen = []
+
+    def matrices():
+        for m in auts.maps:
+            seen.append(h1_action_rows(basis, m))
+            yield dense_rows(seen[-1])
+
+    def distinct() -> bool:
+        return len(set(seen)) == len(seen)
+
     if args.json:
-        _emit_chunks(_json_chunks([
-            ("betti", basis.betti),
-            ("order", auts.order),
-            ("matrices", map(dense_matrix, matrices)),
-            ("distinct", distinct),
-        ], streamed={"matrices"}), args)
+        def fields():
+            yield "betti", basis.betti
+            yield "order", auts.order
+            yield "matrices", matrices()
+            yield "distinct", distinct()  # read once every matrix is written
+
+        _emit_chunks(_json_chunks(fields(), streamed={"matrices"}), args)
         return 0
 
     def text_chunks():
         yield f"rank of first homology: {basis.betti}\nautomorphisms: {auts.order}\n"
-        for k, columns in enumerate(matrices):
-            rows = dense_matrix(columns)
+        for k, rows in enumerate(matrices()):
             yield f"f{k}:\n" + "".join(
                 "  " + " ".join(f"{v:3d}" for v in row) + "\n" for row in rows
             )
-        yield "matrices pairwise distinct: " + ("yes" if distinct else "no")
+        yield "matrices pairwise distinct: " + ("yes" if distinct() else "no")
 
     _emit_chunks(text_chunks(), args)
     return 0

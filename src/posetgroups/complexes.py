@@ -23,6 +23,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import SizeLimitExceeded
 from .posets import FinitePoset, PosetMap, bits
@@ -164,11 +166,11 @@ class CycleBasis:
     order complex; the unmatched triangles left give the relations among
     the cover cycles, and their Smith reduction (with transforms) turns
     any cover cycle into free-part coordinates: ``coords = (U @
-    nontree_coeffs)`` restricted to the non-pivot rows.  ``u_columns`` is
-    that restriction by columns, keyed by cover position: a non-tree
-    cover maps to its ``(coordinate, value)`` nonzeros, and a cover with
-    none is absent.  ``chains_by_edge`` is ``basis_chains`` by covers: a
-    cover position maps to its ``(basis index, coefficient)`` nonzeros.
+    nontree_coeffs)`` restricted to the non-pivot rows.  ``u_rows`` holds
+    those rows by coordinate, each as its ``(non-tree slot, value)``
+    nonzeros.  ``cover_rows`` is ``basis_chains`` by covers: position ``p``
+    holds the ``(basis index, coefficient)`` nonzeros of cover ``p``, in
+    basis order, and ``()`` when no basis cycle runs through it.
     ``components`` counts the trees of the forest, which is b0.
 
     It is the complex's memo, shared by every caller; treat it as
@@ -180,8 +182,8 @@ class CycleBasis:
     edge_positions: dict[tuple[int, int], int]
     nontree: tuple[int, ...]
     basis_chains: tuple[dict[int, int], ...]
-    u_columns: dict[int, tuple[tuple[int, int], ...]]
-    chains_by_edge: dict[int, tuple[tuple[int, int], ...]]
+    u_rows: tuple[tuple[tuple[int, int], ...], ...]
+    cover_rows: tuple[tuple[tuple[int, int], ...], ...]
     free_rows: tuple[int, ...]
     torsion: tuple[int, ...]
     components: int
@@ -306,70 +308,82 @@ def _reduce(cx: OrderComplex) -> CycleBasis:
                 chain[pos] = chain.get(pos, 0) + coeff * v
         basis_chains.append({k: v for k, v in chain.items() if v})
 
-    chains_by_edge: dict[int, list[tuple[int, int]]] = {}
+    cover_rows: list[list[tuple[int, int]]] = [[] for _ in edges]
     for j, chain in enumerate(basis_chains):
         for pos, coeff in chain.items():
-            chains_by_edge.setdefault(pos, []).append((j, coeff))
-
-    u_columns: dict[int, list[tuple[int, int]]] = {}
-    for coordinate, row in enumerate(free):
-        for t, value in snf.u[row].items():
-            u_columns.setdefault(nontree[t], []).append((coordinate, value))
+            cover_rows[pos].append((j, coeff))
 
     return CycleBasis(
         edges=edges,
         edge_positions=edge_positions,
         nontree=nontree,
         basis_chains=tuple(basis_chains),
-        u_columns={pos: tuple(entries) for pos, entries in u_columns.items()},
-        chains_by_edge={pos: tuple(hits) for pos, hits in chains_by_edge.items()},
+        u_rows=tuple(tuple(snf.u[row].items()) for row in free),
+        cover_rows=tuple(map(tuple, cover_rows)),
         free_rows=free,
         torsion=snf.torsion,
         components=components,
     )
 
 
-def h1_action_columns(basis: CycleBasis, automorphism: PosetMap):
-    """The matrix of an automorphism on free first homology, by sparse columns.
+def h1_action_rows(basis: CycleBasis, automorphism: PosetMap):
+    """The matrix of an automorphism on free first homology, by sparse rows.
 
-    Column ``j`` lists the nonzeros of the image of basis cycle ``j`` as
-    ``(coordinate, value)`` pairs in coordinate order, so equal matrices
-    are equal (and hash alike) as tuples.  Only the covers in the support
-    of ``U`` (the keys of ``u_columns``) can carry a coordinate, so each is
-    pulled back through the inverse map and its column of ``U`` scattered
-    into the basis cycles that hold the preimage cover
-    (``chains_by_edge``): a map costs the support of ``U`` and the hits on
-    it, not a push of every chain entry.  An automorphism maps covers to
-    covers, lower end to lower end, so no sign enters.  Functorial by
-    construction: composing automorphisms multiplies the matrices.
+    Row ``i`` lists the nonzeros of coordinate ``i`` of the image cycles
+    as ``(basis index, value)`` pairs in basis order, so equal matrices
+    are equal (and hash alike) as tuples.  Coordinate ``i`` reads the
+    non-tree covers through row ``i`` of ``U``, and the image of a chain
+    carries at cover ``e`` the chain's coefficient at the preimage of
+    ``e``: an automorphism maps covers to covers, lower end to lower end,
+    so no sign enters.  So each non-tree cover is pulled back through the
+    inverse map and the basis's own row at the preimage gathered, at C
+    level; each free row of ``U`` then times the gathered rows
+    (:func:`row_times`).  A unit row of ``U`` (every row on the built
+    spaces, whose reduction keeps no relation) gives the gathered row
+    itself, shared with the basis rather than copied.  Functorial by construction: composing automorphisms
+    multiplies the matrices.
     """
-    edges = basis.edges
     inverse = [-1] * len(automorphism.images)
     for i, image in enumerate(automorphism.images):
         inverse[image] = i
     if -1 in inverse:
         raise ValueError("the H1 action is pulled back through an automorphism, "
                          "and this map is not a bijection")
-    positions, chains_by_edge = basis.edge_positions, basis.chains_by_edge
-    accs: list[dict[int, int]] = [{} for _ in basis.basis_chains]
-    for target, entries in basis.u_columns.items():
-        u, v = edges[target]
-        for j, coeff in chains_by_edge.get(positions[inverse[u], inverse[v]], ()):
-            acc = accs[j]
-            for coordinate, value in entries:
-                acc[coordinate] = acc.get(coordinate, 0) + coeff * value
-    return tuple(tuple(sorted((k, v) for k, v in acc.items() if v)) for acc in accs)
+    covers = tuple(map(basis.edges.__getitem__, basis.nontree))
+    preimages = zip(map(inverse.__getitem__, map(itemgetter(0), covers)),
+                    map(inverse.__getitem__, map(itemgetter(1), covers)))
+    gathered = tuple(map(basis.cover_rows.__getitem__,
+                         map(basis.edge_positions.__getitem__, preimages)))
+    return tuple(map(row_times, basis.u_rows, repeat(gathered)))
 
 
-def dense_matrix(columns) -> tuple[tuple[int, ...], ...]:
-    """Square sparse columns as a tuple of rows (zeros written out)."""
-    rows = [[0] * len(columns) for _ in columns]
-    for j, column in enumerate(columns):
-        for i, value in column:
-            rows[i][j] = value
-    return tuple(map(tuple, rows))
+def row_times(row, matrix):
+    """The sparse row ``row`` times the matrix of sparse rows ``matrix``.
+
+    A unit row is one gather: it returns the row of ``matrix`` itself, not
+    a copy.  Any other row sums the rows it names, in basis order.
+    """
+    if len(row) == 1 and row[0][1] == 1:
+        return matrix[row[0][0]]
+    acc: dict[int, int] = {}
+    for k, x in row:
+        for j, y in matrix[k]:
+            acc[j] = acc.get(j, 0) + x * y
+    return tuple(sorted((j, v) for j, v in acc.items() if v))
+
+
+def dense_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Square sparse rows written out with their zeros."""
+    dense = []
+    size = len(rows)
+    for row in rows:
+        values = [0] * size
+        for j, value in row:
+            values[j] = value
+        dense.append(tuple(values))
+    return tuple(dense)
 
 
 def h1_action_matrix(basis: CycleBasis, automorphism: PosetMap):
-    """:func:`h1_action_columns` as a dense tuple of rows."""
-    return dense_matrix(h1_action_columns(basis, automorphism))
+    """:func:`h1_action_rows` as a dense tuple of rows."""
+    return dense_rows(h1_action_rows(basis, automorphism))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .errors import MapError, SizeLimitExceeded
 from .groups import FiniteGroup
@@ -166,11 +166,10 @@ class AutomorphismGroup:
 
     def acts_freely(self) -> bool:
         """No non-identity element fixes any point (empty spaces count)."""
-        identity = tuple(range(len(self.space)))
-        return all(
-            all(m.images[i] != i for i in range(len(self.space)))
-            for m in self.maps
-            if m.images != identity
+        points = range(len(self.space))
+        identity = tuple(points)
+        return not any(
+            any(map(eq, m.images, points)) for m in self.maps if m.images != identity
         )
 
     def stabilizer_sizes(self) -> dict[int, int]:

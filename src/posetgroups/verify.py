@@ -20,14 +20,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cache, partial
+from itertools import compress
+from operator import ne
 
 from .complexes import (
     OrderComplex,
     cycle_basis,
-    h1_action_columns,
+    h1_action_rows,
     hasse_undirected,
     homology_summary,
     order_complex,
+    row_times,
 )
 from .groups import _greedy_generators
 from .homotopy import AutomorphismGroup, extension_restriction_check
@@ -187,11 +191,12 @@ def _check_base_free_action(ctx: _Context):
 
 
 def _check_base_level_preservation(ctx: _Context):
-    base = ctx.space(_BASE)
+    levels = [lab.level for lab in ctx.space(_BASE).labels]
     for k, m in enumerate(ctx.auts(_BASE).maps):
-        for i, lab in enumerate(base.labels):
-            if base.labels[m.images[i]].level != lab.level:
-                return FAIL, f"automorphism {k} moves a level-{lab.level} point"
+        moved = compress(levels, map(ne, map(levels.__getitem__, m.images), levels))
+        level = next(moved, None)  # the level of the first point moved off it
+        if level is not None:
+            return FAIL, f"automorphism {k} moves a level-{level} point"
     return PASS, "every automorphism preserves column levels"
 
 
@@ -325,30 +330,22 @@ def _check_h1_action_faithful(ctx: _Context):
     ctx.require_gadgets()
     basis = cycle_basis(ctx.complex(ctx.key))
     auts = ctx.auts(ctx.key)
-    matrices = [h1_action_columns(basis, m) for m in auts.maps]
+    matrices = [h1_action_rows(basis, m) for m in auts.maps]
     if matrices[auts.identity_index()] != tuple(((j, 1),) for j in range(basis.betti)):
         return FAIL, "the identity automorphism does not act as the identity matrix"
     if len(set(matrices)) != len(matrices):
         return FAIL, "two automorphisms induce the same matrix on first homology"
 
-    def matmul(a, b):
-        """a·b by sparse columns: column j of b combines the columns of a."""
-        product = []
-        for column in b:
-            acc: dict[int, int] = {}
-            for k, y in column:
-                for i, x in a[k]:
-                    acc[i] = acc.get(i, 0) + x * y
-            product.append(tuple(sorted((i, v) for i, v in acc.items() if v)))
-        return tuple(product)
-
     # M(a·s) = M(a)·M(s) for every a and each generator s gives
     # M(a·b) = M(a)·M(b) for all b, by induction on the length of b as a
     # word; the induction needs the table to be a group table, which
     # as_group() checks (associativity included) before any product.
+    # Rows are shared across the maps (each is a basis row gathered at a
+    # cover), so row·M(s) is computed once per distinct row and generator.
     for j in _greedy_generators(auts.as_group()):
+        times = cache(partial(row_times, matrix=matrices[j]))
         for i in range(auts.order):
-            if matmul(matrices[i], matrices[j]) != matrices[auts.table[i][j]]:
+            if tuple(map(times, matrices[i])) != matrices[auts.table[i][j]]:
                 return FAIL, f"matrix composition disagrees for pair ({i}, {j})"
     return PASS, (
         f"{len(matrices)} automorphisms act by {basis.betti}x{basis.betti} "

@@ -17,10 +17,14 @@ then walked for every column, which costs b × nnz(U) per map.  ``U`` is
 taken from its own Smith reduction of the triangles (``oracle_u_rows``),
 so the column view is not used.
 
-``oracle_h1_action_columns`` is the push-forward form of
-:func:`posetgroups.h1_action_columns`: every edge of every basis chain is
-pushed through the map and scattered through ``u_columns``.  It reads any
-basis, the library's or the oracle's.
+``h1_action_columns`` is the library's former column scatter: each
+cover in the support of ``U`` is pulled back through the inverse map and
+its column of ``U`` scattered into the basis cycles through the preimage
+cover.  Its transpose must equal :func:`posetgroups.h1_action_rows`, which
+gathers rows instead; ``dense_matrix`` writes its columns out as dense
+rows.  ``oracle_h1_action_columns`` is the push-forward form: every edge of
+every basis chain is pushed through the map and scattered through the
+columns of ``U``.  It reads any basis, the library's or the oracle's.
 
 ``betti`` reads Betti numbers off the boundary matrices of
 :func:`posetgroups.complexes.chain_complex`, one Smith reduction per
@@ -117,21 +121,17 @@ def oracle_cycle_basis(cx) -> CycleBasis:
             for pos, v in fundamentals[t].items():
                 chain[pos] = chain.get(pos, 0) + coeff * v
         chains.append({pos: v for pos, v in chain.items() if v})
-    chains_by_edge: dict[int, list] = {}
+    cover_rows: list[list] = [[] for _ in edges]
     for j, chain in enumerate(chains):
         for pos, coeff in chain.items():
-            chains_by_edge.setdefault(pos, []).append((j, coeff))
-    u_columns: dict[int, list] = {}
-    for coordinate, row in enumerate(free):
-        for t, value in snf.u[row].items():
-            u_columns.setdefault(nontree[t], []).append((coordinate, value))
+            cover_rows[pos].append((j, coeff))
     return CycleBasis(
         edges=edges,
         edge_positions=position,
         nontree=nontree,
         basis_chains=tuple(chains),
-        u_columns={pos: tuple(entries) for pos, entries in u_columns.items()},
-        chains_by_edge={pos: tuple(hits) for pos, hits in chains_by_edge.items()},
+        u_rows=tuple(tuple(snf.u[row].items()) for row in free),
+        cover_rows=tuple(map(tuple, cover_rows)),
         free_rows=free,
         torsion=snf.torsion,
         components=components,
@@ -151,19 +151,56 @@ def _pushed(basis, chain, images):
     return pushed
 
 
-def _coordinates(basis, chain) -> dict[int, int]:
-    """Free coordinates of a 1-cycle given by the basis's edge positions."""
+def u_columns(basis) -> dict[int, list[tuple[int, int]]]:
+    """The free rows of ``U`` by columns: a non-tree edge position maps to
+    its ``(coordinate, value)`` nonzeros, and an edge with none is absent."""
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for coordinate, entries in enumerate(basis.u_rows):
+        for t, value in entries:
+            columns.setdefault(basis.nontree[t], []).append((coordinate, value))
+    return columns
+
+
+def _coordinates(columns, chain) -> dict[int, int]:
+    """Free coordinates of a 1-cycle given by edge positions, through ``U``'s columns."""
     acc: dict[int, int] = {}
     for pos, coeff in chain.items():
-        for coordinate, value in basis.u_columns.get(pos, ()):
+        for coordinate, value in columns.get(pos, ()):
             acc[coordinate] = acc.get(coordinate, 0) + coeff * value
     return {k: v for k, v in acc.items() if v}
 
 
+def h1_action_columns(basis, automorphism):
+    """Sparse columns of the action: column ``j`` lists the nonzeros of the
+    image of basis cycle ``j`` as ``(coordinate, value)`` pairs."""
+    edges, positions = basis.edges, basis.edge_positions
+    inverse = [-1] * len(automorphism.images)
+    for i, image in enumerate(automorphism.images):
+        inverse[image] = i
+    accs: list[dict[int, int]] = [{} for _ in basis.basis_chains]
+    for target, entries in u_columns(basis).items():
+        u, v = edges[target]
+        for j, coeff in basis.cover_rows[positions[inverse[u], inverse[v]]]:
+            acc = accs[j]
+            for coordinate, value in entries:
+                acc[coordinate] = acc.get(coordinate, 0) + coeff * value
+    return tuple(tuple(sorted((k, v) for k, v in acc.items() if v)) for acc in accs)
+
+
+def dense_matrix(columns) -> tuple[tuple[int, ...], ...]:
+    """Square sparse columns as a tuple of rows (zeros written out)."""
+    rows = [[0] * len(columns) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, value in column:
+            rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
 def oracle_h1_action_columns(basis, automorphism):
     """Sparse columns of the action, each chain edge pushed forward."""
+    columns = u_columns(basis)
     return tuple(
-        tuple(sorted(_coordinates(basis, _pushed(basis, chain, automorphism.images)).items()))
+        tuple(sorted(_coordinates(columns, _pushed(basis, chain, automorphism.images)).items()))
         for chain in basis.basis_chains
     )
 
@@ -175,7 +212,7 @@ def oracle_coordinates(oracle, cover_chain, covers) -> tuple[int, ...]:
         a, b = covers[pos]
         key, sign = ((a, b), coeff) if a < b else ((b, a), -coeff)
         chain[oracle.edge_positions[key]] = chain.get(oracle.edge_positions[key], 0) + sign
-    coords = _coordinates(oracle, chain)
+    coords = _coordinates(u_columns(oracle), chain)
     return tuple(coords.get(i, 0) for i in range(oracle.betti))
 
 

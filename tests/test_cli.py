@@ -223,6 +223,32 @@ def test_h1_action_streams_the_whole_documents(capsys, tmp_path, mode):
         assert target.read_text(encoding="utf-8") == want
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_h1_action_writes_the_first_matrix_before_the_last_map_is_computed(
+    capsys, monkeypatch, flags
+):
+    text, doc = h1_action_documents(build_space(spec_for(builtin_group("cyclic:3"), ["a"])))
+    first = json.loads(doc)["matrices"][0]
+    if flags:
+        shown = json.dumps(first, indent=2).replace("\n", "\n    ")
+    else:
+        shown = "f0:\n" + "".join("  " + " ".join(f"{v:3d}" for v in row) + "\n"
+                                  for row in first)
+    real, calls, before_last = cli.h1_action_rows, [], []
+
+    def watched(basis, automorphism):
+        calls.append(automorphism)
+        if len(calls) == 3:  # the last of the three maps of cyclic:3
+            before_last.append(capsys.readouterr().out)
+        return real(basis, automorphism)
+
+    monkeypatch.setattr(cli, "h1_action_rows", watched)
+    assert main(["h1-action", "--group", "cyclic:3", *flags]) == 0
+    (head,) = before_last
+    assert shown in head
+    assert head + capsys.readouterr().out == (doc if flags else text)
+
+
 def test_export_dot(capsys, tmp_path):
     target = tmp_path / "space.dot"
     code, out, _ = run(

@@ -11,13 +11,14 @@ from posetgroups import (
     complexes,
     AutomorphismGroup,
     FinitePoset,
+    PosetMap,
     SizeLimitExceeded,
     build_space,
     builtin_group,
     all_automorphisms,
     cycle_basis,
-    h1_action_columns,
     h1_action_matrix,
+    h1_action_rows,
     hasse_undirected,
     homology_summary,
     order_complex,
@@ -28,6 +29,8 @@ from posetgroups.complexes import chain_complex
 
 from complexes_oracle import (
     betti,
+    dense_matrix,
+    h1_action_columns,
     oracle_coordinates,
     oracle_cycle_basis,
     oracle_h1_action_columns,
@@ -246,6 +249,8 @@ def test_basis_chains_expand_non_unit_columns_of_u_inverse(monkeypatch):
     assert (basis.betti, basis.torsion) == (1, (2,))
     (snf,) = reductions
     assert any(v != 1 for row in snf.free_rows() for v in snf.u_inv[row].values())
+    # U is not the identity either, so the H1 rows sum gathered rows through it
+    assert basis.u_rows != tuple(((t, 1),) for t in range(basis.betti))
     for j, chain in enumerate(basis.basis_chains):
         assert chain_boundary(basis.edges, chain) == {}
         # the chain's coordinates through U are the unit vector e_j
@@ -388,6 +393,15 @@ def assert_homology_matches_oracle(space):
     return cx, basis, oracle
 
 
+def transposed(columns):
+    """Square sparse columns read as sparse rows."""
+    rows = [[] for _ in columns]
+    for j, column in enumerate(columns):
+        for i, value in column:
+            rows[i].append((j, value))
+    return tuple(map(tuple, rows))
+
+
 def assert_action_matches_oracle(space):
     """The cover basis and the oracle's are one integer change of basis P
     apart, |det P| = 1, and every automorphism a has M_oracle(a)·P =
@@ -403,10 +417,12 @@ def assert_action_matches_oracle(space):
         columns = h1_action_columns(basis, m)
         assert all(v and list(c) == sorted(c) for c in columns for _, v in c)
         assert columns == oracle_h1_action_columns(basis, m)
+        # the row gathers are the column scatter transposed
+        assert h1_action_rows(basis, m) == transposed(columns)
+        dense = h1_action_matrix(basis, m)
+        assert dense == dense_matrix(columns)
         if basis.betti:
-            assert matmul(oracle_h1_action_matrix(oracle, m), change) == matmul(
-                change, h1_action_matrix(basis, m)
-            )
+            assert matmul(oracle_h1_action_matrix(oracle, m), change) == matmul(change, dense)
 
 
 @given(small_posets())
@@ -444,7 +460,7 @@ def test_action_matrix_equals_oracle_on_random_posets(poset):
 
 
 @pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
-@pytest.mark.parametrize("mode", ["sonly", "sandt"])
+@pytest.mark.parametrize("mode", ["none", "sonly", "sandt"])
 @settings(max_examples=2, deadline=None)
 @given(data=st.data())
 def test_action_matrix_equals_oracle_on_shuffled_built_spaces(group, mode, data):
@@ -452,3 +468,25 @@ def test_action_matrix_equals_oracle_on_shuffled_built_spaces(group, mode, data)
     assert_action_matches_oracle(
         permuted_copy(space, data.draw(st.permutations(range(len(space)))))
     )
+
+
+@pytest.mark.parametrize("mode", ["none", "sonly", "sandt"])
+def test_unit_rows_of_u_gather_the_basis_rows_themselves(mode):
+    # Every row of U is a unit row on a built space, so every row of a map's
+    # matrix must be the basis's own stored row, not a copy of it.
+    space = built_space("dihedral:3", mode)
+    basis = cycle_basis(order_complex(space))
+    assert all(len(entries) == 1 and entries[0][1] == 1 for entries in basis.u_rows)
+    for m in all_automorphisms(space):
+        rows = h1_action_rows(basis, m)
+        for i, ((t, _),) in enumerate(basis.u_rows):
+            u, v = basis.edges[basis.nontree[t]]
+            preimage = basis.edge_positions[m.images.index(u), m.images.index(v)]
+            assert rows[i] is basis.cover_rows[preimage]
+
+
+def test_action_rows_reject_a_map_that_is_not_a_bijection(crown):
+    basis = cycle_basis(order_complex(crown))
+    constant = PosetMap(crown, crown, (0,) * len(crown))
+    with pytest.raises(ValueError, match="this map is not a bijection"):
+        h1_action_rows(basis, constant)

@@ -14,6 +14,7 @@ from posetgroups import (
     CHECK_NAMES,
     AutomorphismGroup,
     FinitePoset,
+    PosetMap,
     VerifyOptions,
     build_space,
     builtin_group,
@@ -214,15 +215,15 @@ def test_h1_check_fails_on_one_corrupted_matrix(monkeypatch, k):
     ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
     assert h1_check(ctx).status == "PASS"
     wrong = ctx.auts(ctx.key).maps[k]
-    real = verify.h1_action_columns
+    real = verify.h1_action_rows
 
     def corrupted(basis, automorphism):
-        columns = real(basis, automorphism)
+        rows = real(basis, automorphism)
         if automorphism is not wrong:
-            return columns
-        return (columns[1], columns[0]) + columns[2:]
+            return rows
+        return (rows[1], rows[0]) + rows[2:]
 
-    monkeypatch.setattr(verify, "h1_action_columns", corrupted)
+    monkeypatch.setattr(verify, "h1_action_rows", corrupted)
     assert h1_check(ctx).status == "FAIL"
 
 
@@ -256,6 +257,48 @@ def test_h1_check_fails_on_a_relabelled_group_table():
     result = h1_check(ctx)
     assert result.status == "FAIL"
     assert result.detail.startswith("matrix composition disagrees for pair")
+
+
+# -- per-map checks of the column space on injected maps ---------------------
+
+
+def base_check(ctx, name):
+    return verify._run_check(name, dict(verify.REGISTRY)[name], ctx)
+
+
+def with_extra_base_map(images):
+    """A cyclic:3 context whose column-space group has one more map, unchecked."""
+    ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
+    base, auts = ctx.space(verify._BASE), ctx.auts(verify._BASE)
+    extra = PosetMap._trusted(base, base, tuple(images(base, auts)))
+    ctx._cache["auts", verify._BASE] = replace(auts, maps=auts.maps + (extra,))
+    return ctx
+
+
+def test_free_action_check_fails_on_a_map_fixing_a_point():
+    def fixing_point_0(base, auts):
+        moving = next(m for m in auts.maps if m.images[0] != 0)
+        return (0,) + moving.images[1:]
+
+    ctx = with_extra_base_map(fixing_point_0)
+    assert not ctx.auts(verify._BASE).acts_freely()
+    result = base_check(ctx, "base-free-action")
+    assert (result.status, result.detail) == ("FAIL", "point 0 is fixed by 2 automorphisms")
+
+
+def test_level_check_fails_on_a_map_moving_a_level():
+    def swapping_two_levels(base, auts):
+        images = list(range(len(base)))
+        first = base.labels[0].level
+        other = next(i for i, lab in enumerate(base.labels) if lab.level != first)
+        images[0], images[other] = other, 0
+        return images
+
+    # point 0 is the level -1 point of column 0; the injected map is the 4th
+    result = base_check(with_extra_base_map(swapping_two_levels), "base-level-preservation")
+    assert (result.status, result.detail) == ("FAIL", "automorphism 3 moves a level--1 point")
+    assert base_check(with_extra_base_map(lambda base, auts: range(len(base))),
+                      "base-level-preservation").status == "PASS"
 
 
 def test_a_searched_and_verified_space_is_freed_with_its_indexes(c3_spec):
