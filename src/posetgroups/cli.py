@@ -253,12 +253,11 @@ def _cmd_selfmaps(args) -> int:
 def _cmd_homology(args) -> int:
     space = _resolve_space(args)
     cx = order_complex(space)
-    counts = [len(level) for level in cx.simplices]
     hs = homology_summary(cx)
     graph = hasse_undirected(space)
     if args.json:
         doc = {
-            "simplex_counts": counts,
+            "simplex_counts": list(cx.counts),
             "b0": hs.b0,
             "b1": hs.b1,
             "h1_torsion": list(hs.h1_torsion),
@@ -267,7 +266,7 @@ def _cmd_homology(args) -> int:
         _emit(json.dumps(doc, indent=2), args)
         return 0
     lines = [
-        "simplices by dimension: " + ", ".join(map(str, counts)),
+        "simplices by dimension: " + ", ".join(map(str, cx.counts)),
         f"b0 = {hs.b0}",
         f"b1 = {hs.b1}",
         f"H1 torsion: {list(hs.h1_torsion) if hs.h1_torsion else 'none'}",

@@ -3,10 +3,11 @@
 The simplicial complex of a finite poset has the totally ordered subsets
 as simplices; its geometric realization carries the same weak homotopy
 type as the poset viewed as a finite space, so Betti numbers computed here
-are honest invariants of the space.  As a cheap cross-check, the
-undirected covering graph of the spaces built in this package has the same
-first Betti number as the full complex (asserted in tests, and exposed via
-:func:`hasse_undirected`).
+are honest invariants of the space.  It is counted, not listed: its
+chains are listed only when read, and only the test oracles read them.
+As a cheap cross-check, the undirected covering graph of the spaces built
+in this package has the same first Betti number as the full complex
+(asserted in tests, and exposed via :func:`hasse_undirected`).
 
 Homology is not reduced on the complex itself.  An acyclic matching in the
 sense of discrete Morse theory (Forman 1998; the coreductions of
@@ -24,59 +25,57 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import SizeLimitExceeded
 from .posets import FinitePoset, PosetMap, bits
 from .snf import smith_normal_form
 
 DEFAULT_SIMPLEX_LIMIT = 2_000_000
-TOP_DIM = 2  # chains up to triangles suffice for b0, b1 and H1 torsion
 
 
 @dataclass(frozen=True)
 class OrderComplex:
-    """Chains of a poset, by dimension: ``simplices[k]`` lists the
-    (k+1)-point chains as index-sorted tuples, each list sorted."""
+    """Chains of a poset up to triangles: ``counts[k]`` (k+1)-point chains,
+    trimmed after the last nonzero count (``(0,)`` for the empty poset)."""
 
     space: FinitePoset
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    counts: tuple[int, ...]
 
-    def count(self, dim: int) -> int:
-        if dim >= len(self.simplices):
-            return 0
-        return len(self.simplices[dim])
+    @cached_property
+    def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The chains, listed on first read: ``simplices[k]`` holds the
+        (k+1)-point chains as index-sorted tuples, each level sorted."""
+        n = len(self.space)
+        strict_up = [self.space.up_mask(i) & ~(1 << i) for i in range(n)]
+        levels = [[(i,) for i in range(n)]]  # each chain bottom to top
+        for _ in self.counts[1:]:
+            levels.append([chain + (c,) for chain in levels[-1]
+                           for c in bits(strict_up[chain[-1]])])
+        return tuple(tuple(sorted(tuple(sorted(chain)) for chain in level)) for level in levels)
 
     @cached_property
     def _basis(self) -> CycleBasis:
         """The one Smith reduction behind :func:`homology_summary` and
         :func:`cycle_basis`, computed on first use."""
-        return _reduce(self)
+        return _reduce(self.space)
 
 
 def order_complex(space: FinitePoset, *, limit: int = DEFAULT_SIMPLEX_LIMIT) -> OrderComplex:
-    """Enumerate chains up to dimension :data:`TOP_DIM`."""
-    n = len(space)
-    strict_up = [space.up_mask(i) & ~(1 << i) for i in range(n)]
-    by_dim: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
-    total = n
-    frontier = [((i,), i) for i in range(n)]
-    for _ in range(TOP_DIM):
-        grown: list[tuple[tuple[int, ...], int]] = []
-        for chain, top in frontier:
-            for nxt in bits(strict_up[top]):
-                grown.append((chain + (nxt,), nxt))
-                total += 1
-                if total > limit:
-                    raise SizeLimitExceeded(
-                        f"order complex enumeration stopped after {limit} simplices, "
-                        "its limit; raise it with the limit argument of order_complex()"
-                    )
-        if not grown:
-            break
-        by_dim.append(sorted(tuple(sorted(chain)) for chain, _ in grown))
-        frontier = grown
-    return OrderComplex(space, tuple(tuple(level) for level in by_dim))
+    """Count the chains up to triangles without listing them: a < b counts
+    at b, one of |down(b)| - 1 points below it, and a < b < c at its
+    middle b, one of (|down(b)| - 1)(|up(b)| - 1) pairs."""
+    below = [space.down_mask(i).bit_count() - 1 for i in range(len(space))]
+    above = [space.up_mask(i).bit_count() - 1 for i in range(len(space))]
+    edges, triangles = sum(below), sum(map(mul, below, above))
+    total = len(space) + edges + triangles
+    if total > limit:
+        raise SizeLimitExceeded(
+            f"order complex has {total} simplices, over its limit of {limit}; "
+            "raise it with the limit argument of order_complex()"
+        )
+    kept = 1 + bool(edges) + bool(triangles)  # dimensions up to the last nonempty one
+    return OrderComplex(space, (len(space), edges, triangles)[:kept])
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class ChainComplex:
 
 
 def chain_complex(cx: OrderComplex) -> ChainComplex:
-    counts = tuple(cx.count(d) for d in range(len(cx.simplices)))
     boundaries: list[tuple[tuple[int, int, int], ...]] = [()]
     for k in range(1, len(cx.simplices)):
         index = {s: i for i, s in enumerate(cx.simplices[k - 1])}
@@ -115,7 +113,7 @@ def chain_complex(cx: OrderComplex) -> ChainComplex:
                     acc[r2] = acc.get(r2, 0) + v * v2
             if any(acc.values()):
                 raise AssertionError("boundary of boundary is not zero")
-    return ChainComplex(counts, tuple(boundaries))
+    return ChainComplex(cx.counts, tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -198,8 +196,7 @@ def cycle_basis(cx: OrderComplex) -> CycleBasis:
     return cx._basis
 
 
-def _reduce(cx: OrderComplex) -> CycleBasis:
-    space = cx.space
+def _reduce(space: FinitePoset) -> CycleBasis:
     n = len(space)
     edges = space.hasse
     edge_positions = {e: k for k, e in enumerate(edges)}

@@ -74,7 +74,8 @@ _BASE = (GadgetMode("none"), False)  # the column space
 
 class _Context:
     """Lazy, error-caching store: one space and automorphism group per
-    ``(mode, pointed)`` key, and the order complex of the run's own key."""
+    ``(mode, pointed)`` key, and the order complex of the run's own key:
+    its simplex counts and, once read, its cycle basis, never its chains."""
 
     def __init__(self, spec: ConstructionSpec, options: VerifyOptions):
         self.spec = spec

@@ -4,7 +4,7 @@ import re
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetgroups import (
@@ -13,6 +13,7 @@ from posetgroups import (
     FinitePoset,
     PosetMap,
     SizeLimitExceeded,
+    add_basepoint,
     build_space,
     builtin_group,
     all_automorphisms,
@@ -119,18 +120,57 @@ def test_dim_cap():
     chain4 = FinitePoset.from_relations(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3)])
     cx = order_complex(chain4)
     assert [len(level) for level in cx.simplices] == [4, 6, 4]
-    assert cx.count(3) == 0
+    assert cx.counts == (4, 6, 4)
 
 
 def test_simplex_limit(crown):
     # The message names the layer, how far it got and the argument that
     # raises the limit (no flag or environment variable does).
     with pytest.raises(SizeLimitExceeded, match=re.escape(
-        "order complex enumeration stopped after 5 simplices, its limit; "
+        "order complex has 8 simplices, over its limit of 5; "
         "raise it with the limit argument of order_complex()"
     )):
         order_complex(crown, limit=5)
     assert len(order_complex(crown, limit=8).simplices[1]) == 4
+    # the points count too, so a poset with no relation is bounded as well
+    antichain = FinitePoset.from_relations(list(range(10)), [])
+    with pytest.raises(SizeLimitExceeded, match="has 10 simplices, over its limit of 5;"):
+        order_complex(antichain, limit=5)
+
+
+def assert_counts_match_the_listing(space):
+    """The counts are the chains' own, and the limit bounds their exact total."""
+    cx = order_complex(space)
+    assert cx.counts == tuple(map(len, cx.simplices))
+    total = sum(cx.counts)
+    assert order_complex(space, limit=total).counts == cx.counts
+    with pytest.raises(SizeLimitExceeded, match=re.escape(
+        f"order complex has {total} simplices, over its limit of {total - 1}; "
+    )):
+        order_complex(space, limit=total - 1)
+
+
+@given(small_posets())
+@example(FinitePoset.from_relations([], []))
+@example(FinitePoset.from_relations(list(range(5)), []))
+@example(FinitePoset.from_relations(list(range(4)), [(0, 1), (1, 2), (2, 3)]))
+@settings(max_examples=80, deadline=None)
+def test_counts_match_the_listing_on_random_posets(poset):
+    assert_counts_match_the_listing(poset)
+
+
+@pytest.mark.parametrize("group, mode, pointed", [
+    ("cyclic:3", "sandt", False), ("dihedral:4", "sandt:2", True),
+])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_counts_match_the_listing_on_shuffled_built_spaces(group, mode, pointed, data):
+    space = built_space(group, mode)
+    if pointed:
+        space = add_basepoint(space)
+    assert_counts_match_the_listing(
+        permuted_copy(space, data.draw(st.permutations(range(len(space)))))
+    )
 
 
 # -- Betti numbers -------------------------------------------------------------
