@@ -146,23 +146,33 @@ def _emit_chunks(chunks, args) -> None:
 def _json_chunks(fields, streamed):
     """The text of ``json.dumps(dict(fields), indent=2)``, in chunks.
 
-    A field named in ``streamed`` holds an iterable and becomes a JSON
-    list written one ``json.dumps`` per element, so only one element's
-    text is ever held.  Every other field is written whole.  ``fields``
+    A field named in ``streamed`` holds an iterable, written by
+    :func:`_json_list`; every other field is written whole.  ``fields``
     is read lazily, a field only after the one before it is written.
     """
-    yield "{"
-    for k, (key, value) in enumerate(fields):
-        head = ("," if k else "") + f"\n  {json.dumps(key)}: "
-        if key not in streamed:
-            yield head + json.dumps(value, indent=2).replace("\n", "\n  ")
-            continue
-        sep = head + "["
-        for element in value:
-            yield sep + "\n    " + json.dumps(element, indent=2).replace("\n", "\n    ")
-            sep = ","
-        yield head + "[]" if sep != "," else "\n  ]"
-    yield "\n}"
+    sep = "{"
+    for key, value in fields:
+        yield sep + f"\n  {json.dumps(key)}: "
+        if key in streamed:
+            yield from _json_list(value, "\n  ")
+        else:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        sep = ","
+    yield "{}" if sep == "{" else "\n}"
+
+
+def _json_list(values, newline):
+    """``json.dumps(list(values), indent=2)``, lines after the first led by
+    ``newline``, one element at a time and a list of lists one row at a time."""
+    sep = "["
+    for value in values:
+        yield sep + newline + "  "
+        if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
+            yield from _json_list(value, newline + "  ")
+        else:
+            yield json.dumps(value, indent=2).replace("\n", newline + "  ")
+        sep = ","
+    yield "[]" if sep == "[" else newline + "]"
 
 
 def _cmd_build(args) -> int:
@@ -280,10 +290,10 @@ def _cmd_h1_action(args) -> int:
     space = _resolve_space(args)
     basis = cycle_basis(order_complex(space))
     auts = AutomorphismGroup.of(space, budget=args.budget_aut)
-    # Each map is computed, densified and written before the next, so only
-    # one dense matrix is ever held.  Its sparse rows are kept for
-    # ``distinct``; on the built spaces they are the basis's own rows, so
-    # that costs a reference per row.
+    # Each map is computed, densified and written a row at a time before
+    # the next, so only one dense matrix and one row of text are ever held.
+    # Its sparse rows are kept for ``distinct``; on the built spaces they
+    # are the basis's own rows, so that costs a reference per row.
     seen = []
 
     def matrices():
@@ -307,9 +317,9 @@ def _cmd_h1_action(args) -> int:
     def text_chunks():
         yield f"rank of first homology: {basis.betti}\nautomorphisms: {auts.order}\n"
         for k, rows in enumerate(matrices()):
-            yield f"f{k}:\n" + "".join(
-                "  " + " ".join(f"{v:3d}" for v in row) + "\n" for row in rows
-            )
+            yield f"f{k}:\n"
+            for row in rows:
+                yield "  " + " ".join(f"{v:3d}" for v in row) + "\n"
         yield "matrices pairwise distinct: " + ("yes" if distinct() else "no")
 
     _emit_chunks(text_chunks(), args)

@@ -166,9 +166,10 @@ class CycleBasis:
     any cover cycle into free-part coordinates: ``coords = (U @
     nontree_coeffs)`` restricted to the non-pivot rows.  ``u_rows`` holds
     those rows by coordinate, each as its ``(non-tree slot, value)``
-    nonzeros.  ``cover_rows`` is ``basis_chains`` by covers: position ``p``
-    holds the ``(basis index, coefficient)`` nonzeros of cover ``p``, in
-    basis order, and ``()`` when no basis cycle runs through it.
+    nonzeros.  ``cover_rows``, the one record of the basis cycles, holds
+    them by cover: position ``p`` holds the ``(basis index, coefficient)``
+    nonzeros of cover ``p``, in basis order, and ``()`` when no basis
+    cycle runs through it.
     ``components`` counts the trees of the forest, which is b0.
 
     It is the complex's memo, shared by every caller; treat it as
@@ -179,16 +180,14 @@ class CycleBasis:
     edges: tuple[tuple[int, int], ...]
     edge_positions: dict[tuple[int, int], int]
     nontree: tuple[int, ...]
-    basis_chains: tuple[dict[int, int], ...]
     u_rows: tuple[tuple[tuple[int, int], ...], ...]
     cover_rows: tuple[tuple[tuple[int, int], ...], ...]
-    free_rows: tuple[int, ...]
     torsion: tuple[int, ...]
     components: int
 
     @property
     def betti(self) -> int:
-        return len(self.free_rows)
+        return len(self.u_rows)
 
 
 def cycle_basis(cx: OrderComplex) -> CycleBasis:
@@ -235,13 +234,11 @@ def _reduce(space: FinitePoset) -> CycleBasis:
     # the cover path P(a, c) = (a, s) + P(s, c).  ``paths[a][c]`` holds the
     # non-tree covers of P(a, c) as slots in path order; an upward path
     # takes each cover once and forward.  Points are visited after their
-    # upper covers, and the first cover of a to reach c is s.  Both this
+    # upper covers: a < s leaves |up(s)| < |up(a)|, so ascending up-set
+    # size is enough.  The first cover of a to reach c is s.  Both this
     # pass and the next cost one step per triangle.
-    pending = [len(up[i]) for i in range(n)]
-    ready = [i for i in range(n) if not pending[i]]
     paths: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
-    while ready:
-        a = ready.pop()
+    for a in sorted(range(n), key=lambda i: space.up_mask(i).bit_count()):
         here = paths[a]
         for s in up[a]:
             t = slot.get(edge_positions[a, s])
@@ -250,10 +247,6 @@ def _reduce(space: FinitePoset) -> CycleBasis:
             for c, rest in paths[s].items():
                 if c not in here:
                     here[c] = first + rest if first else rest
-        for b in down[a]:
-            pending[b] -= 1
-            if not pending[b]:
-                ready.append(b)
 
     # Every unmatched triangle a < b < c is a relation P(a, b) + P(b, c) -
     # P(a, c) among the cover cycles; the matched ones (b = s) and those
@@ -292,32 +285,27 @@ def _reduce(space: FinitePoset) -> CycleBasis:
 
     free = snf.free_rows()
     # Basis representatives: preimages (under U) of the free unit vectors,
-    # expanded from fundamental-cycle coordinates to cover chains.  Only the
-    # fundamental cycles these columns of U^-1 name are ever built.
+    # expanded from fundamental-cycle coordinates and scattered by cover.
+    # Only the fundamental cycles these columns of U^-1 name are built.
     fundamentals: dict[int, dict[int, int]] = {}
-    basis_chains = []
-    for row in free:
+    cover_rows: list[list[tuple[int, int]]] = [[] for _ in edges]
+    for j, row in enumerate(free):
         chain: dict[int, int] = {}
         for t, coeff in snf.u_inv[row].items():
             if t not in fundamentals:
                 fundamentals[t] = fundamental_chain(nontree[t])
             for pos, v in fundamentals[t].items():
                 chain[pos] = chain.get(pos, 0) + coeff * v
-        basis_chains.append({k: v for k, v in chain.items() if v})
-
-    cover_rows: list[list[tuple[int, int]]] = [[] for _ in edges]
-    for j, chain in enumerate(basis_chains):
-        for pos, coeff in chain.items():
-            cover_rows[pos].append((j, coeff))
+        for pos, v in chain.items():
+            if v:
+                cover_rows[pos].append((j, v))
 
     return CycleBasis(
         edges=edges,
         edge_positions=edge_positions,
         nontree=nontree,
-        basis_chains=tuple(basis_chains),
         u_rows=tuple(tuple(snf.u[row].items()) for row in free),
         cover_rows=tuple(map(tuple, cover_rows)),
-        free_rows=free,
         torsion=snf.torsion,
         components=components,
     )

@@ -29,6 +29,9 @@ columns of ``U``.  It reads any basis, the library's or the oracle's.
 ``betti`` reads Betti numbers off the boundary matrices of
 :func:`posetgroups.complexes.chain_complex`, one Smith reduction per
 boundary (``rank_of_boundary``).
+
+``basis_chains`` reads a basis's ``cover_rows`` back into one chain per
+cycle, the form the oracles and the tests check.
 """
 
 from __future__ import annotations
@@ -51,6 +54,16 @@ def betti(cc, k: int) -> int:
     if k < 0 or k >= len(cc.counts):
         return 0
     return cc.counts[k] - rank_of_boundary(cc, k) - rank_of_boundary(cc, k + 1)
+
+
+def basis_chains(basis) -> tuple[dict[int, int], ...]:
+    """The basis cycles as ``{edge position: coefficient}`` chains, read
+    back from ``cover_rows`` (each chain's positions ascending)."""
+    chains: list[dict[int, int]] = [{} for _ in range(basis.betti)]
+    for pos, row in enumerate(basis.cover_rows):
+        for j, coeff in row:
+            chains[j][pos] = coeff
+    return tuple(chains)
 
 
 def _triangle_triples(triangles, position, slot):
@@ -129,10 +142,8 @@ def oracle_cycle_basis(cx) -> CycleBasis:
         edges=edges,
         edge_positions=position,
         nontree=nontree,
-        basis_chains=tuple(chains),
         u_rows=tuple(tuple(snf.u[row].items()) for row in free),
         cover_rows=tuple(map(tuple, cover_rows)),
-        free_rows=free,
         torsion=snf.torsion,
         components=components,
     )
@@ -177,7 +188,7 @@ def h1_action_columns(basis, automorphism):
     inverse = [-1] * len(automorphism.images)
     for i, image in enumerate(automorphism.images):
         inverse[image] = i
-    accs: list[dict[int, int]] = [{} for _ in basis.basis_chains]
+    accs: list[dict[int, int]] = [{} for _ in range(basis.betti)]
     for target, entries in u_columns(basis).items():
         u, v = edges[target]
         for j, coeff in basis.cover_rows[positions[inverse[u], inverse[v]]]:
@@ -201,7 +212,7 @@ def oracle_h1_action_columns(basis, automorphism):
     columns = u_columns(basis)
     return tuple(
         tuple(sorted(_coordinates(columns, _pushed(basis, chain, automorphism.images)).items()))
-        for chain in basis.basis_chains
+        for chain in basis_chains(basis)
     )
 
 
@@ -217,7 +228,8 @@ def oracle_coordinates(oracle, cover_chain, covers) -> tuple[int, ...]:
 
 
 def oracle_u_rows(basis):
-    """Rows of ``U`` as ``{nontree slot: value}``, reduced afresh."""
+    """The Smith reduction of the triangles, afresh: its rows of ``U`` are
+    ``{nontree slot: value}``."""
     # The triangles are the sorted 3-cliques of the edges (the comparable pairs).
     above: dict[int, list[int]] = {}
     for a, b in basis.edges:
@@ -228,24 +240,25 @@ def oracle_u_rows(basis):
     return smith_normal_form(
         _triangle_triples(triangles, basis.edge_positions, slot),
         len(slot), len(triangles), want_transform=True,
-    ).u
+    )
 
 
 def oracle_h1_action_matrix(basis, automorphism):
     """The action on an oracle basis, as dense rows."""
-    u = oracle_u_rows(basis)
+    snf = oracle_u_rows(basis)
+    u, free = snf.u, snf.free_rows()
     slot = {pos: t for t, pos in enumerate(basis.nontree)}
     columns = []
-    for chain in basis.basis_chains:
+    for chain in basis_chains(basis):
         pushed = _pushed(basis, chain, automorphism.images)
         # fundamental coordinates = coefficients on nontree edges
         w = {slot[pos]: v for pos, v in pushed.items() if v and pos in slot}
         columns.append(
             tuple(
                 sum(v * w[t] for t, v in u[row].items() if t in w)
-                for row in basis.free_rows
+                for row in free
             )
         )
     # transpose: rows are output coordinates
-    b = len(basis.free_rows)
+    b = len(free)
     return tuple(tuple(columns[j][i] for j in range(b)) for i in range(b))

@@ -223,6 +223,25 @@ def test_h1_action_streams_the_whole_documents(capsys, tmp_path, mode):
         assert target.read_text(encoding="utf-8") == want
 
 
+def nested_ints(depth):
+    """An int, or a list of ``nested_ints(depth - 1)``, at most ``depth`` deep."""
+    ints = st.integers(-3, 3)
+    return ints if depth == 0 else st.one_of(ints, st.lists(nested_ints(depth - 1), max_size=4))
+
+
+int_matrices = st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=3)
+
+
+@given(st.lists(st.tuples(st.text(max_size=3), st.booleans(), st.one_of(nested_ints(3), int_matrices)),
+                max_size=4, unique_by=lambda drawn: drawn[0]))
+@settings(max_examples=200, deadline=None)
+def test_json_chunks_write_what_json_dumps_writes(drawn):
+    fields = [(key, value) for key, _, value in drawn]
+    streamed = {key for key, stream, value in drawn if stream and isinstance(value, list)}
+    lazy = [(key, (v for v in value) if key in streamed else value) for key, value in fields]
+    assert "".join(cli._json_chunks(lazy, streamed)) == json.dumps(dict(fields), indent=2)
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_h1_action_writes_the_first_matrix_before_the_last_map_is_computed(
     capsys, monkeypatch, flags

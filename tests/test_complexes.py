@@ -29,6 +29,7 @@ from posetgroups import (
 from posetgroups.complexes import chain_complex
 
 from complexes_oracle import (
+    basis_chains,
     betti,
     dense_matrix,
     h1_action_columns,
@@ -261,7 +262,7 @@ def test_cycle_basis_matches_betti(crown, c3_spec):
         basis = cycle_basis(cx)
         assert basis.betti == homology_summary(cx).b1
         assert basis.edges == space.hasse  # the chains live on the covers
-        for chain in basis.basis_chains:
+        for chain in basis_chains(basis):
             assert chain_boundary(basis.edges, chain) == {}
 
 
@@ -291,15 +292,48 @@ def test_basis_chains_expand_non_unit_columns_of_u_inverse(monkeypatch):
     assert any(v != 1 for row in snf.free_rows() for v in snf.u_inv[row].values())
     # U is not the identity either, so the H1 rows sum gathered rows through it
     assert basis.u_rows != tuple(((t, 1),) for t in range(basis.betti))
-    for j, chain in enumerate(basis.basis_chains):
+    for j, chain in enumerate(basis_chains(basis)):
         assert chain_boundary(basis.edges, chain) == {}
         # the chain's coordinates through U are the unit vector e_j
         coords = [
             sum(snf.u[row].get(t, 0) * chain.get(pos, 0) for t, pos in enumerate(basis.nontree))
-            for row in basis.free_rows
+            for row in snf.free_rows()
         ]
         assert coords == [1 if i == j else 0 for i in range(basis.betti)]
     assert_action_matches_oracle(space)
+
+
+def assert_basis_cycles_are_unit_vectors(basis):
+    """Each basis cycle, read back from ``cover_rows``, is a cycle on the
+    covers, and its coordinates through ``u_rows`` are the unit vector e_j."""
+    for j, chain in enumerate(basis_chains(basis)):
+        assert chain_boundary(basis.edges, chain) == {}
+        coords = [sum(v * chain.get(basis.nontree[t], 0) for t, v in row) for row in basis.u_rows]
+        assert coords == [1 if i == j else 0 for i in range(basis.betti)]
+
+
+@given(small_posets())
+# small_posets() rarely draws a cycle, so two are given: a crown (b1 = 1)
+# and three minima under two maxima (b1 = 2)
+@example(FinitePoset.from_relations(list("abcd"), [(0, 2), (0, 3), (1, 2), (1, 3)]))
+@example(FinitePoset.from_relations(list("abcde"), [(a, b) for a in range(3) for b in (3, 4)]))
+@settings(max_examples=80, deadline=None)
+def test_basis_cycles_are_unit_vectors_on_random_posets(poset):
+    assert_basis_cycles_are_unit_vectors(cycle_basis(order_complex(poset)))
+
+
+@pytest.mark.parametrize("group, mode, pointed", [
+    ("cyclic:3", "sandt", False),
+    ("dihedral:4", "sandt:2", True),
+])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_basis_cycles_are_unit_vectors_on_shuffled_built_spaces(group, mode, pointed, data):
+    space = built_space(group, mode)
+    if pointed:
+        space = add_basepoint(space)
+    shuffled = permuted_copy(space, data.draw(st.permutations(range(len(space)))))
+    assert_basis_cycles_are_unit_vectors(cycle_basis(order_complex(shuffled)))
 
 
 def counting_snf(monkeypatch):
@@ -447,10 +481,11 @@ def assert_action_matches_oracle(space):
     apart, |det P| = 1, and every automorphism a has M_oracle(a)·P =
     P·M(a)."""
     cx, basis, oracle = assert_homology_matches_oracle(space)
-    for chain in basis.basis_chains:
+    chains = basis_chains(basis)
+    for chain in chains:
         assert chain_boundary(basis.edges, chain) == {}
     # column j of P is basis cycle j in the oracle's coordinates
-    columns = [oracle_coordinates(oracle, chain, basis.edges) for chain in basis.basis_chains]
+    columns = [oracle_coordinates(oracle, chain, basis.edges) for chain in chains]
     change = tuple(tuple(column[i] for column in columns) for i in range(basis.betti))
     assert abs(determinant(change)) == 1
     for m in all_automorphisms(space):

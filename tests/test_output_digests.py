@@ -48,6 +48,7 @@ COMMANDS = (
     + [
         ("aut", "--group", "symmetric:4", "--json"),
         ("h1-action", "--group", "dihedral:6", "--json"),
+        ("h1-action", "--group", "cyclic:1", "--json"),
         ("homology", "--group", "dihedral:4", "--json"),
         ("homology", "--group", "symmetric:4"),
         ("homology", "--group", "cyclic:4", "--gens", "a2", "--allow-non-generating",
