@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from functools import cached_property
 from operator import eq, itemgetter
 
 from .errors import MapError, SizeLimitExceeded
 from .groups import FiniteGroup
 from .labels import COLUMN, Label, label_at
-from .posets import FinitePoset, PosetMap, bits
+from .posets import FinitePoset, PosetMap, bits, tuple_getter
 from .search import DEFAULT_AUT_BUDGET, all_automorphisms
 
 DEFAULT_MAP_BUDGET = 10**7
@@ -106,6 +107,22 @@ def core(space: FinitePoset) -> CoreResult:
 # -- automorphism groups -----------------------------------------------------
 
 
+def _separating_base(maps):
+    """The first point each non-identity map moves, a key gathering the
+    images there, and each map's position by key.
+
+    For ``g != h`` in a group, ``h⁻¹g`` moves its first point ``b``, so
+    ``g(b) != h(b)``: two maps with one key are not a group, and raise.
+    """
+    firsts = {next((x for x, y in enumerate(m.images) if x != y), None) for m in maps}
+    base = sorted(firsts - {None})
+    key = itemgetter(*base) if base else itemgetter(slice(0))  # () for the trivial group
+    position = {key(m.images): k for k, m in enumerate(maps)}
+    if len(position) != len(maps):
+        raise MapError("two maps agree on the separating base: the maps are not a group")
+    return base, key, position
+
+
 @dataclass(frozen=True)
 class AutomorphismGroup:
     """All self-homeomorphisms of a poset, with their composition table."""
@@ -118,31 +135,13 @@ class AutomorphismGroup:
     def of(cls, space: FinitePoset, *, budget: int = DEFAULT_AUT_BUDGET):
         """Enumerate Aut(space) and tabulate ``table[i][j]`` = maps[i] ∘ maps[j].
 
-        The maps are keyed by their images on a separating base: points
-        taken greedily in index order, each kept only when it tells more
-        maps apart (one point suffices for a free action).  A product is
-        then composed on the base alone and looked up among the
-        edge-verified automorphisms, so no product is validated again; a
-        product missing from that set raises instead of yielding a table.
+        A product is composed on the separating base alone and looked up by
+        that key among the edge-verified automorphisms, so none is validated
+        again; a product missing from the group raises instead of a table.
         """
         maps = tuple(all_automorphisms(space, budget=budget))
-        if len(maps) == 1:  # only the identity, and the base is empty
-            return cls(space, maps, ((0,),))
-        base: list[int] = []
-        keys: list[tuple[int, ...]] = [()] * len(maps)
-        split = 1
-        for x in range(len(space)):
-            longer = [key + (m.images[x],) for key, m in zip(keys, maps)]
-            distinct = len(set(longer))
-            if distinct > split:
-                base.append(x)
-                keys, split = longer, distinct
-                if split == len(maps):
-                    break
-        # itemgetter gives a bare value for one index and a tuple for more:
-        # the same shape on both sides of the lookup.
-        position = {itemgetter(*base)(m.images): k for k, m in enumerate(maps)}
-        getters = [itemgetter(*(m.images[b] for b in base)) for m in maps]
+        base, key, position = _separating_base(maps)
+        getters = [itemgetter(*map(m.images.__getitem__, base)) if base else key for m in maps]
         table = tuple(
             tuple(position.get(inner(outer.images)) for inner in getters)
             for outer in maps
@@ -150,6 +149,16 @@ class AutomorphismGroup:
         if any(None in row for row in table):
             raise MapError("a product of automorphisms is missing from the enumerated set")
         return cls(space, maps, table)
+
+    @cached_property
+    def _keyed(self):
+        return _separating_base(self.maps)
+
+    def index(self, images: tuple[int, ...]) -> int | None:
+        """Position of the map with these images, or ``None``: by base key, then in full."""
+        _, key, position = self._keyed
+        k = position.get(key(images))
+        return k if k is not None and self.maps[k].images == images else None
 
     @property
     def order(self) -> int:
@@ -161,8 +170,7 @@ class AutomorphismGroup:
         return FiniteGroup(labels, self.table)
 
     def identity_index(self) -> int:
-        identity = tuple(range(len(self.space)))
-        return next(k for k, m in enumerate(self.maps) if m.images == identity)
+        return self.index(tuple(range(len(self.space))))
 
     def acts_freely(self) -> bool:
         """No non-identity element fixes any point (empty spaces count)."""
@@ -249,42 +257,38 @@ def extension_restriction_check(
     """
     failures: list[str] = []
     base_positions = [full.index_of(lab) for lab in base.labels]
-    base_set = set(base_positions)
     back = {full_idx: base_idx for base_idx, full_idx in enumerate(base_positions)}
+    on_base = tuple_getter(base_positions)
 
-    restrictions: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for k, m in enumerate(full_group.maps):
-        hit = [m.images[i] for i in base_positions]
-        if any(v not in base_set for v in hit):
+    restrictions = [tuple(map(back.get, on_base(m.images))) for m in full_group.maps]
+    for k, restricted in enumerate(restrictions):
+        if None in restricted:
             failures.append(f"full automorphism {k} moves a column point off the columns")
-            continue
-        restrictions[m.images] = tuple(back[v] for v in hit)
 
-    base_images = {m.images for m in base_group.maps}
-    for full_images, restricted in restrictions.items():
-        if restricted not in base_images:
-            failures.append("a restriction is not an automorphism of the base")
-
-    if len(set(restrictions.values())) != len(restrictions):
+    kept = [base_group.index(r) for r in restrictions if None not in r]
+    missing = kept.count(None)
+    failures += ["a restriction is not an automorphism of the base"] * missing
+    # In a group, two equal restrictions give the identity's restriction twice.
+    if len(set(kept) - {None}) != len(kept) - missing:
         failures.append("two full automorphisms restrict to the same base map")
 
-    extended: dict[tuple[int, ...], tuple[int, ...]] = {}
-    full_images_set = {m.images for m in full_group.maps}
+    extended = 0
     for k, m in enumerate(base_group.maps):
         try:
             lifted = _extension(base, full, base_positions, m.images)
-            if lifted not in full_images_set:
+            j = full_group.index(lifted)
+            if j is None:
                 PosetMap(full, full, lifted)  # words an order failure, if there is one
                 failures.append(f"extension of base automorphism {k} is not an automorphism")
                 continue
         except (MapError, KeyError) as exc:
             failures.append(f"base automorphism {k} does not extend: {exc}")
             continue
-        extended[m.images] = lifted
-        if restrictions.get(lifted) != m.images:
+        extended += 1
+        if restrictions[j] != m.images:
             failures.append(f"restriction does not invert extension for map {k}")
 
-    if len(restrictions) != len(extended) or full_group.order != base_group.order:
+    if len(kept) != extended or full_group.order != base_group.order:
         failures.append(
             f"automorphism counts differ: base {base_group.order}, full {full_group.order}"
         )

@@ -174,10 +174,8 @@ def _check_base_aut_realization(ctx: _Context):
     if auts.order != group.order:
         return FAIL, f"|Aut| = {auts.order}, |G| = {group.order}"
     # Aut = {L_g} with |Aut| = |G| makes g -> L_g an isomorphism onto Aut.
-    translations = {
-        left_translation(base, ctx.spec, g).images for g in range(group.order)
-    }
-    if {m.images for m in auts.maps} != translations:
+    hits = {auts.index(left_translation(base, ctx.spec, g).images) for g in range(group.order)}
+    if None in hits or len(hits) != group.order:
         return FAIL, "automorphisms are not exactly the left translations"
     return PASS, f"|Aut| = {auts.order} and the composition table is isomorphic to G"
 
@@ -209,12 +207,20 @@ def _check_full_point_count(ctx: _Context):
     return status, f"expected {expected}, built {actual}"
 
 
+def _beat_witness(space: FinitePoset) -> str | None:
+    """How many beat points ``space`` has and the first, or ``None`` for a core."""
+    beats = space.beat_points()
+    if not beats:
+        return None
+    i, kind = beats[0]
+    return f"{len(beats)} beat points, e.g. index {i} ({kind})"
+
+
 def _check_full_no_beat_points(ctx: _Context):
     ctx.require_gadgets()
-    beats = ctx.space(ctx.key).beat_points()
-    if beats:
-        i, kind = beats[0]
-        return FAIL, f"{len(beats)} beat points, e.g. index {i} ({kind})"
+    witness = _beat_witness(ctx.space(ctx.key))
+    if witness:
+        return FAIL, witness
     return PASS, "the attached space is its own core (no beat points)"
 
 
@@ -241,6 +247,9 @@ def _check_pointed_star_fixed(ctx: _Context):
         return FAIL, f"{len(moved)} automorphism(s) move the basepoint"
     if auts.order != ctx.spec.group.order:
         return FAIL, f"pointed |Aut| = {auts.order}, |G| = {ctx.spec.group.order}"
+    witness = _beat_witness(space)  # a core's homotopy equivalences are its automorphisms
+    if witness:
+        return FAIL, f"the pointed space has {witness}"
     return PASS, f"basepoint fixed by all {auts.order} automorphisms; order matches G"
 
 
@@ -253,6 +262,10 @@ def _check_variants_distinct(ctx: _Context):
             witness = find_isomorphism(va, vb, budget=ctx.options.budget_aut)
             if witness is not None:
                 return FAIL, f"fence {sizes[a]} and fence {sizes[b]} are isomorphic"
+    for size in sizes:  # Stong: cores are homotopy equivalent only if isomorphic
+        witness = _beat_witness(ctx.space(ctx.fence(size)))
+        if witness:
+            return FAIL, f"fence {size} has {witness}"
     return PASS, f"fence sizes {list(sizes)} pairwise non-isomorphic"
 
 

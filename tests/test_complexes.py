@@ -39,7 +39,7 @@ from complexes_oracle import (
     oracle_h1_action_matrix,
 )
 from conftest import fixture_space
-from test_posets import small_posets
+from test_posets import crown_posets, small_posets
 from test_search import built_space, permuted_copy
 
 
@@ -500,7 +500,7 @@ def assert_action_matches_oracle(space):
             assert matmul(oracle_h1_action_matrix(oracle, m), change) == matmul(change, dense)
 
 
-@given(small_posets())
+@given(st.one_of(small_posets(), crown_posets()))
 @settings(max_examples=80, deadline=None)
 def test_homology_equals_oracle_on_random_posets(poset):
     assert_homology_matches_oracle(poset)
@@ -528,7 +528,7 @@ def test_homology_and_action_equal_oracle_on_presentation_complexes(word):
     assert_action_matches_oracle(presentation_complex(word))
 
 
-@given(small_posets())
+@given(st.one_of(small_posets(), crown_posets()))
 @settings(max_examples=80, deadline=None)
 def test_action_matrix_equals_oracle_on_random_posets(poset):
     assert_action_matches_oracle(poset)

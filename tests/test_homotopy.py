@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from posetgroups import (
     AutomorphismGroup,
     FinitePoset,
+    MapError,
     PosetMap,
     SizeLimitExceeded,
     build_base,
@@ -36,7 +37,7 @@ from homotopy_oracle import (
     pointwise_leq,
 )
 from test_posets import small_posets
-from test_search import built_space, deep_posets, permuted_copy
+from test_search import built_space, deep_posets, permuted_copy, shuffled_built_spaces
 from test_spaces import perturbed_spaces
 
 
@@ -201,6 +202,64 @@ def test_aut_table_matches_validated_composition(poset):
     for i, outer in enumerate(auts.maps):
         for j, inner in enumerate(auts.maps):
             assert auts.table[i][j] == position[outer.compose(inner).images]
+
+
+def assert_index_matches_the_image_dict(auts, outside):
+    """``index`` against a ``{images: k}`` dict: every map, every product,
+    and ``outside``, a permutation of the points that may not be in the group."""
+    oracle = {m.images: k for k, m in enumerate(auts.maps)}
+    assert [auts.index(m.images) for m in auts.maps] == list(range(auts.order))
+    for i, outer in enumerate(auts.maps):
+        for j, inner in enumerate(auts.maps):
+            product = outer.compose(inner).images
+            assert auts.index(product) == oracle[product] == auts.table[i][j]
+    assert auts.index(outside) == oracle.get(outside)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_index_matches_the_image_dict_on_random_posets(data):
+    poset = data.draw(small_posets(max_points=5))
+    auts = AutomorphismGroup.of(poset)
+    assert_index_matches_the_image_dict(
+        auts, tuple(data.draw(st.permutations(range(len(poset)))))
+    )
+
+
+@settings(max_examples=4, deadline=None)
+@given(shuffled_built_spaces(modes=("none", "sandt")), st.data())
+def test_index_matches_the_image_dict_on_shuffled_built_spaces(space, data):
+    auts = AutomorphismGroup.of(space)
+    assert_index_matches_the_image_dict(
+        auts, tuple(data.draw(st.permutations(range(len(space)))))
+    )
+    # agreeing with an automorphism on the base is not enough
+    base, _, _ = auts._keyed
+    a, b = [x for x in range(len(space)) if x not in base][:2]
+    for m in auts.maps:
+        images = list(m.images)
+        images[a], images[b] = images[b], images[a]
+        assert auts.index(tuple(images)) is None
+
+
+@pytest.mark.parametrize("poset", [
+    FinitePoset.from_relations([], []),
+    FinitePoset.from_relations(["x", "y", "z"], [(0, 1), (1, 2)]),
+], ids=["empty", "chain3"])
+def test_index_of_the_trivial_group(poset):
+    auts = AutomorphismGroup.of(poset)
+    identity = tuple(range(len(poset)))
+    assert auts.order == 1 and auts.index(identity) == auts.identity_index() == 0
+    assert auts.index(identity[::-1]) == (0 if len(poset) < 2 else None)
+
+
+def test_index_refuses_maps_that_are_not_a_group(crown):
+    # both maps move point 0 first and send it to 1: the swap of u and v is missing
+    maps = tuple(PosetMap(crown, crown, images) for images in
+                 [(0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 3, 2)])
+    not_a_group = AutomorphismGroup(crown, maps, ())
+    with pytest.raises(MapError, match="not a group"):
+        not_a_group.index((0, 1, 2, 3))
 
 
 def test_crown_automorphisms_form_klein_four(crown):

@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from posetgroups import PosetMap, homotopy
 from posetgroups.cli import main
 from posetgroups.complexes import OrderComplex
 
@@ -98,6 +99,29 @@ def test_no_command_lists_the_chains(argv, monkeypatch):
     entry = _load()[" ".join(argv)]
     assert run(argv) == (entry["exit"], entry["sha256"])
 
+
+
+class _Unhashable(tuple):
+    def __hash__(self):
+        raise AssertionError("a whole image tuple was hashed")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--group", "dihedral:6"),
+    ("verify-all", "--group", "cyclic:3", "--mode", "sandt", "--pointed"),
+], ids=" ".join)
+def test_no_check_hashes_the_images_of_an_automorphism(argv, monkeypatch):
+    # An automorphism is found by its images on the group's separating base
+    # (AutomorphismGroup.index), never as a key or member of whole images.
+    search = homotopy.all_automorphisms
+
+    def wrapped(space, **kwargs):
+        return [PosetMap._trusted(m.source, m.target, _Unhashable(m.images))
+                for m in search(space, **kwargs)]
+
+    monkeypatch.setattr(homotopy, "all_automorphisms", wrapped)
+    entry = _load()[" ".join(argv)]
+    assert run(argv) == (entry["exit"], entry["sha256"])
 
 if __name__ == "__main__":
     entries = []

@@ -14,6 +14,7 @@ from posetgroups import (
     CHECK_NAMES,
     AutomorphismGroup,
     FinitePoset,
+    GadgetMode,
     PosetMap,
     VerifyOptions,
     build_space,
@@ -319,3 +320,44 @@ def test_a_searched_and_verified_space_is_freed_with_its_indexes(c3_spec):
     del space, auts
     gc.collect()
     assert alive() - before == set()
+
+
+# -- beat points of the fence variants and of the pointed space ---------------
+
+
+def with_a_point_above(space, below):
+    """``space`` plus one new maximum covering the point ``below`` alone."""
+    return FinitePoset.from_relations(
+        list(space.labels) + ["extra"], list(space.hasse) + [(below, len(space))]
+    )
+
+
+def test_variants_check_fails_on_a_fence_2_builder_leaving_a_beat_point(monkeypatch):
+    real = verify.build_space
+
+    def leaky(spec):
+        space = real(spec)
+        return with_a_point_above(space, 0) if spec.mode == GadgetMode("sandt", 2) else space
+
+    monkeypatch.setattr(verify, "build_space", leaky)
+    results = result_map(verify_all(spec_for(builtin_group("cyclic:3"), ["a"])))
+    fence2 = len(real(spec_for(builtin_group("cyclic:3"), ["a"], mode="sandt:2")))
+    assert results["full-no-beat-points"].status == "PASS"  # the run's own space is fence 1
+    assert (results["variants-distinct"].status, results["variants-distinct"].detail) == (
+        "FAIL", f"fence 2 has 1 beat points, e.g. index {fence2} (down)"
+    )
+
+
+def test_pointed_check_fails_on_a_point_hung_above_the_basepoint(monkeypatch):
+    # The star stays fixed and the new point is the only one above it, so
+    # Aut is unchanged; only the beat-point test sees the broken space.
+    real = verify.add_basepoint
+    monkeypatch.setattr(verify, "add_basepoint",
+                        lambda space: with_a_point_above(real(space), len(space)))
+    spec = spec_for(builtin_group("cyclic:3"), ["a"])
+    results = result_map(verify_all(spec))
+    star = len(build_space(spec))
+    assert results["full-no-beat-points"].status == "PASS"  # the run is unpointed
+    assert (results["pointed-star-fixed"].status, results["pointed-star-fixed"].detail) == (
+        "FAIL", f"the pointed space has 2 beat points, e.g. index {star} (up)"
+    )
