@@ -65,8 +65,7 @@ def order_complex(space: FinitePoset, *, limit: int = DEFAULT_SIMPLEX_LIMIT) -> 
     """Count the chains up to triangles without listing them: a < b counts
     at b, one of |down(b)| - 1 points below it, and a < b < c at its
     middle b, one of (|down(b)| - 1)(|up(b)| - 1) pairs."""
-    below = [space.down_mask(i).bit_count() - 1 for i in range(len(space))]
-    above = [space.up_mask(i).bit_count() - 1 for i in range(len(space))]
+    below, above = ([size - 1 for size in sizes] for sizes in space.set_sizes)
     edges, triangles = sum(below), sum(map(mul, below, above))
     total = len(space) + edges + triangles
     if total > limit:
@@ -238,7 +237,7 @@ def _reduce(space: FinitePoset) -> CycleBasis:
     # size is enough.  The first cover of a to reach c is s.  Both this
     # pass and the next cost one step per triangle.
     paths: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
-    for a in sorted(range(n), key=lambda i: space.up_mask(i).bit_count()):
+    for a in sorted(range(n), key=space.set_sizes[1].__getitem__):
         here = paths[a]
         for s in up[a]:
             t = slot.get(edge_positions[a, s])

@@ -67,13 +67,13 @@ def core(space: FinitePoset) -> CoreResult:
     n = len(space)
     covers = space.cover_index
     adjacent = {"down": [list(c) for c in covers.down], "up": [list(c) for c in covers.up]}
-    side = {"down": space.down_mask, "up": space.up_mask}  # a point's down- or up-set
+    leq = space.leq
     alive = [True] * n
     heap = space.beat_points()  # sorted, so already a heap
     removed: list[tuple[int, str, int]] = []  # (point, kind, partner)
     while heap:
         x, kind = heappop(heap)
-        toward, away, reach = adjacent[kind], adjacent[_FLIP[kind]], side[kind]
+        toward, away = adjacent[kind], adjacent[_FLIP[kind]]
         if not alive[x] or len(toward[x]) != 1:
             continue
         p = toward[x][0]
@@ -83,7 +83,8 @@ def core(space: FinitePoset) -> CoreResult:
         heappush(heap, (p, _FLIP[kind]))
         for b in away[x]:
             toward[b].remove(x)
-            if not any(reach(c) >> p & 1 for c in toward[b]):
+            # is p below (down) or above (up) another cover of b?
+            if not any(leq(p, c) if kind == "down" else leq(c, p) for c in toward[b]):
                 toward[b].append(p)
                 away[p].append(b)
             heappush(heap, (b, kind))
@@ -314,12 +315,14 @@ def _enumerate_maps(
 ) -> list[tuple[int, ...]]:
     """All order-preserving self-maps with images inside ``candidate_masks``.
 
-    Backtracking with forward checking: assigning ``x -> v`` intersects the
-    candidates of every point above ``x`` with the up-set of ``v`` and of
-    every point below with its down-set; the next point to assign is always
-    one with the fewest candidates left.  With ``idempotent`` the image
-    point of each assignment is additionally pinned to itself, which is
-    what makes retraction searches tractable.
+    Backtracking with forward checking over the covers: assigning
+    ``x -> v`` intersects the candidates of each unassigned upper cover of
+    ``x`` with the up-set of ``v`` and of each lower one with its down-set.
+    Each cover is narrowed when its first end is assigned, and a map that
+    preserves every cover preserves order, so the check is exact.  The
+    next point to assign is always one with the fewest candidates left.
+    With ``idempotent`` the image point of each assignment is additionally
+    pinned to itself, which is what makes retraction searches tractable.
 
     The tree is walked on an explicit stack of frames ``[point, untried
     candidates, unassigned rest, trail mark]`` over one shared list of
@@ -334,8 +337,10 @@ def _enumerate_maps(
     n = len(space)
     if n == 0:
         return [()]
-    strict_up = [space.up_mask(i) & ~(1 << i) for i in range(n)]
-    strict_down = [space.down_mask(i) & ~(1 << i) for i in range(n)]
+    covers = space.cover_index
+    # each point's covers, with the getter of the set their images must stay in
+    neighbours = [[(y, space.up_mask) for y in up] + [(y, space.down_mask) for y in down]
+                  for up, down in zip(covers.up, covers.down)]
     masks = list(candidate_masks)
     images = [-1] * n
     trail: list[tuple[int, int]] = []  # (point, its mask before narrowing)
@@ -391,23 +396,14 @@ def _enumerate_maps(
         if nodes > budget:
             raise exhausted()
         images[point] = cand
-        if idempotent and cand != point:
-            if remaining >> cand & 1:
-                narrow(cand, 1 << cand)
-            elif images[cand] != cand:
-                continue  # image points must stay fixed
-        feasible = True
-        for other in bits(remaining):
-            if strict_up[point] >> other & 1:
-                left = narrow(other, space.up_mask(cand))
-            elif strict_down[point] >> other & 1:
-                left = narrow(other, space.down_mask(cand))
-            else:
-                left = masks[other]
-            if not left:
-                feasible = False
+        if idempotent and cand != point:  # image points must stay fixed
+            fixed = narrow(cand, 1 << cand) if remaining >> cand & 1 else images[cand] == cand
+            if not fixed:
+                continue
+        for y, within in neighbours[point]:
+            if remaining >> y & 1 and not narrow(y, within(cand)):
                 break
-        if feasible:
+        else:
             descend(remaining)
     return sorted(out)
 

@@ -9,14 +9,14 @@ The same class doubles as a finite T0 topological space: the minimal open
 neighbourhood of a point is its down-set, and a map between posets is
 continuous exactly when it is order-preserving.
 
-Two indexes are built on first use and kept on the poset: the cover index
-and the layout.  The cover index is the poset's one cover adjacency: each
-point's upper and lower covers, which refinement, beat points, cores,
-components and homotopy classes read, and the covers' sources and targets as
-``itemgetter``s plus the set of covers, through which every
-covers-onto-covers and order check reads an image tuple in C.  The layout
-(the points by ``(site, role)``) makes the maps of the built spaces one
-lookup per point.
+Three indexes are built on first use and kept on the poset: the cover
+index, the set sizes and the layout.  The cover index is the poset's one
+cover adjacency: each point's upper and lower covers, which refinement, beat
+points, cores, components and homotopy classes read, and the covers' sources
+and targets as ``itemgetter``s plus the set of covers, through which every
+covers-onto-covers and order check reads an image tuple in C.  The set sizes
+count each point's down-set and up-set.  The layout (the points by ``(site,
+role)``) makes the maps of the built spaces one lookup per point.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class FinitePoset:
     exactly the covering relations).
     """
 
-    __slots__ = ("labels", "hasse", "_down", "_up", "_index", "_covers", "_layout")
+    __slots__ = ("labels", "hasse", "_down", "_up", "_index", "_covers", "_sizes", "_layout")
 
     def __init__(self, labels, hasse, down, up):
         self.labels: tuple[Label, ...] = labels
@@ -130,6 +130,7 @@ class FinitePoset:
         self._up: tuple[int, ...] = up
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._covers: CoverIndex | None = None
+        self._sizes: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._layout: Layout | None = None
 
     # -- construction ------------------------------------------------------
@@ -241,6 +242,13 @@ class FinitePoset:
         if self._covers is None:
             self._covers = CoverIndex(len(self), self.hasse)
         return self._covers
+
+    @property
+    def set_sizes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """How many points each down-set and each up-set holds, built on first use."""
+        if self._sizes is None:
+            self._sizes = tuple(tuple(map(int.bit_count, sets)) for sets in (self._down, self._up))
+        return self._sizes
 
     @property
     def layout(self) -> Layout:

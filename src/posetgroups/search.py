@@ -79,15 +79,7 @@ class _Partition:
         self.poset = poset
         self.n = n
         covers = poset.cover_index
-        sig = [
-            (
-                poset.down_mask(i).bit_count(),
-                poset.up_mask(i).bit_count(),
-                len(covers.down[i]),
-                len(covers.up[i]),
-            )
-            for i in range(n)
-        ]
+        sig = list(zip(*poset.set_sizes, map(len, covers.down), map(len, covers.up)))
         self.elems = sorted(range(n), key=lambda v: (sig[v], v))
         self.colours = [sig[v] for v in self.elems]
         self.pos = [0] * n

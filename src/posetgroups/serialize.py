@@ -40,15 +40,18 @@ def poset_from_doc(doc: dict) -> FinitePoset:
     position = {p: i for i, p in enumerate(points)}
     if len(position) != len(points):
         raise PosetError("duplicate point ids")
-    pairs = []
+    first: dict[tuple[int, int], int] = {}  # each edge, by where it first appears
     for k, edge in enumerate(edges):
         if not (isinstance(edge, list) and len(edge) == 2):
             raise PosetError(f"hasse edge {k} must be a [lower, upper] pair, not {edge!r}")
         lo, hi = edge
         if not all(isinstance(p, str) and p in position for p in edge):
             raise PosetError(f"hasse edge {k} ({lo!r}, {hi!r}) references unknown points")
-        pairs.append((position[lo], position[hi]))
-    return FinitePoset.from_hasse(labels, pairs)
+        pair = position[lo], position[hi]
+        if pair in first:
+            raise PosetError(f"hasse edge {k} ({lo!r}, {hi!r}) repeats edge {first[pair]}")
+        first[pair] = k
+    return FinitePoset.from_hasse(labels, first)
 
 
 def poset_to_json(space: FinitePoset) -> str:

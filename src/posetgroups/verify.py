@@ -8,9 +8,10 @@ construction, the run's group and generators with a given ``(mode,
 pointed)``: the column space is ``(none, unpointed)``, the full space the
 run's own key, the fence variants ``(sandt:N, run's pointed)`` and the
 pointed space ``(run's mode, pointed)``.  Each key is built, searched and
-reduced at most once, a pointed space being the cached unpointed one plus
-its basepoint.  Raised errors are cached too, so a broken builder fails
-every check that needs it without being re-run.
+reduced at most once, and each space from the cached one below it: a
+gadget space is the column space plus its attachments, a pointed space
+the unpointed one plus its basepoint.  Raised errors are cached too, so a
+broken builder fails every check that needs it without being re-run.
 
 Check names, and the mathematical statement each one tests, are listed in
 the README; names are stable so scripts can ``--skip`` or single-run them.
@@ -43,7 +44,8 @@ from .spaces import (
     ConstructionSpec,
     GadgetMode,
     add_basepoint,
-    build_space,
+    attach_gadgets,
+    build_base,
     collapse_map,
     expected_point_count,
     left_translation,
@@ -75,7 +77,9 @@ _BASE = (GadgetMode("none"), False)  # the column space
 class _Context:
     """Lazy, error-caching store: one space and automorphism group per
     ``(mode, pointed)`` key, and the order complex of the run's own key:
-    its simplex counts and, once read, its cycle basis, never its chains."""
+    its simplex counts and, once read, its cycle basis, never its chains.
+    A gadget space is the cached column space plus its attachments, and a
+    pointed space the cached unpointed one plus its basepoint."""
 
     def __init__(self, spec: ConstructionSpec, options: VerifyOptions):
         self.spec = spec
@@ -100,9 +104,12 @@ class _Context:
 
     def space(self, key) -> FinitePoset:
         mode, pointed = key
+        slot = ("space", key)
         if pointed:  # the unpointed space plus its basepoint, never a rebuild
-            return self._get(("space", key), lambda: add_basepoint(self.space((mode, False))))
-        return self._get(("space", key), lambda: build_space(self.construction(key)))
+            return self._get(slot, lambda: add_basepoint(self.space((mode, False))))
+        if key == _BASE:
+            return self._get(slot, lambda: build_base(self.spec))
+        return self._get(slot, lambda: attach_gadgets(self.space(_BASE), self.construction(key)))
 
     def auts(self, key) -> AutomorphismGroup:
         return self._get(

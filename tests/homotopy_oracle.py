@@ -4,9 +4,13 @@
 beat point and rescans all points for the next one; it keeps its own copy
 of the beat-point scan.  ``oracle_homotopy_classes`` joins every pointwise
 comparable pair of maps and looks for a two-sided homotopy inverse of each
-map among all the others.  Both are quadratic or worse but obviously
-correct, and the property tests compare :mod:`posetgroups.homotopy`
-against them.  ``pointwise_leq`` is the comparison that joins two maps.
+map among all the others.  ``oracle_selfmaps`` runs through every image
+tuple and keeps those that preserve every cover, and
+``oracle_comparative_retractions`` keeps the idempotent ones among them
+that send each point to a comparable one.  All are quadratic or worse but
+obviously correct, and the property tests compare
+:mod:`posetgroups.homotopy` against them.  ``pointwise_leq`` is the
+comparison that joins two maps.
 
 ``transport_label`` moves one label along a base automorphism, and
 ``oracle_extension_restriction_check``, ``oracle_left_translation`` and
@@ -19,6 +23,7 @@ failure texts.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import product
 
 from posetgroups import (
     AutomorphismGroup,
@@ -111,6 +116,25 @@ def oracle_core(space: FinitePoset) -> CoreResult:
         current, space, tuple(space.index_of(lab) for lab in current.labels)
     )
     return CoreResult(current, tuple(trace), retraction, inclusion)
+
+
+def oracle_selfmaps(space: FinitePoset) -> list[tuple[int, ...]]:
+    """Every image tuple that preserves every cover, in sorted order."""
+    n = len(space)
+    return [
+        images for images in product(range(n), repeat=n)
+        if all(space.leq(images[a], images[b]) for a, b in space.hasse)
+    ]
+
+
+def oracle_comparative_retractions(space: FinitePoset, selfmaps) -> list[tuple[int, ...]]:
+    """The idempotent maps among ``selfmaps`` (the output of
+    :func:`oracle_selfmaps`) that send each point to a comparable one."""
+    return [
+        images for images in selfmaps
+        if all(images[v] == v for v in images)
+        and all(space.leq(i, v) or space.leq(v, i) for i, v in enumerate(images))
+    ]
 
 
 def pointwise_leq(f: PosetMap, g: PosetMap) -> bool:

@@ -401,6 +401,14 @@ def test_a_space_file_with_a_non_canonical_id_is_a_usage_error(capsys, tmp_path)
     assert err.startswith("error: non-canonical label id") and err.count("\n") == 1
 
 
+def test_a_space_file_repeating_an_edge_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "hasse": [["a", "b"], ["a", "b"]]}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "build", "--space-file", str(path))
+    assert (code, out, err) == (2, "", "error: hasse edge 1 ('a', 'b') repeats edge 0\n")
+
+
 def test_unknown_group_is_a_usage_error(capsys):
     code, out, err = run(capsys, "build", "--group", "cyclic:one")
     assert code == 2

@@ -31,12 +31,14 @@ from conftest import fixture_space
 from groups_oracle import groups_isomorphic
 from homotopy_oracle import (
     by_labels,
+    oracle_comparative_retractions,
     oracle_core,
     oracle_extension_restriction_check,
     oracle_homotopy_classes,
+    oracle_selfmaps,
     pointwise_leq,
 )
-from test_posets import small_posets
+from test_posets import crown_posets, small_posets
 from test_search import built_space, deep_posets, permuted_copy, shuffled_built_spaces
 from test_spaces import perturbed_spaces
 
@@ -419,6 +421,35 @@ def test_comparative_retractions_of_tiny_spaces():
     ]
     anti = fixture_space("antichain2")
     assert [m.images for m in comparative_retractions(anti)] == [(0, 1)]
+
+
+def assert_enumerators_equal_the_oracle(poset):
+    selfmaps = oracle_selfmaps(poset)
+    assert [m.images for m in enumerate_selfmaps(poset)] == selfmaps
+    assert [m.images for m in comparative_retractions(poset)] == (
+        oracle_comparative_retractions(poset, selfmaps)
+    )
+
+
+@given(small_posets(max_points=5))
+@settings(max_examples=60, deadline=None)
+def test_enumerators_equal_the_brute_force_oracle_on_random_posets(poset):
+    assert_enumerators_equal_the_oracle(poset)
+
+
+@given(crown_posets())
+@settings(max_examples=6, deadline=None)
+def test_enumerators_equal_the_brute_force_oracle_on_crowns(poset):
+    # up to 7 points: 7^7 image tuples for the oracle, so few examples
+    assert_enumerators_equal_the_oracle(poset)
+
+
+@pytest.mark.parametrize("poset", [
+    FinitePoset.from_relations([f"c{i}" for i in range(6)], [(i, i + 1) for i in range(5)]),
+    FinitePoset.from_relations([f"a{i}" for i in range(5)], []),
+], ids=["chain6", "antichain5"])
+def test_enumerators_equal_the_brute_force_oracle_on_a_chain_and_an_antichain(poset):
+    assert_enumerators_equal_the_oracle(poset)
 
 
 @given(small_posets(max_points=5))

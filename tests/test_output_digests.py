@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from posetgroups import PosetMap, homotopy
+from posetgroups import FinitePoset, PosetMap, homotopy
 from posetgroups.cli import main
 from posetgroups.complexes import OrderComplex
 
@@ -57,6 +57,7 @@ COMMANDS = (
         ("build", "--group", "cyclic:2", "--mode", "sandt:2", "--pointed", "--json"),
         ("export-dot", "--group", "cyclic:2"),
         ("core", "--group", "symmetric:3", "--mode", "none", "--json"),
+        ("selfmaps", "--group", "cyclic:2", "--mode", "none", "--json"),
     ]
 )
 
@@ -99,6 +100,24 @@ def test_no_command_lists_the_chains(argv, monkeypatch):
     entry = _load()[" ".join(argv)]
     assert run(argv) == (entry["exit"], entry["sha256"])
 
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--group", "dihedral:4"),
+    ("homology", "--group", "dihedral:4", "--json"),
+    ("h1-action", "--group", "dihedral:6", "--json"),
+    ("aut", "--group", "symmetric:4", "--json"),
+    ("core", "--group", "symmetric:3", "--mode", "none", "--json"),
+], ids=" ".join)
+def test_no_command_reads_an_order_bitmask(argv, monkeypatch):
+    # Set sizes, order tests and covers come from FinitePoset itself; only
+    # the self-map enumerators keep candidate sets as bitmasks.
+    def read(poset, i):
+        raise AssertionError("a down-set or up-set bitmask was read")
+
+    monkeypatch.setattr(FinitePoset, "down_mask", read)
+    monkeypatch.setattr(FinitePoset, "up_mask", read)
+    entry = _load()[" ".join(argv)]
+    assert run(argv) == (entry["exit"], entry["sha256"])
 
 
 class _Unhashable(tuple):

@@ -170,6 +170,15 @@ def test_poset_doc_rejects_bad_input():
         )
 
 
+def test_poset_doc_names_a_repeated_edge():
+    with pytest.raises(PosetError) as repeated:
+        poset_from_doc({"points": ["a", "b"], "hasse": [["a", "b"], ["a", "b"]]})
+    assert str(repeated.value) == "hasse edge 1 ('a', 'b') repeats edge 0"
+    with pytest.raises(PosetError, match=r"edge 3 \('b', 'c'\) repeats edge 1"):
+        poset_from_doc({"points": ["a", "b", "c"],
+                        "hasse": [["a", "b"], ["b", "c"], ["a", "c"], ["b", "c"]]})
+
+
 def test_poset_doc_rejects_non_string_ids():
     with pytest.raises(PosetError, match="strings"):
         poset_from_doc({"points": [[1]], "hasse": []})

@@ -13,6 +13,7 @@ from posetgroups import spaces, verify
 from posetgroups import (
     CHECK_NAMES,
     AutomorphismGroup,
+    ConstructionError,
     FinitePoset,
     GadgetMode,
     PosetMap,
@@ -101,9 +102,9 @@ def count_calls(monkeypatch, owner, name, record):
 @pytest.mark.parametrize("pointed", [False, True])
 @pytest.mark.parametrize("mode", MODES + ("sandt:2",))
 def test_each_construction_is_built_searched_and_reduced_once(monkeypatch, mode, pointed):
-    built, columns, pointed_from, searched, reduced = [], [], [], Counter(), Counter()
-    count_calls(monkeypatch, spaces, "build_space",
-                lambda spec: built.append((spec.mode, spec.pointed)))
+    attached, columns, pointed_from, searched, reduced = [], [], [], Counter(), Counter()
+    count_calls(monkeypatch, spaces, "attach_gadgets",
+                lambda base, spec: attached.append((spec.mode, spec.pointed, id(base))))
     count_calls(monkeypatch, spaces, "build_base", lambda spec: columns.append(spec))
     count_calls(monkeypatch, spaces, "add_basepoint", lambda space: pointed_from.append(space))
     count_calls(monkeypatch, AutomorphismGroup, "of",
@@ -113,17 +114,33 @@ def test_each_construction_is_built_searched_and_reduced_once(monkeypatch, mode,
     spec = spec_for(builtin_group("cyclic:3"), ["a"], mode=mode, pointed=pointed)
     assert verify_all(spec, VerifyOptions(fence_range=(1, 2, 3))).ok
 
-    assert len(set(built)) == len(built) and not any(p for _, p in built)
+    assert len(set(attached)) == len(attached) and not any(p for _, p, _ in attached)
+    assert len({base for _, _, base in attached}) <= 1  # all on the one column space
     assert len({id(space) for space in pointed_from}) == len(pointed_from)
     assert set(searched.values()) == {1} and set(reduced.values()) <= {1}
     fences = {"sandt", "sandt:2", "sandt:3"} if spec.mode.kind == "sandt" else set()
-    assert {str(m) for m, _ in built} == {"none", str(mode)} | fences
+    assert {str(m) for m, _, _ in attached} == ({str(mode)} | fences) - {"none"}
     if pointed:  # the full space and every fence variant gain the basepoint
         assert len(pointed_from) == len(fences | {str(mode)})
     else:  # only pointed-star-fixed adds one, and it needs attachments
         assert len(pointed_from) == (mode != "none")
-    if mode == "none":
-        assert len(columns) == 1  # the column space is the full space
+    assert len(columns) == 1  # every space is built on the one column space
+
+
+@pytest.mark.parametrize("pointed", [False, True])
+def test_a_failing_column_build_runs_once_and_fails_every_space_alike(monkeypatch, pointed):
+    calls = []
+
+    def broken(spec):
+        calls.append(spec)
+        raise ConstructionError("no columns")
+
+    monkeypatch.setattr(verify, "build_base", broken)
+    report = verify_all(spec_for(builtin_group("cyclic:3"), ["a"], pointed=pointed))
+    assert len(calls) == 1
+    assert [(r.status, r.detail) for r in report.results[1:]] == (
+        [("FAIL", "ConstructionError: no columns")] * (len(CHECK_NAMES) - 1)
+    )
 
 
 def test_gadget_checks_skip_when_nothing_is_attached():
@@ -333,15 +350,15 @@ def with_a_point_above(space, below):
 
 
 def test_variants_check_fails_on_a_fence_2_builder_leaving_a_beat_point(monkeypatch):
-    real = verify.build_space
+    real = verify.attach_gadgets
 
-    def leaky(spec):
-        space = real(spec)
+    def leaky(base, spec):
+        space = real(base, spec)
         return with_a_point_above(space, 0) if spec.mode == GadgetMode("sandt", 2) else space
 
-    monkeypatch.setattr(verify, "build_space", leaky)
+    monkeypatch.setattr(verify, "attach_gadgets", leaky)
     results = result_map(verify_all(spec_for(builtin_group("cyclic:3"), ["a"])))
-    fence2 = len(real(spec_for(builtin_group("cyclic:3"), ["a"], mode="sandt:2")))
+    fence2 = len(build_space(spec_for(builtin_group("cyclic:3"), ["a"], mode="sandt:2")))
     assert results["full-no-beat-points"].status == "PASS"  # the run's own space is fence 1
     assert (results["variants-distinct"].status, results["variants-distinct"].detail) == (
         "FAIL", f"fence 2 has 1 beat points, e.g. index {fence2} (down)"
