@@ -15,13 +15,11 @@ induced action on first homology.
 
 from .complexes import (
     CycleBasis,
-    HasseGraph,
     HomologySummary,
     OrderComplex,
     cycle_basis,
     h1_action_matrix,
     h1_action_rows,
-    hasse_undirected,
     homology_summary,
     order_complex,
 )
@@ -61,7 +59,7 @@ from .homotopy import (
 from .labels import Base, FencePoint, SPoint, Star, TPoint, label_id, parse_label_id
 from .posets import FinitePoset, PosetMap
 from .report import CheckResult, VerificationReport
-from .search import all_automorphisms, are_isomorphic, find_isomorphism
+from .search import all_automorphisms, find_isomorphism
 from .serialize import (
     export_dot,
     group_from_json,
@@ -106,7 +104,6 @@ __all__ = [
     "GadgetMode",
     "GeneratingSetError",
     "GroupError",
-    "HasseGraph",
     "HomologySummary",
     "HomotopyClasses",
     "MapError",
@@ -123,7 +120,6 @@ __all__ = [
     "add_basepoint",
     "all_automorphisms",
     "attach_gadgets",
-    "are_isomorphic",
     "build_base",
     "build_space",
     "builtin_group",
@@ -142,7 +138,6 @@ __all__ = [
     "group_to_doc",
     "h1_action_matrix",
     "h1_action_rows",
-    "hasse_undirected",
     "homology_summary",
     "homotopy_classes",
     "klein_four",

@@ -19,7 +19,6 @@ from .complexes import (
     cycle_basis,
     dense_rows,
     h1_action_rows,
-    hasse_undirected,
     homology_summary,
     order_complex,
 )
@@ -48,6 +47,13 @@ _ENV_DEFAULTS = {
     "budget_aut": ("POSETGROUPS_BUDGET_AUT", DEFAULT_AUT_BUDGET),
     "budget_maps": ("POSETGROUPS_BUDGET_MAPS", DEFAULT_MAP_BUDGET),
 }
+_COUNT_FLAGS = ("budget_aut", "budget_maps", "max_points")
+
+
+def _not_negative(name: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{name} must not be negative; got {value}")
+    return value
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -55,9 +61,10 @@ def _env_int(name: str, fallback: int) -> int:
     if not raw:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(f"{name} must be an integer; got {raw!r}") from None
+    return _not_negative(name, value)
 
 
 def _add_construction_args(parser: argparse.ArgumentParser, *, with_space_file=False):
@@ -264,14 +271,15 @@ def _cmd_homology(args) -> int:
     space = _resolve_space(args)
     cx = order_complex(space)
     hs = homology_summary(cx)
-    graph = hasse_undirected(space)
+    # a spanning forest leaves E - V + C non-tree covers
+    cycle_rank = len(cycle_basis(cx).nontree)
     if args.json:
         doc = {
             "simplex_counts": list(cx.counts),
             "b0": hs.b0,
             "b1": hs.b1,
             "h1_torsion": list(hs.h1_torsion),
-            "covering_graph_cycle_rank": graph.cycle_rank,
+            "covering_graph_cycle_rank": cycle_rank,
         }
         _emit(json.dumps(doc, indent=2), args)
         return 0
@@ -280,7 +288,7 @@ def _cmd_homology(args) -> int:
         f"b0 = {hs.b0}",
         f"b1 = {hs.b1}",
         f"H1 torsion: {list(hs.h1_torsion) if hs.h1_torsion else 'none'}",
-        f"covering-graph cycle rank: {graph.cycle_rank}",
+        f"covering-graph cycle rank: {cycle_rank}",
     ]
     _emit("\n".join(lines), args)
     return 0
@@ -423,6 +431,9 @@ def main(argv=None) -> int:
         for dest, (name, fallback) in _ENV_DEFAULTS.items():
             if hasattr(args, dest) and getattr(args, dest) is None:
                 setattr(args, dest, _env_int(name, fallback))
+        for dest in _COUNT_FLAGS:  # a variable's value is already checked
+            if hasattr(args, dest):
+                _not_negative("--" + dest.replace("_", "-"), getattr(args, dest))
         return args.handler(args)
     except (PosetError, SizeLimitExceeded, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,7 @@ type as the poset viewed as a finite space, so Betti numbers computed here
 are honest invariants of the space.  It is counted, not listed: its
 chains are listed only when read, and only the test oracles read them.
 As a cheap cross-check, the undirected covering graph of the spaces built
-in this package has the same first Betti number as the full complex
-(asserted in tests, and exposed via :func:`hasse_undirected`).
+in this package has the same first Betti number as the full complex.
 
 Homology is not reduced on the complex itself.  An acyclic matching in the
 sense of discrete Morse theory (Forman 1998; the coreductions of
@@ -126,27 +125,6 @@ def homology_summary(cx: OrderComplex) -> HomologySummary:
     """b0, b1 and the torsion coefficients of first homology."""
     basis = cx._basis
     return HomologySummary(b0=basis.components, b1=basis.betti, h1_torsion=basis.torsion)
-
-
-@dataclass(frozen=True)
-class HasseGraph:
-    """The undirected covering graph: vertices, edges, and its cycle rank."""
-
-    vertices: int
-    edges: tuple[tuple[int, int], ...]
-    components: int
-
-    @property
-    def cycle_rank(self) -> int:
-        return len(self.edges) - self.vertices + self.components
-
-
-def hasse_undirected(space: FinitePoset) -> HasseGraph:
-    return HasseGraph(
-        vertices=len(space),
-        edges=space.hasse,
-        components=len(space.components()),
-    )
 
 
 # -- induced action on first homology ----------------------------------------

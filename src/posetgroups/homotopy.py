@@ -126,34 +126,32 @@ def _separating_base(maps):
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """All self-homeomorphisms of a poset, with their composition table."""
+    """All self-homeomorphisms of a poset; the composition table is built on first read."""
 
     space: FinitePoset
     maps: tuple[PosetMap, ...]
-    table: tuple[tuple[int, ...], ...]
 
     @classmethod
     def of(cls, space: FinitePoset, *, budget: int = DEFAULT_AUT_BUDGET):
-        """Enumerate Aut(space) and tabulate ``table[i][j]`` = maps[i] ∘ maps[j].
-
-        A product is composed on the separating base alone and looked up by
-        that key among the edge-verified automorphisms, so none is validated
-        again; a product missing from the group raises instead of a table.
-        """
-        maps = tuple(all_automorphisms(space, budget=budget))
-        base, key, position = _separating_base(maps)
-        getters = [itemgetter(*map(m.images.__getitem__, base)) if base else key for m in maps]
-        table = tuple(
-            tuple(position.get(inner(outer.images)) for inner in getters)
-            for outer in maps
-        )
-        if any(None in row for row in table):
-            raise MapError("a product of automorphisms is missing from the enumerated set")
-        return cls(space, maps, table)
+        """Enumerate Aut(space), each map verified edge by edge."""
+        return cls(space, tuple(all_automorphisms(space, budget=budget)))
 
     @cached_property
     def _keyed(self):
         return _separating_base(self.maps)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """``table[i][j]`` = maps[i] ∘ maps[j]: each product is composed on
+        the separating base and looked up by its key, so none is validated
+        again, and a product missing from the maps raises."""
+        base, key, position = self._keyed
+        maps = self.maps
+        getters = [itemgetter(*map(m.images.__getitem__, base)) if base else key for m in maps]
+        table = tuple(tuple(position.get(inner(outer.images)) for inner in getters) for outer in maps)
+        if any(None in row for row in table):
+            raise MapError("a product of automorphisms is missing from the enumerated set")
+        return table
 
     def index(self, images: tuple[int, ...]) -> int | None:
         """Position of the map with these images, or ``None``: by base key, then in full."""

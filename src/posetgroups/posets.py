@@ -123,12 +123,12 @@ class FinitePoset:
 
     __slots__ = ("labels", "hasse", "_down", "_up", "_index", "_covers", "_sizes", "_layout")
 
-    def __init__(self, labels, hasse, down, up):
+    def __init__(self, labels, hasse, down, up, index):
         self.labels: tuple[Label, ...] = labels
         self.hasse: tuple[tuple[int, int], ...] = hasse
         self._down: tuple[int, ...] = down
         self._up: tuple[int, ...] = up
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._index: dict[Label, int] = index
         self._covers: CoverIndex | None = None
         self._sizes: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._layout: Layout | None = None
@@ -191,9 +191,10 @@ class FinitePoset:
     def from_relations(cls, labels: Sequence[Label], pairs: Iterable[tuple[int, int]]):
         """Build from arbitrary ``lower < upper`` index pairs."""
         labels = tuple(labels)
-        if len(set(labels)) != len(labels):
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) != len(labels):
             raise PosetError("point labels must be pairwise distinct")
-        return cls(labels, *cls._close(len(labels), pairs))
+        return cls(labels, *cls._close(len(labels), pairs), index)
 
     @classmethod
     def from_hasse(cls, labels: Sequence[Label], edges: Iterable[tuple[int, int]]):
@@ -329,14 +330,6 @@ class FinitePoset:
             for j in bits(self._down[old] & keep_mask & ~(1 << old)):
                 pairs.append((old_to_new[j], old_to_new[old]))
         return FinitePoset.from_relations([self.labels[i] for i in keep], pairs)
-
-    def drop_hasse_edge(self, edge: tuple[int, int]) -> "FinitePoset":
-        """The poset generated by all covering relations except ``edge``."""
-        if edge not in self.hasse:
-            raise PosetError(f"{edge} is not a covering relation")
-        return FinitePoset.from_relations(
-            self.labels, [e for e in self.hasse if e != edge]
-        )
 
 
 @dataclass(frozen=True)

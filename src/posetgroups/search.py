@@ -358,12 +358,6 @@ def find_isomorphism(
     return PosetMap._trusted(poset_p, poset_q, images)
 
 
-def are_isomorphic(
-    poset_p: FinitePoset, poset_q: FinitePoset, *, budget: int = DEFAULT_AUT_BUDGET
-) -> bool:
-    return find_isomorphism(poset_p, poset_q, budget=budget) is not None
-
-
 def _grow_orbit(orbit: list[int], seen: set[int], gens: list[tuple[int, ...]]) -> None:
     """Extend ``orbit``, closed under ``gens[:-1]``, to its closure under ``gens``."""
     new = gens[-1]

@@ -5,10 +5,12 @@ point, one search per point, and finds the covers as
 :meth:`posetgroups.FinitePoset.from_relations` did before it read them off
 the closure pass: every point of every strict down-set is tested for a
 point strictly between.  The property tests compare the library with it.
+``drop_hasse_edge`` weakens a poset by one cover, for the mutation tests.
 """
 
 from __future__ import annotations
 
+from posetgroups import FinitePoset, PosetError
 from posetgroups.posets import bits
 
 
@@ -35,3 +37,10 @@ def oracle_order(n: int, pairs) -> tuple[tuple, list[int], list[int]]:
             if up[a] & strict == 1 << a:
                 hasse.append((a, b))
     return tuple(sorted(hasse)), down, up
+
+
+def drop_hasse_edge(poset: FinitePoset, edge: tuple[int, int]) -> FinitePoset:
+    """The poset generated by all covering relations except ``edge``."""
+    if edge not in poset.hasse:
+        raise PosetError(f"{edge} is not a covering relation")
+    return FinitePoset.from_relations(poset.labels, [e for e in poset.hasse if e != edge])

@@ -466,6 +466,32 @@ def test_bad_budget_env_var_is_one_error_line(capsys, monkeypatch, name, command
     assert code == 0 and err == "" and "core" in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify-all", "--group", "cyclic:3", "--budget-aut", "-5"), "--budget-aut"),
+    (("selfmaps", "--group", "cyclic:2", "--mode", "none", "--budget-maps", "-2"),
+     "--budget-maps"),
+    (("selfmaps", "--group", "cyclic:2", "--mode", "none", "--max-points", "-1"),
+     "--max-points"),
+])
+def test_a_negative_count_flag_is_one_error_line(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must not be negative; got {argv[-1]}\n"
+    # zero is a budget like any other: the work starts and stops at it
+    code, out, err = run(capsys, *argv[:-1], "0")
+    assert code in (1, 2) and ("visiting 0 " in out + err or "max_points=0 " in err)
+
+
+@pytest.mark.parametrize("name, command", [
+    ("POSETGROUPS_BUDGET_AUT", "aut"), ("POSETGROUPS_BUDGET_MAPS", "selfmaps"),
+])
+def test_a_negative_budget_env_var_is_one_error_line(capsys, monkeypatch, name, command):
+    monkeypatch.setenv(name, "-2")
+    code, out, err = run(capsys, command, "--group", "cyclic:2", "--mode", "none")
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must not be negative; got -2\n"
+
+
 def test_an_id_ending_in_a_backslash_is_one_export_dot_error_line(capsys, tmp_path):
     path = tmp_path / "backslash.json"
     path.write_text(poset_to_json(FinitePoset.from_relations(["a\\", "c"], [(0, 1)])),

@@ -20,7 +20,6 @@ from posetgroups import (
     cycle_basis,
     h1_action_matrix,
     h1_action_rows,
-    hasse_undirected,
     homology_summary,
     order_complex,
     smith_normal_form,
@@ -217,21 +216,25 @@ def test_projective_plane_torsion():
 # -- covering graph ------------------------------------------------------------
 
 
+def cycle_rank(space: FinitePoset) -> int:
+    """E - V + C of the undirected covering graph."""
+    return len(space.hasse) - len(space) + len(space.components())
+
+
 def test_cycle_rank_of_fixtures(crown):
-    assert hasse_undirected(crown).cycle_rank == 1
+    assert cycle_rank(crown) == 1
     # the diamond shows rank and b1 disagree in general: its covering
     # graph is a 4-cycle though the space is contractible
     diamond = fixture_space("diamond")
-    assert hasse_undirected(diamond).cycle_rank == 1
+    assert cycle_rank(diamond) == 1
     assert betti(chain_complex(order_complex(diamond)), 1) == 0
 
 
 def test_constructed_space_graph_agreement(c3_spec):
     space = build_space(c3_spec)
-    graph = hasse_undirected(space)
     summary = homology_summary(order_complex(space))
-    assert graph.cycle_rank == summary.b1 == 7
-    assert graph.components == summary.b0 == 1
+    assert cycle_rank(space) == summary.b1 == 7
+    assert len(space.components()) == summary.b0 == 1
 
 
 @given(small_posets())
@@ -240,7 +243,14 @@ def test_components_agree_between_graph_and_complex(poset):
     if len(poset) == 0:
         return
     summary = homology_summary(order_complex(poset))
-    assert hasse_undirected(poset).components == summary.b0
+    assert len(poset.components()) == summary.b0
+
+
+@given(small_posets(max_points=14))
+@settings(max_examples=100, deadline=None)
+def test_the_basis_has_one_cycle_per_unit_of_cycle_rank(poset):
+    # `homology` prints the non-tree covers as the covering-graph cycle rank
+    assert len(cycle_basis(order_complex(poset)).nontree) == cycle_rank(poset)
 
 
 # -- cycle bases ---------------------------------------------------------------

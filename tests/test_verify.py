@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from posetgroups import spaces, verify
+from posetgroups import homotopy, spaces, verify
 from posetgroups import (
     CHECK_NAMES,
     AutomorphismGroup,
@@ -125,6 +125,30 @@ def test_each_construction_is_built_searched_and_reduced_once(monkeypatch, mode,
     else:  # only pointed-star-fixed adds one, and it needs attachments
         assert len(pointed_from) == (mode != "none")
     assert len(columns) == 1  # every space is built on the one column space
+
+
+@pytest.mark.parametrize("group, gens, pointed", [
+    ("dihedral:4", ["a", "b"], False), ("cyclic:3", ["a"], True),
+])
+def test_only_the_run_keys_group_tabulates_and_each_keys_its_maps_once(
+    monkeypatch, group, gens, pointed
+):
+    contexts, keyed = [], Counter()
+
+    class Recorded(verify._Context):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(verify, "_Context", Recorded)
+    count_calls(monkeypatch, homotopy, "_separating_base", lambda maps: keyed.update([id(maps)]))
+    assert verify_all(spec_for(builtin_group(group), gens, pointed=pointed)).ok
+    (ctx,) = contexts
+    groups = {key: auts for (kind, key), auts in ctx._cache.items() if kind == "auts"}
+    assert len(groups) == (2 if pointed else 3)
+    assert [key for key, auts in groups.items() if "table" in vars(auts)] == [ctx.key]
+    assert set(keyed) <= {id(auts.maps) for auts in groups.values()}
+    assert set(keyed.values()) == {1}
 
 
 @pytest.mark.parametrize("pointed", [False, True])
@@ -251,7 +275,9 @@ def test_h1_check_fails_on_one_swapped_table_entry(row):
     auts = ctx.auts(ctx.key)
     table = [list(r) for r in auts.table]
     table[row][1], table[row][2] = table[row][2], table[row][1]
-    ctx._cache["auts", ctx.key] = replace(auts, table=tuple(map(tuple, table)))
+    copy = replace(auts)
+    vars(copy)["table"] = tuple(map(tuple, table))
+    ctx._cache["auts", ctx.key] = copy
     assert h1_check(ctx).status == "FAIL"
 
 
@@ -270,7 +296,9 @@ def test_h1_check_fails_on_a_relabelled_group_table():
         tuple(swap[auts.table[swap[a]][swap[b]]] for b in range(auts.order))
         for a in range(auts.order)
     )
-    ctx._cache["auts", ctx.key] = replace(auts, table=table)
+    copy = replace(auts)
+    vars(copy)["table"] = table
+    ctx._cache["auts", ctx.key] = copy
     ctx.auts(ctx.key).as_group()  # still a group table
     result = h1_check(ctx)
     assert result.status == "FAIL"
