@@ -341,7 +341,10 @@ def _cmd_export_dot(args) -> int:
 
 
 def _verify_options(args) -> VerifyOptions:
-    fences = tuple(int(f) for f in args.fences.split(",") if f.strip())
+    try:
+        fences = tuple(int(f) for f in args.fences.split(",") if f.strip())
+    except ValueError:
+        raise ValueError(f"--fences takes comma-separated integers; got {args.fences!r}") from None
     return VerifyOptions(
         fence_range=fences,
         budget_aut=args.budget_aut,

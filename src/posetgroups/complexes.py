@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import itemgetter, mul
 
 from .errors import SizeLimitExceeded
-from .posets import FinitePoset, PosetMap, bits
+from .posets import FinitePoset, PosetMap
 from .snf import smith_normal_form
 
 DEFAULT_SIMPLEX_LIMIT = 2_000_000
@@ -45,12 +45,11 @@ class OrderComplex:
     def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The chains, listed on first read: ``simplices[k]`` holds the
         (k+1)-point chains as index-sorted tuples, each level sorted."""
-        n = len(self.space)
-        strict_up = [self.space.up_mask(i) & ~(1 << i) for i in range(n)]
-        levels = [[(i,) for i in range(n)]]  # each chain bottom to top
+        closure = self.space.closure
+        levels = [[(i,) for i in range(len(self.space))]]  # each chain bottom to top
         for _ in self.counts[1:]:
             levels.append([chain + (c,) for chain in levels[-1]
-                           for c in bits(strict_up[chain[-1]])])
+                           for c in closure(chain[-1]) if c != chain[-1]])
         return tuple(tuple(sorted(tuple(sorted(chain)) for chain in level)) for level in levels)
 
     @cached_property

@@ -286,8 +286,9 @@ def _family(name: str):
     if family not in _FAMILIES:
         raise GroupError(f"unknown group family {family!r}")
     make, wants_param, generators = _FAMILIES[family]
-    if wants_param and not param:
-        raise GroupError(f"family {family!r} needs a parameter, e.g. {family}:3")
+    if wants_param and not param.isdecimal():
+        raise GroupError(
+            f"family {family!r} needs a whole-number parameter, e.g. {family}:3; got {param!r}")
     if sep and not wants_param:
         raise GroupError(f"family {family!r} takes no parameter")
     return make, generators, (int(param),) if wants_param else ()

@@ -19,7 +19,7 @@ from operator import eq, itemgetter
 from .errors import MapError, SizeLimitExceeded
 from .groups import FiniteGroup
 from .labels import COLUMN, Label, label_at
-from .posets import FinitePoset, PosetMap, bits, tuple_getter
+from .posets import FinitePoset, PosetMap, tuple_getter
 from .search import DEFAULT_AUT_BUDGET, all_automorphisms
 
 DEFAULT_MAP_BUDGET = 10**7
@@ -303,15 +303,36 @@ def extension_restriction_check(
 # -- continuous self-maps and fence homotopy ---------------------------------
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _order_masks(space: FinitePoset) -> tuple[list[int], list[int]]:
+    """Each point's down-set and up-set as bitmasks, for the self-map
+    searches alone: one pass up the covers in order of down-set size, which
+    is topological, ORs in the lower covers' masks, and one pass back the
+    upper covers'."""
+    covers = space.cover_index
+    down, up = [0] * len(space), [0] * len(space)
+    order = sorted(range(len(space)), key=space.set_sizes[0].__getitem__)
+    for masks, adjacent, points in ((down, covers.down, order), (up, covers.up, reversed(order))):
+        for i in points:
+            acc = 1 << i
+            for j in adjacent[i]:
+                acc |= masks[j]
+            masks[i] = acc
+    return down, up
+
+
 def _enumerate_maps(
-    space: FinitePoset,
-    candidate_masks: list[int],
-    budget: int,
-    layer: str,
-    *,
-    idempotent: bool = False,
+    space: FinitePoset, budget: int, layer: str, *, retractions: bool = False
 ) -> list[tuple[int, ...]]:
-    """All order-preserving self-maps with images inside ``candidate_masks``.
+    """All order-preserving self-maps, or with ``retractions`` the
+    idempotent ones that send each point to a comparable one.
 
     Backtracking with forward checking over the covers: assigning
     ``x -> v`` intersects the candidates of each unassigned upper cover of
@@ -319,7 +340,8 @@ def _enumerate_maps(
     Each cover is narrowed when its first end is assigned, and a map that
     preserves every cover preserves order, so the check is exact.  The
     next point to assign is always one with the fewest candidates left.
-    With ``idempotent`` the image point of each assignment is additionally
+    With ``retractions`` each point starts with the points comparable to it
+    as candidates, and the image point of each assignment is additionally
     pinned to itself, which is what makes retraction searches tractable.
 
     The tree is walked on an explicit stack of frames ``[point, untried
@@ -336,10 +358,11 @@ def _enumerate_maps(
     if n == 0:
         return [()]
     covers = space.cover_index
-    # each point's covers, with the getter of the set their images must stay in
-    neighbours = [[(y, space.up_mask) for y in up] + [(y, space.down_mask) for y in down]
+    down_masks, up_masks = _order_masks(space)
+    # each point's covers, with the masks of the sets their images must stay in
+    neighbours = [[(y, up_masks) for y in up] + [(y, down_masks) for y in down]
                   for up, down in zip(covers.up, covers.down)]
-    masks = list(candidate_masks)
+    masks = [d | u for d, u in zip(down_masks, up_masks)] if retractions else [(1 << n) - 1] * n
     images = [-1] * n
     trail: list[tuple[int, int]] = []  # (point, its mask before narrowing)
     out: list[tuple[int, ...]] = []
@@ -368,7 +391,7 @@ def _enumerate_maps(
             out.append(tuple(images))
             return
         point, best = -1, None
-        for i in bits(unassigned):
+        for i in _bits(unassigned):
             width = masks[i].bit_count()
             if best is None or width < best:
                 point, best = i, width
@@ -394,12 +417,12 @@ def _enumerate_maps(
         if nodes > budget:
             raise exhausted()
         images[point] = cand
-        if idempotent and cand != point:  # image points must stay fixed
+        if retractions and cand != point:  # image points must stay fixed
             fixed = narrow(cand, 1 << cand) if remaining >> cand & 1 else images[cand] == cand
             if not fixed:
                 continue
         for y, within in neighbours[point]:
-            if remaining >> y & 1 and not narrow(y, within(cand)):
+            if remaining >> y & 1 and not narrow(y, within[cand]):
                 break
         else:
             descend(remaining)
@@ -427,8 +450,7 @@ def enumerate_selfmaps(
     """
     layer = "self-map enumeration"
     _check_points(space, max_points, layer)
-    full = (1 << len(space)) - 1
-    found = _enumerate_maps(space, [full] * len(space), budget, layer)
+    found = _enumerate_maps(space, budget, layer)
     return [PosetMap._trusted(space, space, images) for images in found]
 
 
@@ -446,8 +468,7 @@ def comparative_retractions(
     """
     layer = "comparative-retraction search"
     _check_points(space, max_points, layer)
-    masks = [space.down_mask(i) | space.up_mask(i) for i in range(len(space))]
-    found = _enumerate_maps(space, masks, budget, layer, idempotent=True)
+    found = _enumerate_maps(space, budget, layer, retractions=True)
     return [PosetMap._trusted(space, space, images) for images in found]
 
 
@@ -508,14 +529,15 @@ def homotopy_classes(maps: list[PosetMap]) -> HomotopyClasses:
             parent[max(rx, ry)] = min(rx, ry)
 
     covers_above = space.cover_index.up
+    down_masks, up_masks = _order_masks(space)
     for k, mp in enumerate(maps):
         images = mp.images
         for x, fx in enumerate(images):
             # f[x -> v] is continuous iff f(x) < v <= f(y) for each y covering x
-            room = space.up_mask(fx) & ~(1 << fx)
+            room = up_masks[fx] & ~(1 << fx)
             for y in covers_above[x]:
-                room &= space.down_mask(images[y])
-            for v in bits(room):
+                room &= down_masks[images[y]]
+            for v in _bits(room):
                 step = position.get(images[:x] + (v,) + images[x + 1:])
                 if step is None:
                     raise ValueError(_INCOMPLETE)

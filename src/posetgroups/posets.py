@@ -1,22 +1,23 @@
-"""Finite posets with Hasse-edge ground truth and bitset reachability.
+"""Finite posets with Hasse-edge ground truth and the order kept sparse.
 
 A :class:`FinitePoset` is immutable: points are indices ``0..n-1``, each
 carrying a distinct hashable label.  Covering (Hasse) edges are the stored
-ground truth; the full order is materialized at construction as per-point
-down-set/up-set bitmasks, so ``leq`` is O(1).
+ground truth; the full order is materialized at construction as each
+point's down-set and up-set, sorted index tuples, so memory grows with the
+number of comparable pairs and ``leq`` is one membership scan in C.
 
 The same class doubles as a finite T0 topological space: the minimal open
 neighbourhood of a point is its down-set, and a map between posets is
 continuous exactly when it is order-preserving.
 
-Three indexes are built on first use and kept on the poset: the cover
-index, the set sizes and the layout.  The cover index is the poset's one
-cover adjacency: each point's upper and lower covers, which refinement, beat
-points, cores, components and homotopy classes read, and the covers' sources
-and targets as ``itemgetter``s plus the set of covers, through which every
-covers-onto-covers and order check reads an image tuple in C.  The set sizes
-count each point's down-set and up-set.  The layout (the points by ``(site,
-role)``) makes the maps of the built spaces one lookup per point.
+Two indexes are built on first use and kept on the poset: the cover index
+and the layout.  The cover index is the poset's one cover adjacency: each
+point's upper and lower covers, which refinement, beat points, cores,
+components and homotopy classes read, and the covers' sources and targets
+as ``itemgetter``s plus the set of covers, through which every
+covers-onto-covers and order check reads an image tuple in C.  The layout
+(the points by ``(site, role)``) makes the maps of the built spaces one
+lookup per point.
 """
 
 from __future__ import annotations
@@ -24,18 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import MapError, PosetError
 from .labels import STAR, Label, site_role
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -121,71 +114,61 @@ class FinitePoset:
     exactly the covering relations).
     """
 
-    __slots__ = ("labels", "hasse", "_down", "_up", "_index", "_covers", "_sizes", "_layout")
+    __slots__ = ("labels", "hasse", "_down", "_up", "_index", "_covers", "_layout")
 
     def __init__(self, labels, hasse, down, up, index):
         self.labels: tuple[Label, ...] = labels
         self.hasse: tuple[tuple[int, int], ...] = hasse
-        self._down: tuple[int, ...] = down
-        self._up: tuple[int, ...] = up
+        self._down: tuple[tuple[int, ...], ...] = down
+        self._up: tuple[tuple[int, ...], ...] = up
         self._index: dict[Label, int] = index
         self._covers: CoverIndex | None = None
-        self._sizes: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._layout: Layout | None = None
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def _close(n: int, pairs: Iterable[tuple[int, int]]):
-        """Validate a relation digraph; return its covers, sorted, and its
-        down/up closure bitmasks."""
-        below: list[set[int]] = [set() for _ in range(n)]  # direct predecessors
-        above: list[set[int]] = [set() for _ in range(n)]
+        """Validate a relation digraph; return its covers, sorted, and each
+        point's down-set and up-set, the point included, as sorted tuples."""
+        above: list[set[int]] = [set() for _ in range(n)]  # direct successors
+        indeg = [0] * n
         for lo, hi in pairs:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise PosetError(f"relation ({lo}, {hi}) out of range")
             if lo == hi:
                 raise PosetError(f"reflexive pair ({lo}, {hi}) breaks antisymmetry")
-            below[hi].add(lo)
-            above[lo].add(hi)
+            if hi not in above[lo]:
+                above[lo].add(hi)
+                indeg[hi] += 1
 
-        # Kahn's algorithm: a cycle would violate antisymmetry.
-        indeg = [len(below[i]) for i in range(n)]
-        queue = [i for i in range(n) if indeg[i] == 0]
-        topo: list[int] = []
-        while queue:
-            nxt: list[int] = []
-            for i in queue:
-                topo.append(i)
-                for j in above[i]:
-                    indeg[j] -= 1
-                    if indeg[j] == 0:
-                        nxt.append(j)
-            queue = nxt
+        # Kahn's algorithm closes each point when it is reached; a cycle would
+        # violate antisymmetry.  ``below[i]`` lists i's direct predecessors
+        # in the order reached, each after those below it, so read backwards
+        # each is covered by i unless the down-set of one read before holds it.
+        below: list[list[int]] = [[] for _ in range(n)]
+        down: list[tuple[int, ...]] = [()] * n
+        hasse: list[tuple[int, int]] = []
+        topo = [i for i in range(n) if not indeg[i]]
+        for i in topo:  # ``topo`` grows while it is read
+            acc = {i}
+            for j in reversed(below[i]):
+                if j not in acc:
+                    hasse.append((j, i))
+                    acc.update(down[j])
+            down[i] = tuple(sorted(acc)) if below[i] else (i,)
+            for k in above[i]:
+                below[k].append(i)
+                indeg[k] -= 1
+                if not indeg[k]:
+                    topo.append(k)
         if len(topo) != n:
             raise PosetError("relations contain a cycle (antisymmetry fails)")
-
-        # One pass finds the covers and the down-sets: a direct predecessor
-        # j of i is covered by i unless j lies below another one.
-        down = [0] * n
-        hasse: list[tuple[int, int]] = []
-        for i in topo:
-            beneath = 0  # the points strictly below some direct predecessor
-            for j in below[i]:
-                beneath |= down[j] ^ 1 << j
-            acc = beneath | 1 << i
-            for j in below[i]:
-                if not beneath >> j & 1:
-                    hasse.append((j, i))
-                    acc |= 1 << j
-            down[i] = acc
-        up = [0] * n
-        for i in reversed(topo):
-            acc = 1 << i
-            for j in above[i]:
-                acc |= up[j]
-            up[i] = acc
-        return tuple(sorted(hasse)), tuple(down), tuple(up)
+        up: list[list[int]] = [[] for _ in range(n)]
+        for b, lower in enumerate(down):
+            for a in lower:
+                up[a].append(b)
+        return tuple(sorted(hasse)), tuple(down), tuple(map(tuple, up))
 
     @classmethod
     def from_relations(cls, labels: Sequence[Label], pairs: Iterable[tuple[int, int]]):
@@ -225,17 +208,15 @@ class FinitePoset:
         return self._index[label]
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._down[b] >> a & 1)
-
-    def down_mask(self, i: int) -> int:
-        return self._down[i]
-
-    def up_mask(self, i: int) -> int:
-        return self._up[i]
+        return a in self._down[b]
 
     def minimal_open_set(self, i: int) -> tuple[int, ...]:
-        """The smallest open set containing ``i``: its down-set."""
-        return tuple(bits(self._down[i]))
+        """The smallest open set containing ``i``: its down-set, ascending."""
+        return self._down[i]
+
+    def closure(self, i: int) -> tuple[int, ...]:
+        """The smallest closed set containing ``i``: its up-set, ascending."""
+        return self._up[i]
 
     @property
     def cover_index(self) -> CoverIndex:
@@ -246,10 +227,8 @@ class FinitePoset:
 
     @property
     def set_sizes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """How many points each down-set and each up-set holds, built on first use."""
-        if self._sizes is None:
-            self._sizes = tuple(tuple(map(int.bit_count, sets)) for sets in (self._down, self._up))
-        return self._sizes
+        """How many points each down-set and each up-set holds."""
+        return tuple(map(len, self._down)), tuple(map(len, self._up))
 
     @property
     def layout(self) -> Layout:
@@ -321,14 +300,9 @@ class FinitePoset:
     def induced(self, keep: Sequence[int]) -> "FinitePoset":
         """Subposet on ``keep`` (order inherited, covers recomputed)."""
         keep = sorted(keep)
-        old_to_new = {old: new for new, old in enumerate(keep)}
-        keep_mask = 0
-        for old in keep:
-            keep_mask |= 1 << old
-        pairs = []
-        for old in keep:
-            for j in bits(self._down[old] & keep_mask & ~(1 << old)):
-                pairs.append((old_to_new[j], old_to_new[old]))
+        new_of = {old: new for new, old in enumerate(keep)}
+        pairs = [(new_of[j], new) for new, old in enumerate(keep)
+                 for j in self._down[old] if j in new_of and j != old]
         return FinitePoset.from_relations([self.labels[i] for i in keep], pairs)
 
 
@@ -354,7 +328,7 @@ class PosetMap:
             raise MapError(f"image index {bad} out of range")
         covers, down = self.source.cover_index, self.target._down
         for k, (x, y) in enumerate(zip(covers.sources(images), covers.targets(images))):
-            if not down[y] >> x & 1:
+            if x not in down[y]:
                 a, b = self.source.hasse[k]
                 raise MapError(f"not order-preserving on cover ({a}, {b}): {x} !<= {y}")
 

@@ -50,8 +50,8 @@ class GadgetMode:
         kind, sep, param = text.partition(":")
         if sep and kind != "sandt":
             raise ConstructionError(f"mode {kind!r} takes no parameter")
-        if sep and not param:
-            raise ConstructionError("mode 'sandt:' needs a fence size, e.g. sandt:2")
+        if sep and not param.isdecimal():
+            raise ConstructionError(f"mode 'sandt' needs a fence size, e.g. sandt:2; got {param!r}")
         return cls(kind, int(param) if sep else 1)
 
     def __str__(self) -> str:

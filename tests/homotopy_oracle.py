@@ -40,15 +40,16 @@ from posetgroups import (
     build_space,
 )
 from posetgroups.labels import Base, FencePoint, Label, SPoint, Star, TPoint
-from posetgroups.posets import bits
 from posetgroups.spaces import _collapse_label
+
+from posets_oracle import bits, order_masks
 
 
 def _unique_extreme(strict: int, masks) -> bool:
     """Does the subset ``strict`` have a unique extreme point?
 
-    ``masks`` is ``_up`` to test for a unique maximal element and
-    ``_down`` for a unique minimal one.
+    ``masks`` holds the up masks to test for a unique maximal element and
+    the down masks for a unique minimal one.
     """
     count = 0
     for j in bits(strict):
@@ -69,12 +70,13 @@ def _beat_points(poset: FinitePoset) -> list[tuple[int, str]]:
     both kinds appears twice.
     """
     found: list[tuple[int, str]] = []
+    down, up = order_masks(poset)
     for i in range(len(poset)):
-        strict_down = poset._down[i] & ~(1 << i)
-        strict_up = poset._up[i] & ~(1 << i)
-        if strict_down and _unique_extreme(strict_down, poset._up):
+        strict_down = down[i] & ~(1 << i)
+        strict_up = up[i] & ~(1 << i)
+        if strict_down and _unique_extreme(strict_down, up):
             found.append((i, "down"))
-        if strict_up and _unique_extreme(strict_up, poset._down):
+        if strict_up and _unique_extreme(strict_up, down):
             found.append((i, "up"))
     return found
 
@@ -90,16 +92,13 @@ def oracle_core(space: FinitePoset) -> CoreResult:
         if not beats:
             break
         index, kind = beats[0]
+        down, up = order_masks(current)
         if kind == "down":
-            strict = current.down_mask(index) & ~(1 << index)
-            partner = next(
-                j for j in bits(strict) if current.up_mask(j) & strict == 1 << j
-            )
+            strict = down[index] & ~(1 << index)
+            partner = next(j for j in bits(strict) if up[j] & strict == 1 << j)
         else:
-            strict = current.up_mask(index) & ~(1 << index)
-            partner = next(
-                j for j in bits(strict) if current.down_mask(j) & strict == 1 << j
-            )
+            strict = up[index] & ~(1 << index)
+            partner = next(j for j in bits(strict) if down[j] & strict == 1 << j)
         trace.append((current.labels[index], kind))
         lands_on[current.labels[index]] = current.labels[partner]
         current = current.induced([i for i in range(len(current)) if i != index])

@@ -4,14 +4,28 @@
 point, one search per point, and finds the covers as
 :meth:`posetgroups.FinitePoset.from_relations` did before it read them off
 the closure pass: every point of every strict down-set is tested for a
-point strictly between.  The property tests compare the library with it.
-``drop_hasse_edge`` weakens a poset by one cover, for the mutation tests.
+point strictly between.  It keeps the order as bitmasks, which ``bits``
+reads back as indices; ``order_masks`` builds the same masks from a
+poset's down-set and up-set tuples, for the oracles that test subsets.
+The property tests compare the library with it.  ``drop_hasse_edge``
+weakens a poset by one cover, for the mutation tests.
 """
 
 from __future__ import annotations
 
 from posetgroups import FinitePoset, PosetError
-from posetgroups.posets import bits
+
+
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def order_masks(poset: FinitePoset) -> tuple[list[int], list[int]]:
+    """``(down masks, up masks)`` of ``poset``, built from its tuples."""
+    points = range(len(poset))
+    return ([sum(1 << j for j in poset.minimal_open_set(i)) for i in points],
+            [sum(1 << j for j in poset.closure(i)) for i in points])
 
 
 def oracle_order(n: int, pairs) -> tuple[tuple, list[int], list[int]]:

@@ -51,8 +51,8 @@ class _JointPartition:
                 self.down[offset + b].append(offset + a)
         sig = [
             (
-                poset.down_mask(i).bit_count(),
-                poset.up_mask(i).bit_count(),
+                len(poset.minimal_open_set(i)),
+                len(poset.closure(i)),
                 len(self.down[offset + i]),
                 len(self.up[offset + i]),
             )
@@ -233,8 +233,8 @@ class _Side:
             self.below[b].append(a)
         self.base = [
             (
-                poset.down_mask(i).bit_count(),
-                poset.up_mask(i).bit_count(),
+                len(poset.minimal_open_set(i)),
+                len(poset.closure(i)),
                 len(self.below[i]),
                 len(self.above[i]),
             )

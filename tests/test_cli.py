@@ -393,6 +393,32 @@ def test_a_group_with_an_empty_parameter_is_a_usage_error(capsys, group):
     assert err.startswith("error: family") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, field, bad", [
+    (("--group", "cyclic:x"), "family 'cyclic'", "'x'"),
+    (("--group", "cyclic:2", "--mode", "sandt:x"), "mode 'sandt'", "'x'"),
+    (("--group", "cyclic:2", "--fences", "1,x"), "--fences", "'1,x'"),
+], ids=["group", "mode", "fences"])
+def test_a_non_integer_parameter_is_one_error_line_naming_its_field(capsys, argv, field, bad):
+    code, out, err = run(capsys, "verify-all", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+    assert err.rstrip().endswith(bad)
+
+
+def test_verify_all_on_the_trivial_group_fails_exactly_three_checks(capsys):
+    # No generators: r = 0, nothing is attached, and every variant is the
+    # 2-point column chain (see the verification registry in README).
+    code, out, err = run(capsys, "verify-all", "--group", "cyclic:1")
+    assert code == 1 and err == ""
+    assert [line for line in out.rstrip().splitlines() if not line.startswith("PASS")] == [
+        "subject: group of order 1, generators [none], mode sandt",
+        "FAIL full-no-beat-points          2 beat points, e.g. index 0 (up)",
+        "FAIL pointed-star-fixed           1 automorphism(s) move the basepoint",
+        "FAIL variants-distinct            fence 1 and fence 2 are isomorphic",
+        "summary: 13 passed, 3 failed, 0 skipped",
+    ]
+
+
 def test_a_space_file_with_a_non_canonical_id_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "space.json"
     path.write_text(json.dumps({"points": ["base:g01:lv0"], "hasse": []}), encoding="utf-8")

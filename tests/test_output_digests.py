@@ -19,7 +19,15 @@ import os
 
 import pytest
 
-from posetgroups import FinitePoset, PosetMap, homotopy
+from posetgroups import (
+    FinitePoset,
+    PosetMap,
+    build_space,
+    builtin_group,
+    homotopy,
+    spec_for,
+    standard_generator_labels,
+)
 from posetgroups.cli import main
 from posetgroups.complexes import OrderComplex
 
@@ -109,15 +117,41 @@ def test_no_command_lists_the_chains(argv, monkeypatch):
     ("core", "--group", "symmetric:3", "--mode", "none", "--json"),
 ], ids=" ".join)
 def test_no_command_reads_an_order_bitmask(argv, monkeypatch):
-    # Set sizes, order tests and covers come from FinitePoset itself; only
-    # the self-map enumerators keep candidate sets as bitmasks.
-    def read(poset, i):
-        raise AssertionError("a down-set or up-set bitmask was read")
+    # The order is kept as sorted down-set and up-set tuples, so there is
+    # no bitmask of it to read; only the self-map enumerators build
+    # candidate bitsets, from the covers.  Every poset the command builds
+    # is checked.
+    built = []
+    init = FinitePoset.__init__
 
-    monkeypatch.setattr(FinitePoset, "down_mask", read)
-    monkeypatch.setattr(FinitePoset, "up_mask", read)
+    def recording(poset, *args):
+        init(poset, *args)
+        built.append(poset)
+
+    monkeypatch.setattr(FinitePoset, "__init__", recording)
     entry = _load()[" ".join(argv)]
     assert run(argv) == (entry["exit"], entry["sha256"])
+    assert built
+    for poset in built:
+        assert_stored_as_sorted_tuples(poset)
+
+
+@pytest.mark.parametrize("group, pointed", [("symmetric:4", False), ("dihedral:4", True)])
+def test_built_spaces_store_the_order_as_sorted_tuples(group, pointed):
+    spec = spec_for(builtin_group(group), standard_generator_labels(group), pointed=pointed)
+    assert_stored_as_sorted_tuples(build_space(spec))
+
+
+def assert_stored_as_sorted_tuples(poset):
+    """Every down-set and up-set is stored as an ascending tuple of ints,
+    and together they hold exactly the points ``set_sizes`` counts."""
+    for sets in (poset._down, poset._up):
+        assert type(sets) is tuple and len(sets) == len(poset)
+        for members in sets:
+            assert type(members) is tuple
+            assert all(type(j) is int for j in members)
+            assert list(members) == sorted(set(members))
+    assert sum(map(len, poset._down + poset._up)) == sum(map(sum, poset.set_sizes))
 
 
 class _Unhashable(tuple):

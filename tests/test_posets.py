@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetgroups import FinitePoset, MapError, PosetError, PosetMap, enumerate_selfmaps
-from posetgroups.posets import bits
 
 from conftest import fixture_space
 from homotopy_oracle import _beat_points as oracle_beat_points, by_labels, pointwise_leq
-from posets_oracle import drop_hasse_edge, oracle_order
+from posets_oracle import bits, drop_hasse_edge, oracle_order
 from search_oracle import oracle_verified_map
 
 
@@ -116,7 +115,7 @@ def test_leq_lt_comparable(pentad):
 def test_minimal_open_set_is_down_set(pentad):
     assert pentad.minimal_open_set(2) == (0, 1, 2)
     assert pentad.minimal_open_set(0) == (0,)
-    assert tuple(bits(pentad.up_mask(2))) == (2, 4)
+    assert pentad.closure(2) == (2, 4)
 
 
 def test_extreme_points(pentad):
@@ -245,14 +244,37 @@ def assert_closure_matches_the_oracle(poset, rng):
     """``from_relations`` on the covers plus a random share of the other
     order pairs, shuffled, against the oracle's closure and cover scan."""
     n = len(poset)
-    order = [(a, b) for b in range(n) for a in bits(poset.down_mask(b)) if a != b]
+    order = [(a, b) for b in range(n) for a in poset.minimal_open_set(b) if a != b]
     pairs = list(poset.hasse) + [pair for pair in order if rng.random() < 0.5]
     rng.shuffle(pairs)
     built = FinitePoset.from_relations(poset.labels, pairs)
     hasse, down, up = oracle_order(n, pairs)
     assert built.hasse == hasse == poset.hasse
-    assert [built.down_mask(i) for i in range(n)] == down
-    assert [built.up_mask(i) for i in range(n)] == up
+    assert [built.minimal_open_set(i) for i in range(n)] == [tuple(bits(m)) for m in down]
+    assert [built.closure(i) for i in range(n)] == [tuple(bits(m)) for m in up]
+
+
+def assert_order_matches_the_oracle(poset, keep):
+    """The stored down-set and up-set tuples, the order queries and the
+    subposet on ``keep`` against the oracle's closure of the covers."""
+    n = len(poset)
+    hasse, down, up = oracle_order(n, poset.hasse)
+    assert poset.hasse == hasse
+    assert poset._down == tuple(tuple(bits(m)) for m in down)
+    assert poset._up == tuple(tuple(bits(m)) for m in up)
+    assert tuple(map(poset.minimal_open_set, range(n))) == poset._down
+    assert tuple(map(poset.closure, range(n))) == poset._up
+    assert poset.set_sizes == (tuple(map(int.bit_count, down)), tuple(map(int.bit_count, up)))
+    for a, b in itertools.product(range(n), repeat=2):
+        assert poset.leq(a, b) == bool(down[b] >> a & 1)
+    kept = sorted(keep)
+    sub = poset.induced(keep)
+    pairs = [(x, y) for x, y in itertools.permutations(range(len(kept)), 2)
+             if down[kept[y]] >> kept[x] & 1]
+    sub_hasse, sub_down, _ = oracle_order(len(kept), pairs)
+    assert sub.labels == tuple(poset.labels[i] for i in kept)
+    assert sub.hasse == sub_hasse
+    assert sub._down == tuple(tuple(bits(m)) for m in sub_down)
 
 
 @given(small_posets(), st.randoms(use_true_random=False))

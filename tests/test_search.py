@@ -246,15 +246,17 @@ def disjoint_unions(draw, max_copies=4):
 
 
 @functools.lru_cache(maxsize=None)
-def built_space(group: str, mode: str) -> FinitePoset:
-    return build_space(spec_for(builtin_group(group), standard_generator_labels(group), mode=mode))
+def built_space(group: str, mode: str, pointed: bool = False) -> FinitePoset:
+    return build_space(spec_for(builtin_group(group), standard_generator_labels(group),
+                                mode=mode, pointed=pointed))
 
 
 @st.composite
-def shuffled_built_spaces(draw, modes=("none",)):
-    """A built space (mode none: the column space) with its points shuffled."""
+def shuffled_built_spaces(draw, modes=("none",), pointed=False):
+    """A built space (mode none: the column space) with its points shuffled;
+    with ``pointed``, drawn pointed or not."""
     space = built_space(draw(st.sampled_from(["cyclic:3", "cyclic:4", "klein4", "dihedral:3"])),
-                        draw(st.sampled_from(modes)))
+                        draw(st.sampled_from(modes)), pointed and draw(st.booleans()))
     return permuted_copy(space, draw(st.permutations(range(len(space)))))
 
 

@@ -33,6 +33,8 @@ from test_posets import (
     assert_beat_points_match_masks,
     assert_closure_matches_the_oracle,
     assert_cover_adjacency_matches_scan,
+    assert_order_matches_the_oracle,
+    small_posets,
 )
 from test_search import permuted_copy, shuffled_built_spaces
 
@@ -384,3 +386,12 @@ def test_cover_adjacency_and_beat_points_on_shuffled_built_spaces(space):
 @settings(max_examples=20, deadline=None)
 def test_from_relations_matches_the_cover_scan_oracle_on_shuffled_built_spaces(space, rng):
     assert_closure_matches_the_oracle(space, rng)
+
+
+@given(st.one_of(small_posets(),
+                 shuffled_built_spaces(modes=("sonly", "sandt", "sandt:2"), pointed=True)),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_stored_order_matches_the_oracle_on_small_and_shuffled_built_spaces(poset, data):
+    keep = data.draw(st.sets(st.integers(0, len(poset) - 1))) if len(poset) else set()
+    assert_order_matches_the_oracle(poset, keep)
