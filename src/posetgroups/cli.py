@@ -67,6 +67,16 @@ def _env_int(name: str, fallback: int) -> int:
     return _not_negative(name, value)
 
 
+def _entries(flag: str, text: str) -> list[str]:
+    """Comma-separated entries, blanks stripped: a blank text has none, and an empty one raises."""
+    if not text.strip():
+        return []
+    entries = [entry.strip() for entry in text.split(",")]
+    if "" in entries:
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
+    return entries
+
+
 def _add_construction_args(parser: argparse.ArgumentParser, *, with_space_file=False):
     parser.add_argument(
         "--group",
@@ -107,7 +117,7 @@ def _resolve_group(args) -> tuple[FiniteGroup, list[str]]:
     else:
         raise PosetError("a group is required: pass --group or --group-file")
     if args.gens is not None:
-        gens = [g.strip() for g in args.gens.split(",") if g.strip()]
+        gens = _entries("--gens", args.gens)
     elif default_gens is not None:
         gens = default_gens
     else:
@@ -341,8 +351,9 @@ def _cmd_export_dot(args) -> int:
 
 
 def _verify_options(args) -> VerifyOptions:
+    entries = _entries("--fences", args.fences)
     try:
-        fences = tuple(int(f) for f in args.fences.split(",") if f.strip())
+        fences = tuple(map(int, entries))
     except ValueError:
         raise ValueError(f"--fences takes comma-separated integers; got {args.fences!r}") from None
     return VerifyOptions(

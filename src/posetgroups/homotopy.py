@@ -16,9 +16,9 @@ from heapq import heappop, heappush
 from functools import cached_property
 from operator import eq, itemgetter
 
-from .errors import MapError, SizeLimitExceeded
+from .errors import ConstructionError, MapError, SizeLimitExceeded
 from .groups import FiniteGroup
-from .labels import COLUMN, Label, label_at
+from .labels import Base, Label, label_at
 from .posets import FinitePoset, PosetMap, tuple_getter
 from .search import DEFAULT_AUT_BUDGET, all_automorphisms
 
@@ -201,41 +201,26 @@ class ExtensionCheck:
     full_order: int
 
 
-_OFF_GRID = object()  # the site of a column point whose image is not a column point
-
-
-def _extension(
-    base: FinitePoset, full: FinitePoset, base_positions: list[int], images: tuple[int, ...]
-) -> tuple[int, ...]:
+def _extension(base: FinitePoset, full: FinitePoset, images: tuple[int, ...]) -> tuple[int, ...]:
     """Carry every point of ``full`` along the base automorphism ``images``.
 
     The base automorphism moves column sites; each point of ``full`` keeps
     its role at the moved site (the basepoint stays), one layout lookup per
     point.  Labels are built only to word a failure: a ``KeyError`` names
-    the missing point or site, a :class:`MapError` an unexpected label or
-    an attachment site sent off the column grid.
+    the missing point or site, a :class:`MapError` an unexpected label.
     """
-    on_base, layout = base.layout, full.layout
-    sites = {None: None}
-    for i, j in enumerate(images):
-        if on_base.roles[i] == COLUMN:
-            sites[on_base.sites[i]] = on_base.sites[j] if on_base.roles[j] == COLUMN else _OFF_GRID
-    lifted = layout.carry(layout, sites=sites)
-    while None in lifted:
+    s, layout = base.layout.sites, full.layout
+    sites = dict(zip(s, map(s.__getitem__, images)))
+    lifted = layout.move(sites)
+    if None in lifted:
         x = lifted.index(None)
         site, role = layout.sites[x], layout.roles[x]
         if role is None:
             raise MapError(f"unexpected label {full.labels[x]!r}")
         if site not in sites:
             raise KeyError(site)
-        moved = sites[site]
-        if moved is not _OFF_GRID:
-            raise KeyError(label_at(moved, role))
-        if role != COLUMN:
-            raise MapError("attachment site mapped off the column grid")
-        # a column point lands on the copy of its image in ``full``
-        lifted[x] = base_positions[images[on_base.index[site, COLUMN]]]
-    return tuple(lifted)
+        raise KeyError(label_at(sites[site], role))
+    return lifted
 
 
 def extension_restriction_check(
@@ -252,8 +237,12 @@ def extension_restriction_check(
     the automorphisms of the base; and the canonical extension (transport
     each attachment to the image site) inverts restriction.  An extension
     found among the edge-verified automorphisms of ``full`` needs no order
-    check of its own.
+    check of its own.  ``base`` must be a column space: any other point
+    raises :class:`ConstructionError` before any work.
     """
+    stray = [lab for lab in base.labels if not isinstance(lab, Base)]
+    if stray:
+        raise ConstructionError(f"the base is not a column space: {stray[0]!r} is in it")
     failures: list[str] = []
     base_positions = [full.index_of(lab) for lab in base.labels]
     back = {full_idx: base_idx for base_idx, full_idx in enumerate(base_positions)}
@@ -274,7 +263,7 @@ def extension_restriction_check(
     extended = 0
     for k, m in enumerate(base_group.maps):
         try:
-            lifted = _extension(base, full, base_positions, m.images)
+            lifted = _extension(base, full, m.images)
             j = full_group.index(lifted)
             if j is None:
                 PosetMap(full, full, lifted)  # words an order failure, if there is one

@@ -93,17 +93,15 @@ class Layout:
             site for site, role in zip(sites, roles) if role not in (None, STAR)
         ))
 
-    def carry(self, target: "Layout", sites: dict | None = None,
-              roles: dict | None = None) -> list:
-        """Where each point lands in ``target``, its site moved through
-        ``sites`` and its role through ``roles`` (unchanged when omitted).
+    def move(self, sites: dict) -> tuple:
+        """Where each point lands on this layout when its site moves through
+        ``sites`` and its role stays; the basepoint stays too.
 
         One lookup per point and no label built.  A point lands on None
-        when ``sites`` lacks its site or ``target`` lacks the moved pair.
+        when ``sites`` lacks its site or the layout lacks the moved pair.
         """
-        moved = self.sites if sites is None else map(sites.get, self.sites, repeat(_NOWHERE))
-        kinds = self.roles if roles is None else map(roles.__getitem__, self.roles)
-        return list(map(target.index.get, zip(moved, kinds)))
+        moved = map({**sites, None: None}.get, self.sites, repeat(_NOWHERE))
+        return tuple(map(self.index.get, zip(moved, self.roles)))
 
 
 class FinitePoset:

@@ -2,9 +2,9 @@
 
 Given a finite group ``G`` of order ``n`` with an ordered generating list
 of length ``r``, the base space has one column of points
-``(g, -1) < (g, 0) < ... < (g, r)`` per group element, plus the linking
-relations ``(g * gens[b-1], -1) < (g, c)`` for ``1 <= b <= c``.  Left
-translations act on columns and are the only automorphisms.
+``(g, -1) < (g, 0) < ... < (g, r)`` per group element, linked by
+``(g * gens[b-1], -1) < (g, b)`` for ``1 <= b <= r``.  Left translations
+act on columns and are the only automorphisms.
 
 To make the space rigid under *homotopy* equivalence as well, two
 non-isomorphic one-point attachments are glued onto every column point at
@@ -113,21 +113,11 @@ def build_base(spec: ConstructionSpec) -> FinitePoset:
     """The column space: ``n * (r + 2)`` points."""
     n, r = spec.group.order, spec.levels
     labels: list[Label] = [Base(g, lv) for lv in range(-1, r + 1) for g in range(n)]
-
-    def idx(g: int, lv: int) -> int:
-        return (lv + 1) * n + g
-
-    pairs: list[tuple[int, int]] = []
-    for g in range(n):
-        for lo in range(-1, r + 1):
-            for hi in range(lo + 1, r + 1):
-                pairs.append((idx(g, lo), idx(g, hi)))
-    for beta in range(1, r + 1):
-        h = spec.gens[beta - 1]
-        for g in range(n):
-            neighbour = spec.group.op(g, h)
-            for gamma in range(beta, r + 1):
-                pairs.append((idx(neighbour, -1), idx(g, gamma)))
+    # (g, lv) is point (lv + 1) * n + g.  Each column is passed as its r+1
+    # covers, and each generator h_b as one link (g·h_b, -1) < (g, b) per g.
+    pairs = [(lv * n + g, (lv + 1) * n + g) for lv in range(r + 1) for g in range(n)]
+    for b, h in enumerate(spec.gens, 1):
+        pairs += [(row[h], (b + 1) * n + g) for g, row in enumerate(spec.group.cayley)]
     return FinitePoset.from_relations(labels, pairs)
 
 
@@ -274,30 +264,34 @@ def collapse_map(
         role: site_role(_collapse_label(label_at(first[role], role)))[1]
         for role in dict.fromkeys(layout.roles)
     }
-    images = layout.carry(target.layout, roles=roles)
+    folded = zip(layout.sites, map(roles.__getitem__, layout.roles))
+    images = tuple(map(target.layout.index.get, folded))
     if None in images:
         x = images.index(None)
         raise KeyError(label_at(layout.sites[x], roles[layout.roles[x]]))
-    return PosetMap(source, target, tuple(images))
+    return PosetMap(source, target, images)
+
+
+def translation_images(space: FinitePoset, spec: ConstructionSpec, g: int) -> tuple:
+    """Where left multiplication by ``g`` sends each point, unchecked.
+
+    Each point moves its site ``(h, level)`` to ``(g·h, level)`` and keeps
+    its role, one layout lookup per point; the basepoint stays.  A point
+    lands on None when the space lacks its moved pair.
+    """
+    layout, row = space.layout, spec.group.cayley[g]
+    return layout.move({site: (row[site[0]], site[1]) for site in layout.grid})
 
 
 def left_translation(space: FinitePoset, spec: ConstructionSpec, g: int) -> PosetMap:
-    """The automorphism that left-multiplies every column index by ``g``.
-
-    Each point moves its site ``(h, level)`` to ``(g·h, level)`` and keeps
-    its role, one layout lookup per point; the basepoint stays.
-    """
-    layout = space.layout
-    op = spec.group.op
-    sites = {site: (op(g, site[0]), site[1]) for site in layout.grid}
-    sites[None] = None
-    images = layout.carry(layout, sites=sites)
+    """The automorphism that left-multiplies every column index by ``g``:
+    :func:`translation_images`, validated as an order-preserving map."""
+    images = translation_images(space, spec, g)
     if None in images:
         x = images.index(None)
-        role = layout.roles[x]
+        role = space.layout.roles[x]
         if role is None:
-            raise ConstructionError(
-                f"unexpected label {space.labels[x]!r} in a built space"
-            )
-        raise KeyError(label_at(sites[layout.sites[x]], role))
-    return PosetMap(space, space, tuple(images))
+            raise ConstructionError(f"unexpected label {space.labels[x]!r} in a built space")
+        h, level = space.layout.sites[x]
+        raise KeyError(label_at((spec.group.op(g, h), level), role))
+    return PosetMap(space, space, images)

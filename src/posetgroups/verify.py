@@ -47,7 +47,7 @@ from .spaces import (
     build_base,
     collapse_map,
     expected_point_count,
-    left_translation,
+    translation_images,
 )
 
 
@@ -180,7 +180,7 @@ def _check_base_aut_realization(ctx: _Context):
     if auts.order != group.order:
         return FAIL, f"|Aut| = {auts.order}, |G| = {group.order}"
     # Aut = {L_g} with |Aut| = |G| makes g -> L_g an isomorphism onto Aut.
-    hits = {auts.index(left_translation(base, ctx.spec, g).images) for g in range(group.order)}
+    hits = {auts.index(translation_images(base, ctx.spec, g)) for g in range(group.order)}
     if None in hits or len(hits) != group.order:
         return FAIL, "automorphisms are not exactly the left translations"
     return PASS, f"|Aut| = {auts.order} and the composition table is isomorphic to G"
@@ -415,7 +415,7 @@ def describe_spec(spec: ConstructionSpec) -> str:
     )
 
 
-def _run(spec, checks, options, subject) -> VerificationReport:
+def _run(spec, checks, options) -> VerificationReport:
     """Run ``(name, fn)`` checks in order against one shared context."""
     options = options or VerifyOptions()
     ctx = _Context(spec, options)
@@ -424,26 +424,17 @@ def _run(spec, checks, options, subject) -> VerificationReport:
         if name in options.skip else _run_check(name, fn, ctx)
         for name, fn in checks
     )
-    return VerificationReport(subject or describe_spec(spec), results)
+    return VerificationReport(describe_spec(spec), results)
 
 
-def verify_all(
-    spec: ConstructionSpec,
-    options: VerifyOptions | None = None,
-    *,
-    subject: str | None = None,
-) -> VerificationReport:
-    return _run(spec, REGISTRY, options, subject)
+def verify_all(spec: ConstructionSpec, options: VerifyOptions | None = None) -> VerificationReport:
+    return _run(spec, REGISTRY, options)
 
 
 def verify_one(
-    spec: ConstructionSpec,
-    name: str,
-    options: VerifyOptions | None = None,
-    *,
-    subject: str | None = None,
+    spec: ConstructionSpec, name: str, options: VerifyOptions | None = None
 ) -> VerificationReport:
     table = dict(REGISTRY)
     if name not in table:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    return _run(spec, [(name, table[name])], options, subject)
+    return _run(spec, [(name, table[name])], options)

@@ -405,6 +405,37 @@ def test_a_non_integer_parameter_is_one_error_line_naming_its_field(capsys, argv
     assert err.rstrip().endswith(bad)
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (("verify", "--group", "cyclic:3", "--check", "variants-distinct", "--fences", "1,,2"),
+     "--fences", "1,,2"),
+    (("verify-all", "--group", "cyclic:3", "--fences", "1, ,2"), "--fences", "1, ,2"),
+    (("build", "--group", "dihedral:3", "--gens", "a,,b"), "--gens", "a,,b"),
+    (("build", "--group", "dihedral:3", "--gens", "a,b,"), "--gens", "a,b,"),
+], ids=["verify-fences", "verify-all-fences", "gens", "gens-trailing"])
+def test_an_empty_list_entry_is_one_error_line_naming_the_flag(capsys, argv, flag, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {flag} has an empty entry: {text!r}\n")
+
+
+def test_list_entries_are_stripped_and_a_blank_gens_list_is_empty(capsys):
+    assert run(capsys, "build", "--group", "dihedral:3", "--gens", " a , b ")[0] == 0
+    code, out, _ = run(capsys, "build", "--group", "cyclic:1", "--gens", "")
+    assert code == 0 and out.startswith("points: 2\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--group", "cyclic:2", "--group-file", "g.json"),
+     "pass either --group or --group-file, not both"),
+    ((), "a group is required: pass --group or --group-file"),
+    (("--group", "cyclic:0"), "cyclic order must be >= 1"),
+    (("--group", "dihedral:1"), "dihedral parameter must be >= 2"),
+    (("--group", "symmetric:7"), "symmetric parameter must be in 1..6"),
+], ids=["both", "neither", "cyclic:0", "dihedral:1", "symmetric:7"])
+def test_a_bad_group_choice_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, "build", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_all_on_the_trivial_group_fails_exactly_three_checks(capsys):
     # No generators: r = 0, nothing is attached, and every variant is the
     # 2-point column chain (see the verification registry in README).

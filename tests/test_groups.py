@@ -242,6 +242,12 @@ def test_generating_set_rejects_identity():
         validate_generating_set(cyclic(3), ["e", "a"])
 
 
+@pytest.mark.parametrize("index", [3, -1])
+def test_generating_set_rejects_an_index_out_of_range(index):
+    with pytest.raises(GroupError, match=f"generator index {index} out of range"):
+        validate_generating_set(cyclic(3), [index])
+
+
 def test_generating_set_rejects_duplicates():
     with pytest.raises(DuplicateGeneratorError):
         validate_generating_set(cyclic(3), ["a", "a"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 
 from posetgroups import (
     AutomorphismGroup,
+    ConstructionError,
     FinitePoset,
     MapError,
     PosetMap,
     SizeLimitExceeded,
+    SPoint,
+    Star,
     build_base,
     build_space,
     builtin_group,
@@ -315,6 +319,17 @@ def test_extension_check_reports_missing_automorphisms(c3_spec):
     )
     assert not outcome.ok
     assert any("counts differ" in f for f in outcome.failures)
+
+
+@pytest.mark.parametrize("extra", ["loose", SPoint("A", 0, 0), Star()])
+def test_extension_check_refuses_a_base_that_is_not_a_column_space(c3_spec, extra):
+    base = build_base(c3_spec)
+    broken = FinitePoset.from_relations(list(base.labels) + [extra], list(base.hasse))
+    # before any work: the full space and the groups are never read
+    with pytest.raises(ConstructionError, match=(
+        f"the base is not a column space: {re.escape(repr(extra))} is in it"
+    )):
+        extension_restriction_check(broken, None, None, None)
 
 
 @pytest.mark.parametrize("name", [

@@ -1,6 +1,7 @@
 import itertools
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,20 @@ def test_zero_matrix():
     assert result.rank == 0
     assert result.diag == ()
     assert result.free_rows() == (0, 1, 2)
+
+
+def test_zero_and_cancelling_triples_leave_no_entry():
+    # (0, 0) is given as zero, row 0 and column 0 cancel out, (1, 1) sums to 2
+    triples = [(0, 0, 0), (0, 1, 3), (0, 1, -3), (1, 0, 5), (1, 0, -5), (1, 1, 1), (1, 1, 1)]
+    result = smith_normal_form(triples, 2, 2, want_transform=True)
+    assert (result.diag, result.pivot_rows, result.invariants) == ((2,), (1,), (2,))
+    assert result == smith_normal_form([(1, 1, 2)], 2, 2, want_transform=True)
+    assert result == oracle_smith_normal_form(triples, 2, 2, want_transform=True)
+
+
+def test_an_entry_out_of_range_is_refused():
+    with pytest.raises(ValueError, match=r"entry \(2, 0\) out of range"):
+        smith_normal_form([(2, 0, 1)], 2, 2)
 
 
 def test_divisibility_chain_is_normalized():

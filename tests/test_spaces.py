@@ -59,6 +59,8 @@ def test_mode_rejects_bad_input():
         GadgetMode("sandt", 0)
     with pytest.raises(ConstructionError):
         GadgetMode("mystery")
+    with pytest.raises(ConstructionError, match="fence size only applies to sandt mode"):
+        GadgetMode("none", 2)
 
 
 def test_points_per_site():
@@ -310,7 +312,54 @@ def test_every_gadget_edge_is_load_bearing(c3_spec):
         assert drop_hasse_edge(space, edge).beat_points(), edge
 
 
+# -- the column space from its generating relations --------------------------
+
+
+def all_pairs_base(spec) -> FinitePoset:
+    """The column space from every pair of each column and every link
+    ``(g·h_b, -1) < (g, c)`` with ``c >= b``."""
+    n, r = spec.group.order, spec.levels
+    labels = [Base(g, lv) for lv in range(-1, r + 1) for g in range(n)]
+
+    def idx(g, lv):
+        return (lv + 1) * n + g
+
+    pairs = [(idx(g, lo), idx(g, hi))
+             for g in range(n) for lo in range(-1, r + 1) for hi in range(lo + 1, r + 1)]
+    for beta in range(1, r + 1):
+        h = spec.gens[beta - 1]
+        pairs += [(idx(spec.group.op(g, h), -1), idx(g, gamma))
+                  for g in range(n) for gamma in range(beta, r + 1)]
+    return FinitePoset.from_relations(labels, pairs)
+
+
+@pytest.mark.parametrize("group, gens", [
+    ("cyclic:1", []), ("cyclic:8", ["a"]), ("quaternion8", ["i", "j"]),
+    ("dihedral:6", ["a", "b"]), ("symmetric:4", standard_generator_labels("symmetric:4")),
+    ("cyclic:4", ["a2"]),
+])
+def test_column_space_from_its_covers_and_links_equals_the_all_pairs_space(group, gens):
+    spec = spec_for(builtin_group(group), gens, require_generating=False)
+    got, want = build_base(spec), all_pairs_base(spec)
+    assert (got.labels, got.hasse) == (want.labels, want.hasse)
+    points = range(len(got))
+    assert [got.minimal_open_set(i) for i in points] == [want.minimal_open_set(i) for i in points]
+    assert [got.closure(i) for i in points] == [want.closure(i) for i in points]
+
+
 # -- layout maps against the label-by-label oracle ---------------------------
+
+
+def test_a_site_move_keeps_the_basepoint_and_leaves_the_callers_dict_alone(c3_spec):
+    space = build_space(replace(c3_spec, pointed=True))
+    layout = space.layout
+    sites = {site: site for site in layout.grid[1:]}  # the first site has no image
+    images = layout.move(sites)
+    assert sites == {site: site for site in layout.grid[1:]}
+    assert images[space.index_of(Star())] == space.index_of(Star())
+    stranded = [i for i, site in enumerate(layout.sites) if site == layout.grid[0]]
+    assert [i for i, y in enumerate(images) if y is None] == stranded
+    assert all(y == i for i, y in enumerate(images) if i not in stranded)
 
 
 def perturbed_spaces(spec) -> dict:

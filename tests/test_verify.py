@@ -14,9 +14,12 @@ from posetgroups import (
     CHECK_NAMES,
     AutomorphismGroup,
     ConstructionError,
+    FiniteGroup,
     FinitePoset,
     GadgetMode,
+    HomologySummary,
     PosetMap,
+    SPoint,
     VerifyOptions,
     build_space,
     builtin_group,
@@ -237,7 +240,7 @@ def test_reports_are_deterministic_apart_from_timing():
 
 def test_subject_line_describes_the_input():
     spec = spec_for(builtin_group("klein4"), ["a", "b"], pointed=True)
-    report = verify_one(spec, "generators", subject=None)
+    report = verify_one(spec, "generators")
     assert "order 4" in report.subject
     assert "pointed" in report.subject
     assert report.to_text().startswith("subject: ")
@@ -405,4 +408,110 @@ def test_pointed_check_fails_on_a_point_hung_above_the_basepoint(monkeypatch):
     assert results["full-no-beat-points"].status == "PASS"  # the run is unpointed
     assert (results["pointed-star-fixed"].status, results["pointed-star-fixed"].detail) == (
         "FAIL", f"the pointed space has 2 beat points, e.g. index {star} (up)"
+    )
+
+
+# -- FAIL branches on mutant builders and patched products --------------------
+
+
+def test_base_realization_reads_translation_images_without_building_maps(monkeypatch):
+    # The automorphisms are already edge-verified: each translation is
+    # matched by its images, and no PosetMap is built or validated for it.
+    ctx = verify._Context(spec_for(builtin_group("symmetric:3"), ["(01)", "(12)"]),
+                          VerifyOptions())
+    ctx.auts(verify._BASE)
+    built = []
+    real = PosetMap.__post_init__
+    monkeypatch.setattr(PosetMap, "__post_init__", lambda m: (built.append(m), real(m)))
+    assert base_check(ctx, "base-aut-realization").status == "PASS"
+    assert built == []
+
+
+def opposite(group):
+    """The group with the transposed table: its left translations are the
+    right translations of ``group``."""
+    return FiniteGroup(group.labels, tuple(zip(*group.cayley)))
+
+
+def test_base_realization_fails_on_a_right_multiplication_builder(monkeypatch):
+    # Links (h·g, -1) < (g, b): Aut is the right translations, |Aut| = |G|,
+    # but for S3 a left translation is not even order-preserving.
+    real = verify.build_base
+    monkeypatch.setattr(verify, "build_base",
+                        lambda spec: real(replace(spec, group=opposite(spec.group))))
+    spec = spec_for(builtin_group("symmetric:3"), ["(01)", "(12)"])
+    result = result_map(verify_all(spec))["base-aut-realization"]
+    assert (result.status, result.detail) == (
+        "FAIL", "automorphisms are not exactly the left translations"
+    )
+
+
+def test_extension_check_fails_when_one_attachment_loses_a_cover(monkeypatch):
+    real = verify.attach_gadgets
+
+    def cut(base, spec):
+        full = real(base, spec)
+        edge = (full.index_of(SPoint("C", 1, 0)), full.index_of(SPoint("A", 1, 0)))
+        return FinitePoset.from_relations(full.labels, [e for e in full.hasse if e != edge])
+
+    monkeypatch.setattr(verify, "attach_gadgets", cut)
+    result = result_map(verify_all(spec_for(builtin_group("cyclic:3"), ["a"])))
+    assert (result["extension-bijection"].status, result["extension-bijection"].detail) == (
+        "FAIL",
+        "base automorphism 1 does not extend: not order-preserving on cover (11, 9): "
+        "21 !<= 19; base automorphism 2 does not extend: not order-preserving on cover "
+        "(31, 29): 21 !<= 19; automorphism counts differ: base 3, full 1",
+    )
+
+
+def test_collapse_check_fails_on_a_fold_that_misses_a_point(monkeypatch):
+    real = verify.collapse_map
+    monkeypatch.setattr(
+        verify, "collapse_map",
+        lambda spec, *, source, target: real(spec, source=source,
+                                             target=with_a_point_above(target, 0)),
+    )
+    result = base_check(verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]),
+                                        VerifyOptions()), "collapse-monotone")
+    assert (result.status, result.detail) == ("FAIL", "fold from fence 1 is not surjective")
+
+
+def test_homology_checks_fail_on_a_wrong_summary(monkeypatch):
+    monkeypatch.setattr(verify, "homology_summary", lambda cx: HomologySummary(2, 0, (2,)))
+    ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
+    results = [base_check(ctx, name) for name in ("betti-prediction", "graph-complex-agreement")]
+    assert [(r.status, r.detail) for r in results] == [
+        ("FAIL", "b0 = 2, expected 1; b1 = 0, expected 7; torsion [2], expected none"),
+        ("FAIL", "covering graph: rank 7, 1 comps; complex: b1 0, b0 2"),
+    ]
+
+
+def test_variant_invariance_fails_when_a_fence_changes_b1(monkeypatch):
+    real, seen = verify.homology_summary, []
+
+    def growing(cx):
+        seen.append(cx)
+        return replace(real(cx), b1=real(cx).b1 + len(seen) - 1)
+
+    monkeypatch.setattr(verify, "homology_summary", growing)
+    ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
+    result = base_check(ctx, "betti-variant-invariance")
+    assert (result.status, result.detail) == ("FAIL", (
+        "homology varies across fences: {1: HomologySummary(b0=1, b1=7, h1_torsion=()), "
+        "2: HomologySummary(b0=1, b1=8, h1_torsion=()), "
+        "3: HomologySummary(b0=1, b1=9, h1_torsion=())}"
+    ))
+
+
+def test_h1_check_fails_when_two_automorphisms_share_a_matrix(monkeypatch):
+    ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
+    auts = ctx.auts(ctx.key)
+    identity = auts.maps[auts.identity_index()]
+    moved = next(m for m in auts.maps if m is not identity)
+    real = verify.h1_action_rows
+    monkeypatch.setattr(verify, "h1_action_rows",
+                        lambda basis, m: real(basis, identity if m is moved else m))
+    result = h1_check(ctx)
+    assert (result.status, result.detail) == (
+        "FAIL", "two automorphisms induce the same matrix on first homology"
     )
