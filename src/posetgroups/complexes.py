@@ -11,9 +11,9 @@ in this package has the same first Betti number as the full complex.
 Homology is not reduced on the complex itself.  An acyclic matching in the
 sense of discrete Morse theory (Forman 1998; the coreductions of
 Mrozek and Batko 2009) pairs every non-cover edge with a triangle, so the
-1-cells left are the covers and the 2-cells the unmatched triangles; first
-homology is the cycle space of the covering graph modulo those triangles'
-relations, which on the built spaces all vanish.
+1-cells left are the covers; first homology is the cycle space of the
+covering graph modulo the triangles' relations, spanned by those whose
+middle point covers the lowest, which on the built spaces all vanish.
 
 Everything is exact integer arithmetic through :mod:`posetgroups.snf`.
 """
@@ -136,14 +136,14 @@ class CycleBasis:
     ``edges`` are the covers, ``space.hasse``, each oriented lower to
     upper.  Fundamental cycles come from an index-ordered BFS forest of
     the covering graph, one per non-tree cover (``nontree``).  A discrete
-    Morse matching collapses every other edge and most triangles of the
-    order complex; the unmatched triangles left give the relations among
-    the cover cycles, and their Smith reduction (with transforms) turns
-    any cover cycle into free-part coordinates: ``coords = (U @
-    nontree_coeffs)`` restricted to the non-pivot rows.  ``u_rows`` holds
-    those rows by coordinate, each as its ``(non-tree slot, value)``
-    nonzeros.  ``cover_rows``, the one record of the basis cycles, holds
-    them by cover: position ``p`` holds the ``(basis index, coefficient)``
+    Morse matching leaves the covers as the only edges, and the triangles
+    whose middle point covers the lowest span the relations among the
+    cover cycles; their Smith reduction (with transforms) turns any cover
+    cycle into free-part coordinates: ``coords = (U @ nontree_coeffs)``
+    restricted to the non-pivot rows.  ``u_rows`` holds those rows by
+    coordinate, each as its ``(non-tree slot, value)`` nonzeros.
+    ``cover_rows``, the one record of the basis cycles, holds them by
+    cover: position ``p`` holds the ``(basis index, coefficient)``
     nonzeros of cover ``p``, in basis order, and ``()`` when no basis
     cycle runs through it.
     ``components`` counts the trees of the forest, which is b0.
@@ -211,39 +211,27 @@ def _reduce(space: FinitePoset) -> CycleBasis:
     # non-tree covers of P(a, c) as slots in path order; an upward path
     # takes each cover once and forward.  Points are visited after their
     # upper covers: a < s leaves |up(s)| < |up(a)|, so ascending up-set
-    # size is enough.  The first cover of a to reach c is s.  Both this
-    # pass and the next cost one step per triangle.
+    # size is enough.  With s the first cover of a below b, the relation
+    # R(a, b, c) = P(a, b) + P(b, c) - P(a, c) of a triangle is R(s, b, c)
+    # + R(a, s, c), so by induction on [a, b] those with b covering a span
+    # all.  R(a, s, c) is zero for the first cover s to reach c; each later
+    # one emits it unless it is zero (upward paths agree as equal tuples).
     paths: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+    triples: list[tuple[int, int, int]] = []
+    relations = 0
     for a in sorted(range(n), key=space.set_sizes[1].__getitem__):
         here = paths[a]
         for s in up[a]:
             t = slot.get(edge_positions[a, s])
-            first = () if t is None else (t,)
-            here[s] = first
+            here[s] = first = () if t is None else (t,)
             for c, rest in paths[s].items():
-                if c not in here:
-                    here[c] = first + rest if first else rest
-
-    # Every unmatched triangle a < b < c is a relation P(a, b) + P(b, c) -
-    # P(a, c) among the cover cycles; the matched ones (b = s) and those
-    # whose cover paths agree are zero on the non-tree covers.  Paths are
-    # disjoint on either side of b, so agreement is tuple equality.
-    triples: list[tuple[int, int, int]] = []
-    relations = 0
-    for a in range(n):
-        above = paths[a]
-        for b, head in above.items():
-            if not head and paths[b].items() <= above.items():
-                continue  # every P(b, c) is P(a, c): no relation through b
-            for c, tail in paths[b].items():
-                joined, whole = head + tail, above[c]
-                if joined == whole:
-                    continue
-                acc = dict.fromkeys(joined, 1)
-                for t in whole:
-                    acc[t] = acc.get(t, 0) - 1
-                triples.extend((t, relations, v) for t, v in acc.items() if v)
-                relations += 1
+                whole = here.get(c)
+                if whole is None:
+                    here[c] = first + rest
+                elif first + rest != whole:  # the reduction sums what cancels
+                    triples += [(k, relations, 1) for k in first + rest]
+                    triples += [(k, relations, -1) for k in whole]
+                    relations += 1
     snf = smith_normal_form(triples, len(nontree), relations, want_transform=True)
 
     def fundamental_chain(edge_pos: int) -> dict[int, int]:
@@ -301,8 +289,8 @@ def h1_action_rows(basis: CycleBasis, automorphism: PosetMap):
     level; each free row of ``U`` then times the gathered rows
     (:func:`row_times`).  A unit row of ``U`` (every row on the built
     spaces, whose reduction keeps no relation) gives the gathered row
-    itself, shared with the basis rather than copied.  Functorial by construction: composing automorphisms
-    multiplies the matrices.
+    itself, shared with the basis rather than copied.  Functorial by
+    construction: composing automorphisms multiplies the matrices.
     """
     inverse = [-1] * len(automorphism.images)
     for i, image in enumerate(automorphism.images):

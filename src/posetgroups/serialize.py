@@ -58,8 +58,15 @@ def poset_to_json(space: FinitePoset) -> str:
     return json.dumps(poset_to_doc(space), indent=2) + "\n"
 
 
+def _loads(text: str, error: type[ValueError]):
+    try:  # the parser recurses once per level of nesting
+        return json.loads(text)
+    except RecursionError:
+        raise error("the JSON document is nested too deeply") from None
+
+
 def poset_from_json(text: str) -> FinitePoset:
-    return poset_from_doc(json.loads(text))
+    return poset_from_doc(_loads(text, PosetError))
 
 
 def group_to_doc(group: FiniteGroup) -> dict:
@@ -94,7 +101,7 @@ def group_from_doc(doc: dict) -> FiniteGroup:
 
 
 def group_from_json(text: str) -> FiniteGroup:
-    return group_from_doc(json.loads(text))
+    return group_from_doc(_loads(text, GroupError))
 
 
 def export_dot(space: FinitePoset) -> str:

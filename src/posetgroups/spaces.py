@@ -277,9 +277,13 @@ def translation_images(space: FinitePoset, spec: ConstructionSpec, g: int) -> tu
 
     Each point moves its site ``(h, level)`` to ``(g·h, level)`` and keeps
     its role, one layout lookup per point; the basepoint stays.  A point
-    lands on None when the space lacks its moved pair.
+    lands on None when the space lacks its moved pair, and a site off the
+    group's columns raises :class:`ConstructionError`.
     """
     layout, row = space.layout, spec.group.cayley[g]
+    for site in layout.grid:
+        if not 0 <= site[0] < len(row):
+            raise ConstructionError(f"site {site} is off the group's columns 0..{len(row) - 1}")
     return layout.move({site: (row[site[0]], site[1]) for site in layout.grid})
 
 

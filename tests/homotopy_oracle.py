@@ -331,6 +331,9 @@ def oracle_left_translation(space: FinitePoset, spec: ConstructionSpec, g: int) 
 
     def shift(label: Label) -> Label:
         if isinstance(label, (Base, SPoint, TPoint, FencePoint)):
+            if not 0 <= label.g < group.order:
+                site, last = (label.g, label.level), group.order - 1
+                raise ConstructionError(f"site {site} is off the group's columns 0..{last}")
             return replace(label, g=group.op(g, label.g))
         if isinstance(label, Star):
             return label

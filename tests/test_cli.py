@@ -466,6 +466,15 @@ def test_a_space_file_repeating_an_edge_is_a_usage_error(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: hasse edge 1 ('a', 'b') repeats edge 0\n")
 
 
+@pytest.mark.parametrize("flags", [("--space-file",), ("--group-file", "--gens", "a")])
+def test_a_deeply_nested_file_is_a_usage_error(capsys, tmp_path, flags):
+    # past the JSON parser's recursion limit: one error line, no traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run(capsys, "build", flags[0], str(path), *flags[1:])
+    assert (code, out, err) == (2, "", "error: the JSON document is nested too deeply\n")
+
+
 def test_unknown_group_is_a_usage_error(capsys):
     code, out, err = run(capsys, "build", "--group", "cyclic:one")
     assert code == 2

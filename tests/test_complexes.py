@@ -24,6 +24,7 @@ from posetgroups import (
     order_complex,
     smith_normal_form,
     spec_for,
+    standard_generator_labels,
 )
 from posetgroups.complexes import chain_complex
 
@@ -283,9 +284,10 @@ def test_cycle_basis_sees_torsion():
 
 
 def test_basis_chains_expand_non_unit_columns_of_u_inverse(monkeypatch):
-    # <a, b | (a^2 b^3)^2> has H1 = Z^2 / (4, 6) = Z + Z/2.  The reduction
-    # of its Morse relations leaves a free column of U^-1 that is not a
-    # unit vector, so the coefficients of U^-1 shape the basis chain.
+    # <a, b | a^2 b^4> has H1 = Z^2 / (2, 4) = Z + Z/2.  The reduction of
+    # its Morse relations leaves a free column of U^-1 that is not a unit
+    # vector, so the coefficients of U^-1 shape the basis chain.  (Which
+    # words do so depends on the order of the relation columns.)
     reductions = []
     real = complexes.smith_normal_form
 
@@ -294,7 +296,7 @@ def test_basis_chains_expand_non_unit_columns_of_u_inverse(monkeypatch):
         return reductions[-1]
 
     monkeypatch.setattr(complexes, "smith_normal_form", kept)
-    space = presentation_complex("aabbbaabbb")
+    space = presentation_complex("aabbbb")
     cx = order_complex(space)
     basis = cycle_basis(cx)
     assert (basis.betti, basis.torsion) == (1, (2,))
@@ -311,6 +313,30 @@ def test_basis_chains_expand_non_unit_columns_of_u_inverse(monkeypatch):
         ]
         assert coords == [1 if i == j else 0 for i in range(basis.betti)]
     assert_action_matches_oracle(space)
+
+
+@pytest.mark.parametrize("group", [
+    "cyclic:2", "cyclic:3", "cyclic:5", "cyclic:8", "klein4", "symmetric:3",
+    "dihedral:4", "quaternion8", "dihedral:6", "dihedral:10",
+])
+def test_built_spaces_keep_no_relation(monkeypatch, group):
+    # On the catalog spaces and their fence-2 and fence-3 variants every
+    # relation among the cover cycles vanishes on the non-tree covers, so
+    # the reduction runs on an empty matrix and U is the identity.
+    shapes = []
+    real = complexes.smith_normal_form
+
+    def kept(triples, nrows, ncols, **kwargs):
+        shapes.append((len(triples), ncols))
+        return real(triples, nrows, ncols, **kwargs)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", kept)
+    gens = standard_generator_labels(group)
+    for fence in (1, 2, 3):
+        spec = spec_for(builtin_group(group), gens, mode=f"sandt:{fence}")
+        basis = cycle_basis(order_complex(build_space(spec)))
+        assert basis.u_rows == tuple(((t, 1),) for t in range(basis.betti))
+    assert shapes == [(0, 0)] * 3
 
 
 def assert_basis_cycles_are_unit_vectors(basis):

@@ -271,6 +271,18 @@ def test_index_refuses_maps_that_are_not_a_group(crown):
         not_a_group.table
 
 
+def test_table_refuses_a_product_missing_from_the_maps(crown):
+    # the base keys (points 0 and 2) of these three maps are distinct, but
+    # the product of the two swaps, (1, 0, 3, 2), is not among them
+    maps = tuple(PosetMap(crown, crown, images) for images in
+                 [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)])
+    auts = AutomorphismGroup(crown, maps)
+    assert [auts.index(m.images) for m in maps] == [0, 1, 2]
+    with pytest.raises(MapError, match="^a product of automorphisms is missing "
+                                       "from the enumerated set$"):
+        auts.table
+
+
 def test_crown_automorphisms_form_klein_four(crown):
     auts = AutomorphismGroup.of(crown)
     assert auts.order == 4
@@ -549,6 +561,15 @@ def test_homotopy_classes_rejects_a_list_missing_a_one_point_step():
     # const1 = identity[x -> y] is continuous but missing
     with pytest.raises(ValueError, match="incomplete"):
         homotopy_classes([identity, const0])
+
+
+def test_homotopy_classes_rejects_a_list_missing_a_composite():
+    # an antichain has no one-point steps, so only composing the 3-cycle
+    # with itself finds (2, 0, 1) missing
+    antichain = FinitePoset.from_relations(["x", "y", "z"], [])
+    cycle = PosetMap(antichain, antichain, (1, 2, 0))
+    with pytest.raises(ValueError, match="^map list is incomplete"):
+        homotopy_classes([PosetMap.identity(antichain), cycle])
 
 
 @given(small_posets(max_points=4))

@@ -228,6 +228,13 @@ def test_group_json_validates_table():
         group_from_json('{"labels": ["e", "x"], "cayley": [[0, 1], [1, 1]]}')
 
 
+@pytest.mark.parametrize("load, error", [(poset_from_json, PosetError),
+                                         (group_from_json, GroupError)])
+def test_a_document_nested_past_the_recursion_limit_raises_its_layer_error(load, error):
+    with pytest.raises(error, match="^the JSON document is nested too deeply$"):
+        load("[" * 200_000 + "]" * 200_000)
+
+
 # -- DOT export ----------------------------------------------------------------
 
 

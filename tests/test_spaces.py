@@ -24,7 +24,7 @@ from posetgroups import (
     spec_for,
     standard_generator_labels,
 )
-from posetgroups.spaces import fence_sequence
+from posetgroups.spaces import fence_sequence, translation_images
 
 from conftest import fixture_space
 from homotopy_oracle import oracle_collapse_map, oracle_left_translation
@@ -401,6 +401,22 @@ def test_translations_and_folds_match_the_oracle_on_broken_spaces(d3_spec, name)
     for source, target in ((fence3, space), (space, space), (space, fence3)):
         want = outcome(lambda: oracle_collapse_map(d3_spec, source=source, target=target))
         assert outcome(lambda: collapse_map(d3_spec, source=source, target=target)) == want
+
+
+@pytest.mark.parametrize("column", [-1, 9])
+def test_a_site_off_the_group_columns_is_refused(c3_spec, column):
+    # a column index past either end of the group's row is refused alike:
+    # -1 must not wrap round the row to give a map that is no automorphism
+    base = build_base(c3_spec)
+    space = FinitePoset.from_relations(list(base.labels) + [Base(column, 0)], list(base.hasse))
+    message = f"^site \\({column}, 0\\) is off the group's columns 0..2$"
+    for g in range(3):
+        with pytest.raises(ConstructionError, match=message):
+            translation_images(space, c3_spec, g)
+        with pytest.raises(ConstructionError, match=message):
+            left_translation(space, c3_spec, g)
+        with pytest.raises(ConstructionError, match=message):
+            oracle_left_translation(space, c3_spec, g)
 
 
 @pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
