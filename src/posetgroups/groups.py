@@ -60,10 +60,15 @@ class FiniteGroup:
         return len(self.labels)
 
     def op(self, a: int, b: int) -> int:
-        return self.cayley[a][b]
+        return self.cayley[self._element(a)][self._element(b)]
 
     def inv(self, a: int) -> int:
-        return self.cayley[a].index(self.identity)
+        return self.cayley[self._element(a)].index(self.identity)
+
+    def _element(self, a: int) -> int:
+        if not 0 <= a < self.order:
+            raise GroupError(f"element index {a} out of range 0..{self.order - 1}")
+        return a
 
     def element_order(self, a: int) -> int:
         k, acc = 1, a

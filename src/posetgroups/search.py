@@ -19,18 +19,28 @@ touched by a splitter split in the order of their starts, so the trace
 depends on the shape of the partition and not on how the points are
 numbered.  Q's root refinement is compared with P's first, so a pair it
 tells apart costs no more.  Then the first path refines P alone from the
-root down to a discrete leaf, individualizing the first point of the first
+root down to a discrete leaf, individualizing the least point of the first
 smallest cell at each level, and records each level's cell and trace.  A
 node of Q's tree undoes to its level's trail mark, individualizes one
 point q of that same cell, and refines while comparing: it dies at the
 first record that differs from the first path's, or when its refinement
-ends at another trace position.
-A live node therefore has the first path's cells at its depth, so it reads
-its next target cell from the first path instead of scanning for one.  A
-discrete leaf of Q's tree maps the first leaf's point at each position to
-its own point there, and every such map is verified against every cover
-before being reported (one C-level check through the poset's cover index),
-so the trace only ever prunes, never certifies.
+ends at another trace position.  A live node therefore has the first
+path's cells at its depth, so it reads its next target cell from the first
+path.  A discrete leaf of Q's tree maps the first leaf's point at each
+position to its own point there, and every such map is verified against
+every cover before being reported (one C-level check through the poset's
+cover index), so the trace only ever prunes, never certifies.
+
+On the paper's spaces one level is all the tree needs, and it is walked
+without refining.  The propagation plan places every point, breadth-first
+from the first level's point p, as the only upper or only lower cover,
+inside its own root cell, of a point already placed.  An isomorphism that
+matches the root trace keeps the root cells, so when the plan places every
+point, individualizing q admits at most one map: the node walks the plan
+from q, O(points + covers), and dies at the first image with no unique
+cover in the step's cell.  Refining after individualizing p would be
+discrete at once, so the candidates, node counts, leaves and witnesses are
+the tree's.  Where the plan stalls (antichains, crowns) the tree runs.
 
 An isomorphism P -> Q is the first verified leaf of a depth-first walk of
 Q's tree.  The automorphism group is the same walk with Q = P, and is not
@@ -232,6 +242,27 @@ class _Partition:
                 cell_of[u] = parent
 
 
+def _plan(part: _Partition, p: int) -> tuple[list[int], list[tuple[int, int, int]]] | None:
+    """The points in the order the plan from ``p`` places them, and its steps; None if it stalls.
+
+    Step ``(i, k, cell)`` places the next point as the only upper (``k`` 0)
+    or lower (``k`` 1) cover in root cell ``cell`` of the ``i``-th point.
+    """
+    cell_of, covers = part.cell_of, part.poset.cover_index
+    order, plan, placed = [p], [], {p}
+    for i, w in enumerate(order):  # breadth-first: ``order`` grows while it is read
+        for k, side in enumerate((covers.up, covers.down)):
+            only: dict[int, int] = {}
+            for x in side[w]:
+                only[cell_of[x]] = -1 if cell_of[x] in only else x
+            for cell, x in only.items():
+                if x >= 0 and x not in placed:
+                    placed.add(x)
+                    order.append(x)
+                    plan.append((i, k, cell))
+    return (order, plan) if len(order) == part.n else None
+
+
 def _budget_error(budget: int, order: int | None = None) -> SizeLimitExceeded:
     reached = (
         f"visiting {budget} nodes, its node budget"
@@ -249,13 +280,13 @@ class _Tree:
 
     Construction refines P's root and records its trace, so a Q whose
     root refinement differs is rejected before any level is built.
-    ``levels``, filled by :meth:`first_path`, holds, for each
+    ``levels``, filled by :meth:`first_level`, holds, for each
     individualization of the first path, its cell, the point
     individualized there (the cell's least: a point of the base), the
     trail mark before it and the trace of the refinement after it; undone
     to that mark, the partition's cell holds the level's points again.
-    ``nodes`` counts the root, each first-path level and each Q
-    individualization against ``budget``.
+    ``nodes`` counts the root, each first-path level and each node of Q's
+    tree against ``budget``; ``plan`` is the propagation plan, if any.
     """
 
     def __init__(self, part: _Partition, budget: int):
@@ -267,6 +298,7 @@ class _Tree:
         self.root_trace: list = []
         part.refine(list(part.starts), self.root_trace)
         self.levels: list[tuple[int, int, int, list]] = []
+        self.plan: list[tuple[int, int, int]] | None = None
 
     def first_path(self, part: _Partition) -> None:
         """Individualize and refine P's partition from the root down to a discrete leaf.
@@ -277,8 +309,7 @@ class _Tree:
         splits off are on the trail after its mark.
         """
         end = part.end
-        wide = [start for start in range(part.n) if end[start] - start > 1
-                and part.cell_of[part.elems[start]] == start]
+        wide = [start for start in chain(part.starts, part.trail) if end[start] - start > 1]
         while wide:
             cell = min(wide, key=lambda start: (end[start] - start, start))
             point = min(part.elems[cell:end[cell]])
@@ -289,10 +320,22 @@ class _Tree:
             wide = [start for start in chain(wide, part.trail[mark:])
                     if end[start] - start > 1]
         # The first leaf's point at position i maps to a leaf's point there.
-        rank = [0] * part.n
-        for i, v in enumerate(part.elems):
-            rank[v] = i
-        self.leaf = tuple_getter(rank)
+        self.leaf = tuple_getter(sorted(range(part.n), key=part.elems.__getitem__))
+
+    def first_level(self, part: _Partition) -> None:
+        """From the root: the first path's first level alone when the plan
+        from its point places every point, else the whole first path."""
+        wide = [start for start in chain(part.starts, part.trail) if part.end[start] - start > 1]
+        if wide:
+            cell = min(wide, key=lambda start: (part.end[start] - start, start))
+            found = _plan(part, min(part.elems[cell:part.end[cell]]))
+            if found is not None:
+                self.count()
+                order, self.plan = found
+                self.levels.append((cell, order[0], len(part.trail), []))
+                self.leaf = tuple_getter(sorted(range(part.n), key=order.__getitem__))
+                return
+        self.first_path(part)
 
     def count(self) -> None:
         """Count one node against the budget."""
@@ -300,28 +343,39 @@ class _Tree:
         if self.nodes > self.budget:
             raise _budget_error(self.budget)
 
-    def step(self, part: _Partition, depth: int, q: int) -> bool:
-        """Count one node and individualize ``q`` in the first path's cell at ``depth``."""
+    def step(self, part: _Partition, depth: int, q: int) -> list[int] | None:
+        """Count a node individualizing ``q`` in the first path's cell at ``depth``: None if it
+        dies, else its points in order (under a plan, the points it forces from ``q``)."""
         self.count()
+        if self.plan is not None:
+            covers, forced = part.poset.cover_index, [q]
+            sides, cell_of = (covers.up, covers.down), part.cell_of
+            for i, k, cell in self.plan:
+                only = [x for x in sides[k][forced[i]] if cell_of[x] == cell]
+                if len(only) != 1:
+                    return None
+                forced += only
+            return forced
         cell, _, mark, trace = self.levels[depth]
         part.undo(mark)
-        return part.individualize(cell, q, trace, compare=True)
+        return part.elems if part.individualize(cell, q, trace, compare=True) else None
 
-    def first_leaf(self, part: _Partition, depth: int, alive: bool) -> tuple[int, ...] | None:
+    def first_leaf(self, part: _Partition, depth: int,
+                   elems: list | None) -> tuple[int, ...] | None:
         """Walk Q's tree depth-first below ``part``'s node at ``depth`` to its first verified leaf.
 
-        ``alive`` is whether that node's refinement matched the first
-        path's trace.  The partition is left wherever the walk stopped.
+        ``elems`` is that node's points, as :meth:`step` returns them.  The
+        partition is left wherever the walk stopped.
         """
         levels = self.levels
         # Frames are [depth, candidates q, next candidate index].
         stack: list[list] = []
         while True:
-            if alive and depth == len(levels):
-                images = self.leaf(part.elems)
+            if elems is not None and depth == len(levels):
+                images = self.leaf(elems)
                 if self.poset.maps_covers_onto(part.poset, images):
                     return images
-            elif alive:
+            elif elems is not None:
                 cell = levels[depth][0]
                 stack.append([depth, part.elems[cell:part.end[cell]], 0])
             while stack and stack[-1][2] == len(stack[-1][1]):
@@ -332,7 +386,7 @@ class _Tree:
             depth = frame[0]
             q = frame[1][frame[2]]
             frame[2] += 1
-            alive = self.step(part, depth, q)
+            elems = self.step(part, depth, q)
             depth += 1
 
 
@@ -351,8 +405,8 @@ def find_isomorphism(
     tree = _Tree(part_p, budget)
     if not part_q.refine(list(part_q.starts), tree.root_trace, compare=True):
         return None
-    tree.first_path(part_p)
-    images = tree.first_leaf(part_q, 0, True)
+    tree.first_level(part_p)
+    images = tree.first_leaf(part_q, 0, part_q.elems)
     if images is None:
         return None
     return PosetMap._trusted(poset_p, poset_q, images)
@@ -424,7 +478,7 @@ def all_automorphisms(
     """
     part = _Partition(poset)
     tree = _Tree(part, budget)
-    tree.first_path(part)  # the identity path: Q = P shares its partition
+    tree.first_level(part)  # the identity path: Q = P shares its partition
     gens: list[tuple[int, ...]] = []
     order = 1
     for depth in reversed(range(len(tree.levels))):

@@ -154,6 +154,15 @@ def test_cyclic_arithmetic():
     assert c6.order_profile() == (1, 2, 3, 3, 6, 6)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_op_and_inv_refuse_an_element_outside_the_group(bad):
+    # -1 would wrap to the last row and 3 would run off the table.
+    c3 = builtin_group("cyclic:3")
+    for call in (lambda: c3.op(bad, 0), lambda: c3.op(0, bad), lambda: c3.inv(bad)):
+        with pytest.raises(GroupError, match=f"element index {bad} out of range 0..2"):
+            call()
+
+
 def test_klein_four_every_element_is_an_involution():
     v = klein_four()
     assert v.order_profile() == (1, 2, 2, 2)

@@ -322,3 +322,97 @@ def test_traces_agree_on_shuffled_copies(poset, rng):
     witness = find_isomorphism(poset, copy)
     assert witness is not None and witness.is_isomorphism()
     assert [m.images for m in all_automorphisms(copy)] == leaf_search(copy, copy)
+
+
+# -- the propagation plan: one refinement per search on the built spaces ------
+
+
+@pytest.mark.parametrize("group, mode, pointed", [
+    ("dihedral:6", "sandt", False),
+    ("dihedral:6", "sandt", True),
+    ("dihedral:6", "sandt:2", False),
+    ("symmetric:5", "none", False),
+])
+def test_built_spaces_are_searched_with_one_refinement_per_poset(group, mode, pointed):
+    # The plan reaches every point of a built space, so each search refines
+    # each poset's root once and individualizes nothing.
+    space = built_space(group, mode, pointed)
+    copy = permuted_copy(space, random.Random(3).sample(range(len(space)), len(space)))
+    refined = []
+    real = search._Partition.refine
+
+    def refine(part, *args, **kwargs):
+        refined.append(part)
+        return real(part, *args, **kwargs)
+
+    def individualize(*args, **kwargs):
+        raise AssertionError("a built space should not reach the individualization tree")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search._Partition, "refine", refine)
+        patch.setattr(search._Partition, "individualize", individualize)
+        auts = all_automorphisms(copy)
+        assert len(refined) == 1
+        witness = find_isomorphism(space, copy)
+        assert len(refined) == 3 and refined[1] is not refined[2]
+    assert len(auts) == builtin_group(group).order
+    assert witness is not None and witness.is_isomorphism()
+
+
+def outcomes(poset_p: FinitePoset, poset_q: FinitePoset, budget: int) -> list:
+    """Both searches' results at ``budget``: the maps, the witness, or the budget error text."""
+    found = []
+    for run in (lambda: [m.images for m in all_automorphisms(poset_q, budget=budget)],
+                lambda: find_isomorphism(poset_p, poset_q, budget=budget)):
+        try:
+            result = run()
+        except SizeLimitExceeded as error:
+            result = str(error)
+        found.append(getattr(result, "images", result))
+    return found
+
+
+def without_plan(poset_p: FinitePoset, poset_q: FinitePoset, budget: int) -> list:
+    """:func:`outcomes` with the plan forced to stall, so the tree does every level."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_plan", lambda index, p: None)
+        return outcomes(poset_p, poset_q, budget)
+
+
+@st.composite
+def search_pairs(draw):
+    """A poset and a shuffled copy, or two posets of one shape that are not isomorphic."""
+    if draw(st.booleans()):
+        mode = draw(st.sampled_from(["none", "sandt"]))
+        return built_space("dihedral:4", mode), built_space("quaternion8", mode)
+    poset = draw(st.one_of(
+        small_posets(),
+        shuffled_built_spaces(modes=("none", "sandt", "sandt:2"), pointed=True),
+    ))
+    return poset, permuted_copy(poset, draw(st.permutations(range(len(poset)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(search_pairs(), st.one_of(st.integers(1, 12), st.just(search.DEFAULT_AUT_BUDGET)))
+def test_the_plan_gives_what_the_tree_gives(pair, budget):
+    # The same maps, the same witness (None included) and the same budget
+    # error at the same budget, with and without the plan.
+    assert outcomes(*pair, budget) == without_plan(*pair, budget)
+
+
+def test_a_crown_stalls_the_plan_and_keeps_the_tree():
+    # Every point of the crown has two covers in the one wide root cell, so
+    # no point is forced and the tree searches as before.
+    crown = fixture_space("crown")
+    plans = []
+    real = search._plan
+
+    def spy(index, p):
+        plans.append(real(index, p))
+        return plans[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_plan", spy)
+        found = outcomes(crown, crown, search.DEFAULT_AUT_BUDGET)
+    assert plans == [None, None] and len(found[0]) == 4
+    assert found == without_plan(crown, crown, search.DEFAULT_AUT_BUDGET)
