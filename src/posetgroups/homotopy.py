@@ -18,7 +18,7 @@ from operator import eq, itemgetter
 
 from .errors import ConstructionError, MapError, SizeLimitExceeded
 from .groups import FiniteGroup
-from .labels import Base, Label, label_at
+from .labels import Base, Label, label_at, site_role
 from .posets import FinitePoset, PosetMap, tuple_getter
 from .search import DEFAULT_AUT_BUDGET, all_automorphisms
 
@@ -201,28 +201,6 @@ class ExtensionCheck:
     full_order: int
 
 
-def _extension(base: FinitePoset, full: FinitePoset, images: tuple[int, ...]) -> tuple[int, ...]:
-    """Carry every point of ``full`` along the base automorphism ``images``.
-
-    The base automorphism moves column sites; each point of ``full`` keeps
-    its role at the moved site (the basepoint stays), one layout lookup per
-    point.  Labels are built only to word a failure: a ``KeyError`` names
-    the missing point or site, a :class:`MapError` an unexpected label.
-    """
-    s, layout = base.layout.sites, full.layout
-    sites = dict(zip(s, map(s.__getitem__, images)))
-    lifted = layout.move(sites)
-    if None in lifted:
-        x = lifted.index(None)
-        site, role = layout.sites[x], layout.roles[x]
-        if role is None:
-            raise MapError(f"unexpected label {full.labels[x]!r}")
-        if site not in sites:
-            raise KeyError(site)
-        raise KeyError(label_at(sites[site], role))
-    return lifted
-
-
 def extension_restriction_check(
     base: FinitePoset,
     full: FinitePoset,
@@ -236,9 +214,12 @@ def extension_restriction_check(
     space maps base points to base points; restriction lands bijectively in
     the automorphisms of the base; and the canonical extension (transport
     each attachment to the image site) inverts restriction.  An extension
-    found among the edge-verified automorphisms of ``full`` needs no order
-    check of its own.  ``base`` must be a column space: any other point
-    raises :class:`ConstructionError` before any work.
+    is one gather: each point of ``full`` keeps its role at the moved site
+    (the basepoint stays), through two lists made once, each base point's
+    row and the base point at each site; labels only word a failure.  An
+    extension found among the edge-verified automorphisms of ``full`` needs
+    no order check of its own.  ``base`` must be a column space: any other
+    point raises :class:`ConstructionError` before any work.
     """
     stray = [lab for lab in base.labels if not isinstance(lab, Base)]
     if stray:
@@ -260,10 +241,23 @@ def extension_restriction_check(
     if len(set(kept) - {None}) != len(kept) - missing:
         failures.append("two full automorphisms restrict to the same base map")
 
+    layout, off = full.layout, len(base)
+    rows = [*(layout.site_of[p] * layout.width for p in base_positions), 0]  # 0 for ``off``
+    at = [off] * (len(layout.sites) + 1)
+    for b, p in enumerate(base_positions):
+        at[layout.site_of[p]] = b
     extended = 0
     for k, m in enumerate(base_group.maps):
+        lifted = layout.gather([*map(rows.__getitem__, map((*m.images, off).__getitem__, at))])
         try:
-            lifted = _extension(base, full, m.images)
+            if None in lifted:
+                x = lifted.index(None)
+                site, role = site_role(full.labels[x])
+                if role is None:
+                    raise MapError(f"unexpected label {full.labels[x]!r}")
+                b = at[layout.site_of[x]]  # the base point under x, if any
+                raise KeyError(label_at(site_role(base.labels[m.images[b]])[0], role)
+                               if b < off else site)
             j = full_group.index(lifted)
             if j is None:
                 PosetMap(full, full, lifted)  # words an order failure, if there is one

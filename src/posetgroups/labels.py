@@ -8,8 +8,8 @@ fence attachment, and the optional distinguished basepoint.  Arbitrary
 posets just use plain strings.
 
 ``site_role`` / ``label_at`` split a label into the column point it sits
-at and its role there, and put the two back together; the maps of the
-built spaces move sites and keep roles (see ``FinitePoset.layout``).
+at and its role there, and put the two back together.  The layout numbers
+both, so the built spaces' maps build labels only to word a failure.
 ``label_id`` / ``parse_label_id`` are inverse bijections written over
 them: an id is a label's role followed by its site.  Serialized documents
 store labels through them, and round-trips are exact.

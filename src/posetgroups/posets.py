@@ -16,15 +16,15 @@ point's upper and lower covers, which refinement, beat points, cores,
 components and homotopy classes read, and the covers' sources and targets
 as ``itemgetter``s plus the set of covers, through which every
 covers-onto-covers and order check reads an image tuple in C.  The layout
-(the points by ``(site, role)``) makes the maps of the built spaces one
-lookup per point.
+numbers each site and role once, so that every map of the built spaces is
+one C-level gather of ints, with no label built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, count, repeat
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import MapError, PosetError
@@ -66,42 +66,45 @@ class CoverIndex:
         self.edges = frozenset(hasse)
 
 
-_NOWHERE = object()  # a site no layout has
-
-
 class Layout:
-    """The points of a poset by ``(site, role)`` (see :func:`labels.site_role`).
-
-    ``sites[i]`` and ``roles[i]`` make up point ``i``'s pair, and ``index``
-    maps each pair back to its point; equal sites and roles are stored
-    once.  ``grid`` lists the distinct column sites ``(g, level)`` in order
-    of first use.
+    """The points of a poset by site and role (see :func:`labels.site_role`),
+    each numbered from 1 in order of first use.  Point ``i`` is at site
+    ``site_of[i]`` in role ``role_of[i]``, and ``flat[s * width + r]`` is
+    the point at site ``s`` in role ``r``, or None; ``sites`` gives each
+    site its row ``s * width`` and ``roles`` each role its number.  Row 0
+    holds only the basepoint, and column 0 (a plain label's role) nothing.
+    ``columns`` and ``levels`` list each site's ``g`` and level number, and
+    ``cells[g * (len(sites) + 1) + level]`` is the row of the site there.
     """
 
-    __slots__ = ("sites", "roles", "index", "grid")
+    __slots__ = ("sites", "roles", "width", "site_of", "role_of", "flat", "columns", "levels",
+                 "cells")
 
     def __init__(self, labels: Sequence[Label]):
-        shared: dict = {}
-        sites, roles = [], []
-        for label in labels:
-            site, role = site_role(label)
-            sites.append(shared.setdefault(site, site))
-            roles.append(shared.setdefault(role, role))
-        self.sites, self.roles = tuple(sites), tuple(roles)
-        self.index = {pair: i for i, pair in enumerate(zip(sites, roles))}
-        self.grid = tuple(dict.fromkeys(
-            site for site, role in zip(sites, roles) if role not in (None, STAR)
-        ))
+        pairs = list(map(site_role, labels))
+        self.roles = dict(zip(dict.fromkeys(r for _, r in pairs if r is not None), count(1)))
+        self.width = width = len(self.roles) + 1
+        sites = dict.fromkeys(site for site, role in pairs if role not in (None, STAR))
+        self.sites = dict(zip(sites, count(width, width)))
+        self.site_of = [self.sites.get(site, 0) // width for site, _ in pairs]
+        self.role_of = [self.roles.get(role, 0) for _, role in pairs]
+        self.flat: list[int | None] = [None] * (len(sites) + 1) * width
+        for i, (s, r) in enumerate(zip(self.site_of, self.role_of)):
+            if r:
+                self.flat[s * width + r] = i
+        self.columns = [g for g, _ in sites]
+        levels = dict(zip(dict.fromkeys(level for _, level in sites), count()))
+        self.levels = [levels[level] for _, level in sites]
+        keys = map(add, map(mul, self.columns, repeat(len(sites) + 1)), self.levels)
+        self.cells = dict(zip(keys, self.sites.values()))
 
-    def move(self, sites: dict) -> tuple:
-        """Where each point lands on this layout when its site moves through
-        ``sites`` and its role stays; the basepoint stays too.
-
-        One lookup per point and no label built.  A point lands on None
-        when ``sites`` lacks its site or the layout lacks the moved pair.
-        """
-        moved = map({**sites, None: None}.get, self.sites, repeat(_NOWHERE))
-        return tuple(map(self.index.get, zip(moved, self.roles)))
+    def gather(self, rows: Sequence[int], cols: Sequence[int] | None = None,
+               onto: "Layout | None" = None) -> tuple:
+        """Where each point lands when site ``s`` moves to row ``rows[s]`` of ``onto``
+        (this layout by default) and role ``r`` to ``cols[r]`` (by default, stays)."""
+        flat = (onto or self).flat
+        roles = self.role_of if cols is None else map(cols.__getitem__, self.role_of)
+        return tuple(map(flat.__getitem__, map(add, map(rows.__getitem__, self.site_of), roles)))
 
 
 class FinitePoset:
@@ -230,7 +233,7 @@ class FinitePoset:
 
     @property
     def layout(self) -> Layout:
-        """The points by ``(site, role)``, built on first use."""
+        """The points by site and role number, built on first use."""
         if self._layout is None:
             self._layout = Layout(self.labels)
         return self._layout

@@ -249,17 +249,18 @@ def _plan(part: _Partition, p: int) -> tuple[list[int], list[tuple[int, int, int
     or lower (``k`` 1) cover in root cell ``cell`` of the ``i``-th point.
     """
     cell_of, covers = part.cell_of, part.poset.cover_index
-    order, plan, placed = [p], [], {p}
+    order, plan, placed, count = [p], [], {p}, [0] * part.n  # covers per cell, reset
     for i, w in enumerate(order):  # breadth-first: ``order`` grows while it is read
         for k, side in enumerate((covers.up, covers.down)):
-            only: dict[int, int] = {}
             for x in side[w]:
-                only[cell_of[x]] = -1 if cell_of[x] in only else x
-            for cell, x in only.items():
-                if x >= 0 and x not in placed:
+                count[cell_of[x]] += 1
+            for x in side[w]:
+                cell = cell_of[x]
+                if count[cell] == 1 and x not in placed:
                     placed.add(x)
                     order.append(x)
                     plan.append((i, k, cell))
+                count[cell] = 0
     return (order, plan) if len(order) == part.n else None
 
 

@@ -18,6 +18,8 @@ level ``-1`` points ("star") pins the space for pointed checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import add, mul
 
 from .errors import ConstructionError
 from .groups import FiniteGroup, validate_generating_set
@@ -247,8 +249,8 @@ def collapse_map(
     """The fold from the sized-fence space onto the classic one.
 
     ``spec.mode`` must be ``sandt``; the target is the same spec with
-    fence size 1.  Each point keeps its site and folds its role, one
-    layout lookup per point.  Order preservation is re-validated by the
+    fence size 1.  Each point keeps its site and folds its role, one gather
+    over site and role numbers.  Order preservation is re-validated by the
     map constructor, surjectivity by the caller if desired.
     """
     if spec.mode.kind != "sandt":
@@ -257,18 +259,15 @@ def collapse_map(
         source = build_space(spec)
     if target is None:
         target = build_space(replace(spec, mode=GadgetMode("sandt", 1)))
-    layout = source.layout
-    # a role folds as the label of its first point does
-    first = dict(zip(reversed(layout.roles), reversed(layout.sites)))
-    roles = {
-        role: site_role(_collapse_label(label_at(first[role], role)))[1]
-        for role in dict.fromkeys(layout.roles)
-    }
-    folded = zip(layout.sites, map(roles.__getitem__, layout.roles))
-    images = tuple(map(target.layout.index.get, folded))
-    if None in images:
-        x = images.index(None)
-        raise KeyError(label_at(layout.sites[x], roles[layout.roles[x]]))
+    layout, onto = source.layout, target.layout
+    rows = [0, *map(onto.sites.get, layout.sites, repeat(0))]
+    # a role folds as its point at any one site does
+    folded = (site_role(_collapse_label(label_at((0, 0), role)))[1] for role in layout.roles)
+    cols = [0, *map(onto.roles.get, folded, repeat(0))]
+    images = layout.gather(rows, cols, onto)
+    if None in images:  # a plain label is not laid out: it is looked up, and a missing point raises
+        images = tuple(target.index_of(_collapse_label(label)) if y is None else y
+                       for y, label in zip(images, source.labels))
     return PosetMap(source, target, images)
 
 
@@ -276,15 +275,17 @@ def translation_images(space: FinitePoset, spec: ConstructionSpec, g: int) -> tu
     """Where left multiplication by ``g`` sends each point, unchecked.
 
     Each point moves its site ``(h, level)`` to ``(g·h, level)`` and keeps
-    its role, one layout lookup per point; the basepoint stays.  A point
-    lands on None when the space lacks its moved pair, and a site off the
-    group's columns raises :class:`ConstructionError`.
+    its role, one gather over site and role numbers; the basepoint stays.
+    A point lands on None when the space lacks its moved pair, and a site
+    off the group's columns raises :class:`ConstructionError`.
     """
     layout, row = space.layout, spec.group.cayley[g]
-    for site in layout.grid:
-        if not 0 <= site[0] < len(row):
-            raise ConstructionError(f"site {site} is off the group's columns 0..{len(row) - 1}")
-    return layout.move({site: (row[site[0]], site[1]) for site in layout.grid})
+    if layout.columns and not (0 <= min(layout.columns) and max(layout.columns) < len(row)):
+        site = next(site for site in layout.sites if not 0 <= site[0] < len(row))
+        raise ConstructionError(f"site {site} is off the group's columns 0..{len(row) - 1}")
+    scaled = list(map(mul, row, repeat(len(layout.sites) + 1)))  # the keys of ``cells``
+    keys = map(add, map(scaled.__getitem__, layout.columns), layout.levels)
+    return layout.gather([0, *map(layout.cells.get, keys, repeat(0))])
 
 
 def left_translation(space: FinitePoset, spec: ConstructionSpec, g: int) -> PosetMap:
@@ -293,9 +294,8 @@ def left_translation(space: FinitePoset, spec: ConstructionSpec, g: int) -> Pose
     images = translation_images(space, spec, g)
     if None in images:
         x = images.index(None)
-        role = space.layout.roles[x]
+        site, role = site_role(space.labels[x])
         if role is None:
             raise ConstructionError(f"unexpected label {space.labels[x]!r} in a built space")
-        h, level = space.layout.sites[x]
-        raise KeyError(label_at((spec.group.op(g, h), level), role))
+        raise KeyError(label_at((spec.group.op(g, site[0]), site[1]), role))
     return PosetMap(space, space, images)

@@ -8,9 +8,17 @@ and the property tests compare the generating-set check that
 ``groups_isomorphic`` is a brute-force isomorphism test for small groups;
 the tests use it to compare automorphism groups with the group they were
 built from.
+
+``permutation_groups`` draws a small nontrivial group as the closure of random
+permutations, its elements numbered in random order, and
+``generating_lists`` a generating list of it in random order, with
+redundant elements; the tests run the whole construction on them.
 """
 
 from __future__ import annotations
+
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from posetgroups import FiniteGroup, GroupError, SizeLimitExceeded
 from posetgroups.groups import _greedy_generators
@@ -99,3 +107,42 @@ def groups_isomorphic(
         return False
 
     return assign(0, [])
+
+
+@st.composite
+def permutation_groups(draw, max_degree: int = 5, max_order: int = 24) -> FiniteGroup:
+    """The closure of 1-3 random permutations of degree at most ``max_degree``,
+    as a table with its elements numbered in random order.
+
+    Each permutation joins the generators only while the closure stays
+    within ``max_order`` elements; the first alone has order at most 6.
+    The trivial group, which the construction cannot realize, is not drawn.
+    """
+    degree = draw(st.integers(2, max_degree))
+    perms = draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
+    elements: list[tuple[int, ...]] = []
+    for k in range(len(perms)):
+        grown = [tuple(range(degree))]
+        for x in grown:  # ``grown`` grows while it is read
+            for y in (tuple(x[i] for i in s) for s in perms[:k + 1]):
+                if y not in grown:
+                    grown.append(y)
+        if len(grown) > max_order:
+            break
+        elements = grown
+    assume(len(elements) > 1)
+    elements = draw(st.permutations(elements))
+    number = {x: k for k, x in enumerate(elements)}
+    table = tuple(tuple(number[tuple(x[i] for i in y)] for y in elements) for x in elements)
+    return FiniteGroup(tuple(f"p{k}" for k in range(len(elements))), table)
+
+
+@st.composite
+def generating_lists(draw, group: FiniteGroup, max_extra: int = 1) -> list[int]:
+    """Distinct non-identity elements that generate ``group``, in random order:
+    the greedy generators plus up to ``max_extra`` redundant elements."""
+    gens = _greedy_generators(group)
+    others = [x for x in range(group.order) if x != group.identity and x not in gens]
+    if others:
+        gens += draw(st.lists(st.sampled_from(others), max_size=max_extra, unique=True))
+    return draw(st.permutations(gens))

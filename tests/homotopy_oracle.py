@@ -15,9 +15,9 @@ comparison that joins two maps.
 ``transport_label`` moves one label along a base automorphism, and
 ``oracle_extension_restriction_check``, ``oracle_left_translation`` and
 ``oracle_collapse_map`` build their maps label by label through
-``by_labels``.  The library carries points through each space's
-``(site, role)`` layout instead; the property tests compare maps and
-failure texts.
+``by_labels``.  The library numbers each site and role of a space once
+and builds each map as one gather over those numbers instead; the
+property tests compare maps and failure texts.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ whole image tuples, composing and verifying every product; the property
 tests compare the cover-index check and the base-keyed closure with them.
 ``oracle_target`` picks the first path's target cell by scanning every
 cell, as the search did before it kept a list of the cells with more than
-one point.
+one point.  ``oracle_plan`` finds the covers alone in their root cell with
+a fresh dict per point and side, as the propagation plan did before it
+reused one count per cell.
 """
 
 from __future__ import annotations
@@ -361,6 +363,23 @@ def oracle_target(part) -> int:
             best, best_size = start, size
         start = part.end[start]
     return best
+
+
+def oracle_plan(part, p: int):
+    """``search._plan`` on a rooted ``search._Partition``, one dict per point and side."""
+    cell_of, covers = part.cell_of, part.poset.cover_index
+    order, plan, placed = [p], [], {p}
+    for i, w in enumerate(order):  # breadth-first: ``order`` grows while it is read
+        for k, side in enumerate((covers.up, covers.down)):
+            only: dict[int, int] = {}
+            for x in side[w]:
+                only[cell_of[x]] = -1 if cell_of[x] in only else x
+            for cell, x in only.items():
+                if x >= 0 and x not in placed:
+                    placed.add(x)
+                    order.append(x)
+                    plan.append((i, k, cell))
+    return (order, plan) if len(order) == part.n else None
 
 
 def oracle_search(poset_p: FinitePoset, poset_q: FinitePoset, *, first_only: bool = False,

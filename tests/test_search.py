@@ -27,7 +27,9 @@ from posetgroups import (
 )
 
 from conftest import fixture_space
-from search_oracle import leaf_search, oracle_closure, oracle_search, oracle_target
+from search_oracle import (
+    leaf_search, oracle_closure, oracle_plan, oracle_search, oracle_target,
+)
 from test_posets import small_posets
 
 
@@ -416,3 +418,28 @@ def test_a_crown_stalls_the_plan_and_keeps_the_tree():
         found = outcomes(crown, crown, search.DEFAULT_AUT_BUDGET)
     assert plans == [None, None] and len(found[0]) == 4
     assert found == without_plan(crown, crown, search.DEFAULT_AUT_BUDGET)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_posets(), st.just(fixture_space("crown")),
+                 shuffled_built_spaces(modes=("none", "sandt", "sandt:2"), pointed=True)),
+       st.data())
+def test_the_plan_equals_the_dict_per_point_oracle(poset, data):
+    # From every point of a wide root cell, so the stalled plans are compared too.
+    part = search._Partition(poset)
+    part.refine(list(part.starts), [])
+    starts = [start for start in part.starts if part.end[start] - start > 1]
+    cell = data.draw(st.sampled_from(starts)) if starts else 0
+    for p in part.elems[cell:part.end[cell]] if starts else range(len(poset)):
+        assert search._plan(part, p) == oracle_plan(part, p)
+
+
+def test_the_crown_stalls_the_plan_and_a_built_space_does_not():
+    # From the least point of the first smallest wide root cell, as the search starts.
+    for poset, stalls in ((fixture_space("crown"), True),
+                          (built_space("dihedral:3", "sandt:2", pointed=True), False)):
+        part = search._Partition(poset)
+        part.refine(list(part.starts), [])
+        p = min(part.elems[oracle_target(part):part.end[oracle_target(part)]])
+        assert (search._plan(part, p) is None) == stalls
+        assert search._plan(part, p) == oracle_plan(part, p)

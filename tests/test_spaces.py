@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetgroups import (
+    AutomorphismGroup,
     Base,
     ConstructionError,
     FencePoint,
@@ -20,10 +21,12 @@ from posetgroups import (
     builtin_group,
     collapse_map,
     expected_point_count,
+    extension_restriction_check,
     left_translation,
     spec_for,
     standard_generator_labels,
 )
+from posetgroups import homotopy, labels, posets, spaces
 from posetgroups.spaces import fence_sequence, translation_images
 
 from conftest import fixture_space
@@ -350,16 +353,51 @@ def test_column_space_from_its_covers_and_links_equals_the_all_pairs_space(group
 # -- layout maps against the label-by-label oracle ---------------------------
 
 
-def test_a_site_move_keeps_the_basepoint_and_leaves_the_callers_dict_alone(c3_spec):
+def test_a_site_move_keeps_the_basepoint_and_leaves_the_callers_rows_alone(c3_spec):
     space = build_space(replace(c3_spec, pointed=True))
     layout = space.layout
-    sites = {site: site for site in layout.grid[1:]}  # the first site has no image
-    images = layout.move(sites)
-    assert sites == {site: site for site in layout.grid[1:]}
+    rows = [0, 0, *list(layout.sites.values())[1:]]  # the first site has no image
+    images = layout.gather(rows)
+    assert rows == [0, 0, *list(layout.sites.values())[1:]]
     assert images[space.index_of(Star())] == space.index_of(Star())
-    stranded = [i for i, site in enumerate(layout.sites) if site == layout.grid[0]]
-    assert [i for i, y in enumerate(images) if y is None] == stranded
+    stranded = [i for i, s in enumerate(layout.site_of) if s == 1]
+    assert stranded and [i for i, y in enumerate(images) if y is None] == stranded
     assert all(y == i for i, y in enumerate(images) if i not in stranded)
+
+
+def test_the_maps_of_an_intact_built_space_build_no_label(d3_spec):
+    # Once the layouts are built, translations and extensions read only
+    # numbers, and a fold reads each role's fold once; labels word failures.
+    base, full = build_base(d3_spec), build_space(d3_spec)
+    pointed = build_space(replace(d3_spec, pointed=True))
+    fence3 = build_space(replace(d3_spec, mode=GadgetMode("sandt", 3)))
+    base_auts, full_auts = AutomorphismGroup.of(base), AutomorphismGroup.of(full)
+    for space in (base, full, pointed, fence3):
+        space.layout
+    calls: dict = {}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (posets, spaces, homotopy):
+            for name in ("site_role", "label_at"):
+                if hasattr(module, name):
+                    patch.setattr(module, name, counted(name, getattr(labels, name)))
+        for cls in (Base, SPoint, TPoint, FencePoint, Star):
+            patch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        for space in (base, full, pointed):
+            for g in range(d3_spec.group.order):
+                assert left_translation(space, d3_spec, g).images == translation_images(
+                    space, d3_spec, g)
+        assert extension_restriction_check(base, full, base_auts, full_auts).ok
+        assert calls == {}
+        fence_spec = replace(d3_spec, mode=GadgetMode("sandt", 3))
+        fold = collapse_map(fence_spec, source=fence3, target=full)
+    assert fold.is_surjective() and calls and max(calls.values()) <= len(fence3.layout.roles)
 
 
 def perturbed_spaces(spec) -> dict:

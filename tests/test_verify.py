@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import gc
+import json
 import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetgroups import homotopy, spaces, verify
 from posetgroups import (
@@ -24,12 +27,15 @@ from posetgroups import (
     build_space,
     builtin_group,
     collapse_map,
+    group_from_json,
+    group_to_doc,
     left_translation,
     spec_for,
     verify_all,
     verify_one,
 )
 
+from groups_oracle import generating_lists, permutation_groups
 from test_complexes import counting_snf
 
 
@@ -515,3 +521,26 @@ def test_h1_check_fails_when_two_automorphisms_share_a_matrix(monkeypatch):
     assert (result.status, result.detail) == (
         "FAIL", "two automorphisms induce the same matrix on first homology"
     )
+
+
+# -- the theorem on random groups -------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(permutation_groups(), st.sampled_from(["none", "sonly", "sandt", "sandt:2"]),
+       st.booleans(), st.data())
+def test_every_check_holds_on_random_permutation_groups(group, mode, pointed, data):
+    # The elements are numbered at random, so the spaces' sites are numbered
+    # unlike the catalogue's.
+    spec = spec_for(group, data.draw(generating_lists(group)), mode=mode, pointed=pointed)
+    report = verify_all(spec)
+    assert report.ok, report.to_text()
+
+
+@settings(max_examples=5, deadline=None)
+@given(permutation_groups(), st.data())
+def test_a_random_group_verifies_alike_after_a_json_round_trip(group, data):
+    gens = data.draw(generating_lists(group))
+    again = group_from_json(json.dumps(group_to_doc(group)))
+    texts = [verify_all(spec_for(g, gens, mode="sonly")).to_text() for g in (group, again)]
+    assert again == group and texts[0] == texts[1]
