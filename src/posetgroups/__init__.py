@@ -18,8 +18,8 @@ from .complexes import (
     HomologySummary,
     OrderComplex,
     cycle_basis,
+    h1_action_ids,
     h1_action_matrix,
-    h1_action_rows,
     homology_summary,
     order_complex,
 )
@@ -136,8 +136,8 @@ __all__ = [
     "find_isomorphism",
     "group_from_json",
     "group_to_doc",
+    "h1_action_ids",
     "h1_action_matrix",
-    "h1_action_rows",
     "homology_summary",
     "homotopy_classes",
     "klein_four",

@@ -17,8 +17,7 @@ from contextlib import nullcontext
 
 from .complexes import (
     cycle_basis,
-    dense_rows,
-    h1_action_rows,
+    h1_action_ids,
     homology_summary,
     order_complex,
 )
@@ -308,16 +307,17 @@ def _cmd_h1_action(args) -> int:
     space = _resolve_space(args)
     basis = cycle_basis(order_complex(space))
     auts = AutomorphismGroup.of(space, budget=args.budget_aut)
-    # Each map is computed, densified and written a row at a time before
-    # the next, so only one dense matrix and one row of text are ever held.
-    # Its sparse rows are kept for ``distinct``; on the built spaces they
-    # are the basis's own rows, so that costs a reference per row.
+    # Each map's row ids are computed and its matrix written a row at a time
+    # before the next map, so one row of text is held at a time, and each
+    # distinct dense row once.  The ids are kept for ``distinct``, a
+    # reference per row.
     seen = []
+    dense = basis.interned.dense
 
     def matrices():
         for m in auts.maps:
-            seen.append(h1_action_rows(basis, m))
-            yield dense_rows(seen[-1])
+            seen.append(h1_action_ids(basis, m))
+            yield tuple(map(dense.__getitem__, seen[-1]))
 
     def distinct() -> bool:
         return len(set(seen)) == len(seen)

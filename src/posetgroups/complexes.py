@@ -24,10 +24,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import SizeLimitExceeded
-from .posets import FinitePoset, PosetMap
+from .posets import FinitePoset, PosetMap, tuple_getter
 from .snf import smith_normal_form
 
 DEFAULT_SIMPLEX_LIMIT = 2_000_000
@@ -146,15 +146,17 @@ class CycleBasis:
     cover: position ``p`` holds the ``(basis index, coefficient)``
     nonzeros of cover ``p``, in basis order, and ``()`` when no basis
     cycle runs through it.
-    ``components`` counts the trees of the forest, which is b0.
+    ``components`` counts the trees of the forest, which is b0, and
+    ``points`` the points of the space.
 
     It is the complex's memo, shared by every caller; treat it as
     read-only.  It must not refer back to the complex: the pair would then
-    be a reference cycle, freed only by the cyclic collector.
+    be a reference cycle, freed only by the cyclic collector.  Its own memo,
+    :attr:`interned`, holds no reference back to it either.
     """
 
+    points: int
     edges: tuple[tuple[int, int], ...]
-    edge_positions: dict[tuple[int, int], int]
     nontree: tuple[int, ...]
     u_rows: tuple[tuple[tuple[int, int], ...], ...]
     cover_rows: tuple[tuple[tuple[int, int], ...], ...]
@@ -164,6 +166,65 @@ class CycleBasis:
     @property
     def betti(self) -> int:
         return len(self.u_rows)
+
+    @cached_property
+    def interned(self) -> InternedRows:
+        """The basis's H1 rows by id, built on first use."""
+        return InternedRows(self)
+
+
+class InternedRows:
+    """Each distinct sparse H1 row of one basis, numbered once as its id.
+
+    ``rows[k]`` is the row with id ``k`` and ``ids`` maps a row back to its
+    id, so equal rows have equal ids and a matrix is its tuple of row ids.
+    The memo is seeded with the distinct ``cover_rows`` (``cover_ids``
+    maps each cover, as its ``(lower, upper)`` pair, to the id of its row)
+    and grows only through :meth:`intern`: a non-unit row of ``U`` sums
+    gathered rows into a row that may be new, and so may a product of
+    matrices.  ``dense[k]`` is row ``k`` with its zeros written out, made
+    the first time it is read, so each distinct row is densified once
+    however many matrices hold it.  ``lower`` and ``upper`` read an
+    inverse map at the ends of the non-tree covers that the rows read.
+    When every row of ``U`` is a unit row they are the one cover each row
+    picks, in row order, so the gathered ids are the matrix; otherwise
+    (``sums``) they are every non-tree cover, in slot order.  Nothing here
+    refers back to the basis.
+    """
+
+    def __init__(self, basis: CycleBasis):
+        self.ids: dict[tuple[tuple[int, int], ...], int] = {}
+        self.cover_ids = {cover: self.ids.setdefault(row, len(self.ids))
+                          for cover, row in zip(basis.edges, basis.cover_rows)}
+        self.rows = list(self.ids)
+        self.dense = _DenseRows(self.rows, basis.betti)
+        self.sums = not all(len(row) == 1 and row[0][1] == 1 for row in basis.u_rows)
+        slots = range(len(basis.nontree)) if self.sums else (row[0][0] for row in basis.u_rows)
+        covers = [basis.edges[basis.nontree[t]] for t in slots]
+        self.lower = tuple_getter([a for a, _ in covers])
+        self.upper = tuple_getter([b for _, b in covers])
+
+    def intern(self, row: tuple[tuple[int, int], ...]) -> int:
+        """The id of ``row``, numbering it if it is new."""
+        k = self.ids.setdefault(row, len(self.rows))
+        if k == len(self.rows):
+            self.rows.append(row)
+        return k
+
+
+class _DenseRows(dict):
+    """Dense rows by id, each written out on its first read."""
+
+    def __init__(self, rows, width: int):
+        super().__init__()
+        self.rows, self.width = rows, width
+
+    def __missing__(self, k: int) -> tuple[int, ...]:
+        values = [0] * self.width
+        for j, value in self.rows[k]:
+            values[j] = value
+        self[k] = dense = tuple(values)
+        return dense
 
 
 def cycle_basis(cx: OrderComplex) -> CycleBasis:
@@ -264,46 +325,60 @@ def _reduce(space: FinitePoset) -> CycleBasis:
             if v:
                 cover_rows[pos].append((j, v))
 
+    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
     return CycleBasis(
+        points=n,
         edges=edges,
-        edge_positions=edge_positions,
         nontree=nontree,
         u_rows=tuple(tuple(snf.u[row].items()) for row in free),
-        cover_rows=tuple(map(tuple, cover_rows)),
+        # equal rows are one tuple, which the action's rows then share
+        cover_rows=tuple(shared.setdefault(row, row) for row in map(tuple, cover_rows)),
         torsion=snf.torsion,
         components=components,
     )
 
 
-def h1_action_rows(basis: CycleBasis, automorphism: PosetMap):
-    """The matrix of an automorphism on free first homology, by sparse rows.
+def h1_action_ids(basis: CycleBasis, automorphism: PosetMap) -> tuple[int, ...]:
+    """The matrix of an automorphism on free first homology, as row ids.
 
-    Row ``i`` lists the nonzeros of coordinate ``i`` of the image cycles
-    as ``(basis index, value)`` pairs in basis order, so equal matrices
-    are equal (and hash alike) as tuples.  Coordinate ``i`` reads the
+    Entry ``i`` is the id of row ``i`` in ``basis.interned``, which lists
+    the nonzeros of coordinate ``i`` of the image cycles as ``(basis
+    index, value)`` pairs in basis order, so two maps have equal matrices
+    exactly when they have equal id tuples.  Coordinate ``i`` reads the
     non-tree covers through row ``i`` of ``U``, and the image of a chain
     carries at cover ``e`` the chain's coefficient at the preimage of
     ``e``: an automorphism maps covers to covers, lower end to lower end,
     so no sign enters.  So each non-tree cover is pulled back through the
-    inverse map and the basis's own row at the preimage gathered, at C
-    level; each free row of ``U`` then times the gathered rows
-    (:func:`row_times`).  A unit row of ``U`` (every row on the built
-    spaces, whose reduction keeps no relation) gives the gathered row
-    itself, shared with the basis rather than copied.  Functorial by
-    construction: composing automorphisms multiplies the matrices.
+    inverse map and the id of the basis's row at the preimage gathered,
+    at C level.  When every row of ``U`` is a unit row (as on the built
+    spaces, whose reduction keeps no relation) each row gathers only the
+    cover it picks, and the gathered ids are the matrix; otherwise every
+    row sums the gathered rows (:func:`row_times`) and interns the sum.
+    Functorial by construction: composing automorphisms multiplies the
+    matrices.  A map of another space, or one that is not a bijection,
+    raises ``ValueError``.
     """
-    inverse = [-1] * len(automorphism.images)
-    for i, image in enumerate(automorphism.images):
+    interned = basis.interned
+    images = automorphism.images
+    if len(images) != basis.points:
+        raise ValueError(f"the H1 action is pulled back through a map of {len(images)} "
+                         f"points, and the basis's space has {basis.points}")
+    inverse = [-1] * len(images)
+    for i, image in enumerate(images):
         inverse[image] = i
     if -1 in inverse:
         raise ValueError("the H1 action is pulled back through an automorphism, "
                          "and this map is not a bijection")
-    covers = tuple(map(basis.edges.__getitem__, basis.nontree))
-    preimages = zip(map(inverse.__getitem__, map(itemgetter(0), covers)),
-                    map(inverse.__getitem__, map(itemgetter(1), covers)))
-    gathered = tuple(map(basis.cover_rows.__getitem__,
-                         map(basis.edge_positions.__getitem__, preimages)))
-    return tuple(map(row_times, basis.u_rows, repeat(gathered)))
+    try:
+        gathered = tuple(map(interned.cover_ids.__getitem__,
+                             zip(interned.lower(inverse), interned.upper(inverse))))
+    except KeyError:
+        raise ValueError("the H1 action is pulled back through an automorphism, and "
+                         "this map pulls a cover back to a pair that is not one") from None
+    if not interned.sums:
+        return gathered
+    matrix = tuple(map(interned.rows.__getitem__, gathered))
+    return tuple(map(interned.intern, map(row_times, basis.u_rows, repeat(matrix))))
 
 
 def row_times(row, matrix):
@@ -321,18 +396,7 @@ def row_times(row, matrix):
     return tuple(sorted((j, v) for j, v in acc.items() if v))
 
 
-def dense_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """Square sparse rows written out with their zeros."""
-    dense = []
-    size = len(rows)
-    for row in rows:
-        values = [0] * size
-        for j, value in row:
-            values[j] = value
-        dense.append(tuple(values))
-    return tuple(dense)
-
-
 def h1_action_matrix(basis: CycleBasis, automorphism: PosetMap):
-    """:func:`h1_action_rows` as a dense tuple of rows."""
-    return dense_rows(h1_action_rows(basis, automorphism))
+    """:func:`h1_action_ids` as a tuple of dense rows, one gather of the
+    interned dense rows (shared by every matrix that holds them)."""
+    return tuple(map(basis.interned.dense.__getitem__, h1_action_ids(basis, automorphism)))

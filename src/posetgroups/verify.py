@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import cache, partial
 from itertools import compress
 from operator import ne
 
 from .complexes import (
+    CycleBasis,
     OrderComplex,
     cycle_basis,
-    h1_action_rows,
+    h1_action_ids,
     homology_summary,
     order_complex,
     row_times,
@@ -36,7 +36,7 @@ from .complexes import (
 from .groups import _greedy_generators
 from .homotopy import AutomorphismGroup, extension_restriction_check
 from .labels import Star
-from .posets import FinitePoset
+from .posets import FinitePoset, tuple_getter
 from .report import FAIL, PASS, SKIP, CheckResult, VerificationReport
 from .search import DEFAULT_AUT_BUDGET, find_isomorphism
 from .spaces import (
@@ -348,10 +348,17 @@ def _check_graph_complex_agreement(ctx: _Context):
 
 def _check_h1_action_faithful(ctx: _Context):
     ctx.require_gadgets()
-    basis = cycle_basis(ctx.complex(ctx.key))
-    auts = ctx.auts(ctx.key)
-    matrices = [h1_action_rows(basis, m) for m in auts.maps]
-    if matrices[auts.identity_index()] != tuple(((j, 1),) for j in range(basis.betti)):
+    return _h1_faithful(cycle_basis(ctx.complex(ctx.key)), ctx.auts(ctx.key))
+
+
+def _h1_faithful(basis: CycleBasis, auts: AutomorphismGroup):
+    """The action on H1 is faithful and a homomorphism, compared by row ids:
+    interning is a bijection between rows and ids, so equal id tuples are
+    equal matrices."""
+    interned = basis.interned
+    matrices = [h1_action_ids(basis, m) for m in auts.maps]
+    identity = tuple(((j, 1),) for j in range(basis.betti))
+    if tuple(map(interned.rows.__getitem__, matrices[auts.identity_index()])) != identity:
         return FAIL, "the identity automorphism does not act as the identity matrix"
     if len(set(matrices)) != len(matrices):
         return FAIL, "two automorphisms induce the same matrix on first homology"
@@ -360,12 +367,17 @@ def _check_h1_action_faithful(ctx: _Context):
     # M(a·b) = M(a)·M(b) for all b, by induction on the length of b as a
     # word; the induction needs the table to be a group table, which
     # as_group() checks (associativity included) before any product.
-    # Rows are shared across the maps (each is a basis row gathered at a
-    # cover), so row·M(s) is computed once per distinct row and generator.
+    # Row k times M(s) is computed once per id k the matrices hold and
+    # interned, so each product matrix is one gather of ids.
+    held = sorted(set().union(*matrices))
+    times = [-1] * len(interned.rows)
+    gathers = list(map(tuple_getter, matrices))
     for j in _greedy_generators(auts.as_group()):
-        times = cache(partial(row_times, matrix=matrices[j]))
+        by_row = tuple(map(interned.rows.__getitem__, matrices[j]))
+        for k in held:
+            times[k] = interned.intern(row_times(interned.rows[k], by_row))
         for i in range(auts.order):
-            if tuple(map(times, matrices[i])) != matrices[auts.table[i][j]]:
+            if gathers[i](times) != matrices[auts.table[i][j]]:
                 return FAIL, f"matrix composition disagrees for pair ({i}, {j})"
     return PASS, (
         f"{len(matrices)} automorphisms act by {basis.betti}x{basis.betti} "

@@ -20,9 +20,9 @@ so the column view is not used.
 ``h1_action_columns`` is the library's former column scatter: each
 cover in the support of ``U`` is pulled back through the inverse map and
 its column of ``U`` scattered into the basis cycles through the preimage
-cover.  Its transpose must equal :func:`posetgroups.h1_action_rows`, which
-gathers rows instead; ``dense_matrix`` writes its columns out as dense
-rows.  ``oracle_h1_action_columns`` is the push-forward form: every edge of
+cover.  Its transpose must equal the rows of
+:func:`posetgroups.h1_action_ids`, which gathers rows instead;
+``dense_matrix`` writes its columns out as dense rows.  ``oracle_h1_action_columns`` is the push-forward form: every edge of
 every basis chain is pushed through the map and scattered through the
 columns of ``U``.  It reads any basis, the library's or the oracle's.
 
@@ -32,14 +32,25 @@ boundary (``rank_of_boundary``).
 
 ``basis_chains`` reads a basis's ``cover_rows`` back into one chain per
 cycle, the form the oracles and the tests check.
+
+``oracle_h1_action_rows`` is the library's former row gather, with no
+ids: each non-tree cover's preimage row is gathered as a tuple and every
+free row of ``U`` sums the rows it names (``oracle_row_times``);
+``dense_rows`` writes such rows out with their zeros.
+``oracle_h1_faithful`` is the former ``h1-action-faithful`` check over
+those row tuples, each row times a generator's matrix computed once
+through a ``functools.cache`` keyed by the row; it returns the library
+check's ``(status, detail)`` pair.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cache, partial
 
 from posetgroups import smith_normal_form
 from posetgroups.complexes import CycleBasis
+from posetgroups.groups import _greedy_generators
 
 
 def rank_of_boundary(cc, k: int) -> int:
@@ -139,8 +150,8 @@ def oracle_cycle_basis(cx) -> CycleBasis:
         for pos, coeff in chain.items():
             cover_rows[pos].append((j, coeff))
     return CycleBasis(
+        points=n,
         edges=edges,
-        edge_positions=position,
         nontree=nontree,
         u_rows=tuple(tuple(snf.u[row].items()) for row in free),
         cover_rows=tuple(map(tuple, cover_rows)),
@@ -149,9 +160,14 @@ def oracle_cycle_basis(cx) -> CycleBasis:
     )
 
 
+def edge_positions(basis) -> dict[tuple[int, int], int]:
+    """Each edge of a basis, as its ``(lower, upper)`` pair, to its position."""
+    return {e: k for k, e in enumerate(basis.edges)}
+
+
 def _pushed(basis, chain, images):
     """``chain`` pushed through ``images``, by the basis's edge positions."""
-    edges, positions = basis.edges, basis.edge_positions
+    edges, positions = basis.edges, edge_positions(basis)
     pushed: dict[int, int] = {}
     for pos, coeff in chain.items():
         a, b = edges[pos]
@@ -184,7 +200,7 @@ def _coordinates(columns, chain) -> dict[int, int]:
 def h1_action_columns(basis, automorphism):
     """Sparse columns of the action: column ``j`` lists the nonzeros of the
     image of basis cycle ``j`` as ``(coordinate, value)`` pairs."""
-    edges, positions = basis.edges, basis.edge_positions
+    edges, positions = basis.edges, edge_positions(basis)
     inverse = [-1] * len(automorphism.images)
     for i, image in enumerate(automorphism.images):
         inverse[image] = i
@@ -219,10 +235,11 @@ def oracle_h1_action_columns(basis, automorphism):
 def oracle_coordinates(oracle, cover_chain, covers) -> tuple[int, ...]:
     """The oracle's free coordinates of a chain on ``covers`` (lower, upper)."""
     chain: dict[int, int] = {}
+    positions = edge_positions(oracle)
     for pos, coeff in cover_chain.items():
         a, b = covers[pos]
         key, sign = ((a, b), coeff) if a < b else ((b, a), -coeff)
-        chain[oracle.edge_positions[key]] = chain.get(oracle.edge_positions[key], 0) + sign
+        chain[positions[key]] = chain.get(positions[key], 0) + sign
     coords = _coordinates(u_columns(oracle), chain)
     return tuple(coords.get(i, 0) for i in range(oracle.betti))
 
@@ -234,11 +251,12 @@ def oracle_u_rows(basis):
     above: dict[int, list[int]] = {}
     for a, b in basis.edges:
         above.setdefault(a, []).append(b)
+    positions = edge_positions(basis)
     triangles = sorted((a, b, c) for a, b in basis.edges for c in above.get(b, ())
-                       if (a, c) in basis.edge_positions)
+                       if (a, c) in positions)
     slot = {pos: t for t, pos in enumerate(basis.nontree)}
     return smith_normal_form(
-        _triangle_triples(triangles, basis.edge_positions, slot),
+        _triangle_triples(triangles, positions, slot),
         len(slot), len(triangles), want_transform=True,
     )
 
@@ -262,3 +280,56 @@ def oracle_h1_action_matrix(basis, automorphism):
     # transpose: rows are output coordinates
     b = len(free)
     return tuple(tuple(columns[j][i] for j in range(b)) for i in range(b))
+
+
+def oracle_row_times(row, matrix):
+    """The sparse row ``row`` times the matrix of sparse rows ``matrix``,
+    summed entry by entry (no shortcut for a unit row)."""
+    acc: dict[int, int] = {}
+    for k, x in row:
+        for j, y in matrix[k]:
+            acc[j] = acc.get(j, 0) + x * y
+    return tuple(sorted((j, v) for j, v in acc.items() if v))
+
+
+def oracle_h1_action_rows(basis, automorphism):
+    """The action's sparse rows: each non-tree cover's preimage row
+    gathered, then summed through the free rows of ``U``."""
+    inverse = [-1] * len(automorphism.images)
+    for i, image in enumerate(automorphism.images):
+        inverse[image] = i
+    positions, gathered = edge_positions(basis), []
+    for pos in basis.nontree:
+        u, v = basis.edges[pos]
+        gathered.append(basis.cover_rows[positions[inverse[u], inverse[v]]])
+    return tuple(oracle_row_times(row, gathered) for row in basis.u_rows)
+
+
+def dense_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Square sparse rows written out with their zeros."""
+    dense = []
+    for row in rows:
+        values = [0] * len(rows)
+        for j, value in row:
+            values[j] = value
+        dense.append(tuple(values))
+    return tuple(dense)
+
+
+def oracle_h1_faithful(basis, auts):
+    """``h1-action-faithful`` over row tuples: M(e) = I, the matrices
+    pairwise distinct, and M(a·s) = M(a)·M(s) for each generator s."""
+    matrices = [oracle_h1_action_rows(basis, m) for m in auts.maps]
+    if matrices[auts.identity_index()] != tuple(((j, 1),) for j in range(basis.betti)):
+        return "FAIL", "the identity automorphism does not act as the identity matrix"
+    if len(set(matrices)) != len(matrices):
+        return "FAIL", "two automorphisms induce the same matrix on first homology"
+    for j in _greedy_generators(auts.as_group()):
+        times = cache(partial(oracle_row_times, matrix=matrices[j]))
+        for i in range(auts.order):
+            if tuple(map(times, matrices[i])) != matrices[auts.table[i][j]]:
+                return "FAIL", f"matrix composition disagrees for pair ({i}, {j})"
+    return "PASS", (
+        f"{len(matrices)} automorphisms act by {basis.betti}x{basis.betti} "
+        "matrices, pairwise distinct, composition respected"
+    )

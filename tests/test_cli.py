@@ -253,7 +253,7 @@ def test_h1_action_writes_the_first_matrix_before_the_last_map_is_computed(
     else:
         shown = "f0:\n" + "".join("  " + " ".join(f"{v:3d}" for v in row) + "\n"
                                   for row in first)
-    real, calls, before_last = cli.h1_action_rows, [], []
+    real, calls, before_last = cli.h1_action_ids, [], []
 
     def watched(basis, automorphism):
         calls.append(automorphism)
@@ -261,7 +261,7 @@ def test_h1_action_writes_the_first_matrix_before_the_last_map_is_computed(
             before_last.append(capsys.readouterr().out)
         return real(basis, automorphism)
 
-    monkeypatch.setattr(cli, "h1_action_rows", watched)
+    monkeypatch.setattr(cli, "h1_action_ids", watched)
     assert main(["h1-action", "--group", "cyclic:3", *flags]) == 0
     (head,) = before_last
     assert shown in head

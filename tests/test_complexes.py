@@ -18,29 +18,33 @@ from posetgroups import (
     builtin_group,
     all_automorphisms,
     cycle_basis,
+    h1_action_ids,
     h1_action_matrix,
-    h1_action_rows,
     homology_summary,
     order_complex,
     smith_normal_form,
     spec_for,
     standard_generator_labels,
 )
+from posetgroups import verify
 from posetgroups.complexes import chain_complex
 
 from complexes_oracle import (
     basis_chains,
     betti,
     dense_matrix,
+    dense_rows,
     h1_action_columns,
     oracle_coordinates,
     oracle_cycle_basis,
     oracle_h1_action_columns,
     oracle_h1_action_matrix,
+    oracle_h1_action_rows,
+    oracle_h1_faithful,
 )
 from conftest import fixture_space
 from test_posets import crown_posets, small_posets
-from test_search import built_space, permuted_copy
+from test_search import built_space, permuted_copy, shuffled_built_spaces
 
 
 def projective_plane_face_poset() -> FinitePoset:
@@ -503,6 +507,11 @@ def assert_homology_matches_oracle(space):
     return cx, basis, oracle
 
 
+def action_rows(basis, automorphism):
+    """The sparse rows that :func:`h1_action_ids` names."""
+    return tuple(map(basis.interned.rows.__getitem__, h1_action_ids(basis, automorphism)))
+
+
 def transposed(columns):
     """Square sparse columns read as sparse rows."""
     rows = [[] for _ in columns]
@@ -529,7 +538,7 @@ def assert_action_matches_oracle(space):
         assert all(v and list(c) == sorted(c) for c in columns for _, v in c)
         assert columns == oracle_h1_action_columns(basis, m)
         # the row gathers are the column scatter transposed
-        assert h1_action_rows(basis, m) == transposed(columns)
+        assert action_rows(basis, m) == transposed(columns)
         dense = h1_action_matrix(basis, m)
         assert dense == dense_matrix(columns)
         if basis.betti:
@@ -589,10 +598,10 @@ def test_unit_rows_of_u_gather_the_basis_rows_themselves(mode):
     basis = cycle_basis(order_complex(space))
     assert all(len(entries) == 1 and entries[0][1] == 1 for entries in basis.u_rows)
     for m in all_automorphisms(space):
-        rows = h1_action_rows(basis, m)
+        rows = action_rows(basis, m)
         for i, ((t, _),) in enumerate(basis.u_rows):
             u, v = basis.edges[basis.nontree[t]]
-            preimage = basis.edge_positions[m.images.index(u), m.images.index(v)]
+            preimage = basis.edges.index((m.images.index(u), m.images.index(v)))
             assert rows[i] is basis.cover_rows[preimage]
 
 
@@ -600,4 +609,107 @@ def test_action_rows_reject_a_map_that_is_not_a_bijection(crown):
     basis = cycle_basis(order_complex(crown))
     constant = PosetMap(crown, crown, (0,) * len(crown))
     with pytest.raises(ValueError, match="this map is not a bijection"):
-        h1_action_rows(basis, constant)
+        h1_action_ids(basis, constant)
+
+
+def identity_of(space) -> PosetMap:
+    auts = AutomorphismGroup.of(space)
+    return auts.maps[auts.identity_index()]
+
+
+def test_action_ids_refuse_a_map_of_a_larger_space():
+    # the identity of the larger space pulls every cover of the smaller one
+    # back to itself, so only the point count tells the maps apart
+    basis = cycle_basis(order_complex(built_space("cyclic:3", "sandt")))
+    larger = identity_of(built_space("cyclic:4", "sandt"))
+    assert (basis.points, len(larger.images)) == (39, 52)
+    with pytest.raises(ValueError, match="a map of 52 points, and the basis's space has 39"):
+        h1_action_ids(basis, larger)
+
+
+def test_action_ids_refuse_a_map_of_a_smaller_space():
+    basis = cycle_basis(order_complex(built_space("cyclic:4", "sandt")))
+    smaller = identity_of(built_space("cyclic:3", "sandt"))
+    with pytest.raises(ValueError, match="a map of 39 points, and the basis's space has 52"):
+        h1_action_ids(basis, smaller)
+
+
+def test_action_ids_refuse_a_map_that_pulls_a_cover_back_to_a_non_cover(crown):
+    # the crown's minima are 0 and 1 and its maxima 2 and 3, and its one
+    # non-tree cover is (1, 3); a map of the four-point antichain swapping
+    # 1 and 2 pulls it back to (2, 3), two maxima
+    antichain = FinitePoset.from_relations(list("abcd"), [])
+    swap = PosetMap(antichain, antichain, (0, 2, 1, 3))
+    basis = cycle_basis(order_complex(crown))
+    assert basis.points == len(antichain)
+    assert [basis.edges[k] for k in basis.nontree] == [(1, 3)]
+    with pytest.raises(ValueError, match="pulls a cover back to a pair that is not one"):
+        h1_action_ids(basis, swap)
+
+
+def assert_ids_match_oracle(space):
+    """The check by ids gives the row-tuple oracle's verdict, and every
+    map's ids expand to the oracle's sparse rows and dense matrix."""
+    basis = cycle_basis(order_complex(space))
+    auts = AutomorphismGroup.of(space)
+    assert verify._h1_faithful(basis, auts) == oracle_h1_faithful(basis, auts)
+    for m in auts.maps:
+        rows = oracle_h1_action_rows(basis, m)
+        assert action_rows(basis, m) == rows
+        assert h1_action_matrix(basis, m) == dense_rows(rows)
+    return basis
+
+
+@given(st.one_of(small_posets(), crown_posets()))
+@settings(max_examples=80, deadline=None)
+def test_action_ids_match_the_row_oracle_on_random_posets(poset):
+    assert_ids_match_oracle(poset)
+
+
+@given(shuffled_built_spaces(modes=("none", "sonly", "sandt"), pointed=True))
+@settings(max_examples=12, deadline=None)
+def test_action_ids_match_the_row_oracle_on_shuffled_built_spaces(space):
+    assert_ids_match_oracle(space)
+
+
+def test_action_ids_sum_non_unit_rows_of_u_and_intern_the_sums():
+    # <a, b | a^2 b^4>: its one free row of U is not a unit row, so every
+    # map's row is a sum of gathered rows, interned as it is seen
+    basis = assert_ids_match_oracle(presentation_complex("aabbbb"))
+    interned = basis.interned
+    assert interned.sums
+    assert any(not (len(row) == 1 and row[0][1] == 1) for row in basis.u_rows)
+    fresh = ((0, 7),)
+    assert fresh not in interned.ids
+    k = interned.intern(fresh)
+    assert (k, interned.rows[k], interned.intern(fresh)) == (len(interned.rows) - 1, fresh, k)
+    assert interned.dense[k] == (7,)
+
+
+@pytest.mark.parametrize("group, mode", [("dihedral:4", "sandt"), ("cyclic:5", "sonly")])
+def test_each_distinct_row_is_densified_once(group, mode):
+    # Every dense matrix is a gather of the basis's dense rows: across all
+    # maps there are as many distinct row objects as distinct row ids.
+    space = built_space(group, mode)
+    basis = cycle_basis(order_complex(space))
+    maps = AutomorphismGroup.of(space).maps
+    matrices = [h1_action_matrix(basis, m) for m in maps]
+    ids = {k for m in maps for k in h1_action_ids(basis, m)}
+    assert len({id(row) for matrix in matrices for row in matrix}) == len(ids)
+    assert len(ids) < len(maps) * basis.betti
+    assert len(basis.interned.dense) == len(ids)
+
+
+def test_a_basis_with_its_interned_rows_is_freed_without_the_cycle_collector(c3_spec):
+    space = build_space(c3_spec)
+    gc.disable()
+    try:
+        basis = cycle_basis(order_complex(space))
+        auts = AutomorphismGroup.of(space)
+        assert verify._h1_faithful(basis, auts)[0] == "PASS"
+        h1_action_matrix(basis, auts.maps[1])
+        alive = weakref.ref(basis)
+        del basis
+        assert alive() is None
+    finally:
+        gc.enable()

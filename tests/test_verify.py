@@ -261,21 +261,29 @@ def h1_check(ctx):
     )
 
 
+CORRUPTED_MATRIX_DETAILS = (
+    "the identity automorphism does not act as the identity matrix",
+    "matrix composition disagrees for pair (1, 1)",
+    "matrix composition disagrees for pair (1, 1)",
+)
+
+
 @pytest.mark.parametrize("k", range(3))
 def test_h1_check_fails_on_one_corrupted_matrix(monkeypatch, k):
     ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
     assert h1_check(ctx).status == "PASS"
     wrong = ctx.auts(ctx.key).maps[k]
-    real = verify.h1_action_rows
+    real = verify.h1_action_ids
 
     def corrupted(basis, automorphism):
-        rows = real(basis, automorphism)
+        ids = real(basis, automorphism)
         if automorphism is not wrong:
-            return rows
-        return (rows[1], rows[0]) + rows[2:]
+            return ids
+        return (ids[1], ids[0]) + ids[2:]
 
-    monkeypatch.setattr(verify, "h1_action_rows", corrupted)
-    assert h1_check(ctx).status == "FAIL"
+    monkeypatch.setattr(verify, "h1_action_ids", corrupted)
+    result = h1_check(ctx)
+    assert (result.status, result.detail) == ("FAIL", CORRUPTED_MATRIX_DETAILS[k])
 
 
 @pytest.mark.parametrize("row", range(3))
@@ -514,8 +522,8 @@ def test_h1_check_fails_when_two_automorphisms_share_a_matrix(monkeypatch):
     auts = ctx.auts(ctx.key)
     identity = auts.maps[auts.identity_index()]
     moved = next(m for m in auts.maps if m is not identity)
-    real = verify.h1_action_rows
-    monkeypatch.setattr(verify, "h1_action_rows",
+    real = verify.h1_action_ids
+    monkeypatch.setattr(verify, "h1_action_ids",
                         lambda basis, m: real(basis, identity if m is moved else m))
     result = h1_check(ctx)
     assert (result.status, result.detail) == (
