@@ -10,6 +10,7 @@ verification reported failures, and 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -378,14 +379,19 @@ def _cmd_verify_all(args) -> int:
     return _report_exit(verify_all(spec, _verify_options(args)), args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared by
+    every :func:`main` call.  Parsing keeps no state on it: each call gets a
+    fresh namespace, the environment defaults are read by :func:`main`, and
+    the handler of a subcommand is looked up by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="posetgroups",
         description="finite spaces whose symmetries realize a chosen finite group",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, *, space_file=False, aut_budget=False):
+    def add(name: str, help_text: str, *, space_file=False, aut_budget=False):
         p = sub.add_parser(name, help=help_text)
         _add_construction_args(p, with_space_file=space_file)
         p.add_argument("--out", help="write output to this file instead of stdout")
@@ -396,18 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 help="search-node budget for automorphism/isomorphism search",
             )
-        p.set_defaults(handler=handler)
         return p
 
-    add("build", _cmd_build, "construct a space and summarize or dump it", space_file=True)
-    add("aut", _cmd_aut, "enumerate automorphisms", space_file=True, aut_budget=True)
-    add("core", _cmd_core, "strip beat points down to the core", space_file=True)
-    p = add(
-        "selfmaps",
-        _cmd_selfmaps,
-        "enumerate continuous self-maps and homotopy classes (small spaces)",
-        space_file=True,
-    )
+    add("build", "construct a space and summarize or dump it", space_file=True)
+    add("aut", "enumerate automorphisms", space_file=True, aut_budget=True)
+    add("core", "strip beat points down to the core", space_file=True)
+    p = add("selfmaps", "enumerate continuous self-maps and homotopy classes (small spaces)",
+            space_file=True)
     p.add_argument(
         "--max-points",
         type=int,
@@ -419,19 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="search-node budget for self-map enumeration",
     )
-    add("homology", _cmd_homology, "Betti numbers and torsion of the order complex",
-        space_file=True)
-    add("h1-action", _cmd_h1_action, "matrices of automorphisms on first homology",
+    add("homology", "Betti numbers and torsion of the order complex", space_file=True)
+    add("h1-action", "matrices of automorphisms on first homology",
         space_file=True, aut_budget=True)
-    add("export-dot", _cmd_export_dot, "Graphviz DOT of the cover relations",
-        space_file=True)
+    add("export-dot", "Graphviz DOT of the cover relations", space_file=True)
 
-    p = add("verify", _cmd_verify, "run a single named check", aut_budget=True)
+    p = add("verify", "run a single named check", aut_budget=True)
     p.add_argument("--check", required=True, choices=CHECK_NAMES)
     p.add_argument("--fences", default="1,2,3", help="fence sizes for variant checks")
 
-    p = add("verify-all", _cmd_verify_all, "run the full verification registry",
-            aut_budget=True)
+    p = add("verify-all", "run the full verification registry", aut_budget=True)
     p.add_argument("--fences", default="1,2,3", help="fence sizes for variant checks")
     p.add_argument(
         "--skip", action="append", choices=CHECK_NAMES, help="skip a named check"
@@ -448,7 +446,8 @@ def main(argv=None) -> int:
         for dest in _COUNT_FLAGS:  # a variable's value is already checked
             if hasattr(args, dest):
                 _not_negative("--" + dest.replace("_", "-"), getattr(args, dest))
-        return args.handler(args)
+        # by name, so the cached parser holds no handler
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (PosetError, SizeLimitExceeded, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,14 @@ Mrozek and Batko 2009) pairs every non-cover edge with a triangle, so the
 covering graph modulo the triangles' relations, spanned by those whose
 middle point covers the lowest, which on the built spaces all vanish.
 
+Each complex keeps its reduction in two memos, each filled on first read.
+The first, behind :func:`homology_summary`, is the spanning forest of the
+covering graph, its non-tree covers, the relations and their one Smith
+form.  The second, behind :func:`cycle_basis`, expands the free basis
+from that Smith form into fundamental chains and per-cover rows.  So a
+summary builds no cycle, and a complex read for both still runs exactly
+one Smith reduction.
+
 Everything is exact integer arithmetic through :mod:`posetgroups.snf`.
 """
 
@@ -53,10 +61,15 @@ class OrderComplex:
         return tuple(tuple(sorted(tuple(sorted(chain)) for chain in level)) for level in levels)
 
     @cached_property
-    def _basis(self) -> CycleBasis:
+    def _reduction(self) -> _Reduction:
         """The one Smith reduction behind :func:`homology_summary` and
         :func:`cycle_basis`, computed on first use."""
         return _reduce(self.space)
+
+    @cached_property
+    def _basis(self) -> CycleBasis:
+        """The cycle basis expanded from :attr:`_reduction` on first use."""
+        return _expand(self._reduction)
 
 
 def order_complex(space: FinitePoset, *, limit: int = DEFAULT_SIMPLEX_LIMIT) -> OrderComplex:
@@ -121,9 +134,13 @@ class HomologySummary:
 
 
 def homology_summary(cx: OrderComplex) -> HomologySummary:
-    """b0, b1 and the torsion coefficients of first homology."""
-    basis = cx._basis
-    return HomologySummary(b0=basis.components, b1=basis.betti, h1_torsion=basis.torsion)
+    """b0, b1 and the torsion coefficients of first homology, read off the
+    complex's memoized Smith reduction (computed on first use): the trees
+    of the spanning forest, the free rows and the torsion.  No cycle of
+    the basis is built; :func:`cycle_basis` shares the same reduction."""
+    reduction = cx._reduction
+    return HomologySummary(b0=reduction.components, b1=len(reduction.u_rows),
+                           h1_torsion=reduction.torsion)
 
 
 # -- induced action on first homology ----------------------------------------
@@ -228,11 +245,38 @@ class _DenseRows(dict):
 
 
 def cycle_basis(cx: OrderComplex) -> CycleBasis:
-    """The complex's memoized basis (built on first use)."""
+    """The complex's memoized basis, built on first read from the complex's
+    memoized reduction, which :func:`homology_summary` shares: the
+    fundamental chains its free rows name, scattered into cover rows.  It
+    runs no Smith reduction of its own."""
     return cx._basis
 
 
-def _reduce(space: FinitePoset) -> CycleBasis:
+@dataclass(frozen=True)
+class _Reduction:
+    """What the Smith reduction of one space's first homology leaves.
+
+    The covers, the non-tree ones, the free rows of ``U`` (``u_rows``) and
+    of ``U^-1`` (``u_inv_rows``, the columns that name each basis cycle)
+    as ``(non-tree slot, value)`` nonzeros, the torsion and the tree count
+    feed both the summary and the basis.  The spanning forest (each
+    point's ``depth``, ``parent`` and ``step``) is read only when
+    :func:`cycle_basis` expands the cycles.
+    """
+
+    points: int
+    edges: tuple[tuple[int, int], ...]
+    nontree: tuple[int, ...]
+    u_rows: tuple[tuple[tuple[int, int], ...], ...]
+    u_inv_rows: tuple[tuple[tuple[int, int], ...], ...]
+    torsion: tuple[int, ...]
+    components: int
+    depth: list[int]
+    parent: list[int]
+    step: list[tuple[int, int]]
+
+
+def _reduce(space: FinitePoset) -> _Reduction:
     n = len(space)
     edges = space.hasse
     edge_positions = {e: k for k, e in enumerate(edges)}
@@ -294,6 +338,25 @@ def _reduce(space: FinitePoset) -> CycleBasis:
                     triples += [(k, relations, -1) for k in whole]
                     relations += 1
     snf = smith_normal_form(triples, len(nontree), relations, want_transform=True)
+    free = snf.free_rows()
+    return _Reduction(
+        points=n,
+        edges=edges,
+        nontree=nontree,
+        u_rows=tuple(tuple(snf.u[row].items()) for row in free),
+        u_inv_rows=tuple(tuple(snf.u_inv[row].items()) for row in free),
+        torsion=snf.torsion,
+        components=components,
+        depth=depth,
+        parent=parent,
+        step=step,
+    )
+
+
+def _expand(reduction: _Reduction) -> CycleBasis:
+    """The basis cycles of a reduction, as cover rows."""
+    edges, nontree = reduction.edges, reduction.nontree
+    depth, parent, step = reduction.depth, reduction.parent, reduction.step
 
     def fundamental_chain(edge_pos: int) -> dict[int, int]:
         """The cycle through one non-tree cover: the cover plus the tree path back."""
@@ -308,15 +371,14 @@ def _reduce(space: FinitePoset) -> CycleBasis:
             chain[pos] = sign  # a tree path takes each cover once
         return chain
 
-    free = snf.free_rows()
     # Basis representatives: preimages (under U) of the free unit vectors,
     # expanded from fundamental-cycle coordinates and scattered by cover.
     # Only the fundamental cycles these columns of U^-1 name are built.
     fundamentals: dict[int, dict[int, int]] = {}
     cover_rows: list[list[tuple[int, int]]] = [[] for _ in edges]
-    for j, row in enumerate(free):
+    for j, column in enumerate(reduction.u_inv_rows):
         chain: dict[int, int] = {}
-        for t, coeff in snf.u_inv[row].items():
+        for t, coeff in column:
             if t not in fundamentals:
                 fundamentals[t] = fundamental_chain(nontree[t])
             for pos, v in fundamentals[t].items():
@@ -327,14 +389,14 @@ def _reduce(space: FinitePoset) -> CycleBasis:
 
     shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
     return CycleBasis(
-        points=n,
+        points=reduction.points,
         edges=edges,
         nontree=nontree,
-        u_rows=tuple(tuple(snf.u[row].items()) for row in free),
+        u_rows=reduction.u_rows,
         # equal rows are one tuple, which the action's rows then share
         cover_rows=tuple(shared.setdefault(row, row) for row in map(tuple, cover_rows)),
-        torsion=snf.torsion,
-        components=components,
+        torsion=reduction.torsion,
+        components=reduction.components,
     )
 
 

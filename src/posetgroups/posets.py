@@ -22,6 +22,7 @@ one C-level gather of ints, with no label built.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import add, itemgetter, mul
@@ -112,7 +113,8 @@ class FinitePoset:
 
     Build one with :meth:`from_relations` (arbitrary order pairs, closed and
     reduced internally) or :meth:`from_hasse` (pairs that must already be
-    exactly the covering relations).
+    exactly the covering relations), or grow one by a point with
+    :meth:`adjoin_above`.
     """
 
     __slots__ = ("labels", "hasse", "_down", "_up", "_index", "_covers", "_layout")
@@ -188,6 +190,37 @@ class FinitePoset:
         if list(poset.hasse) != edges:
             raise PosetError("edges are not a transitive reduction")
         return poset
+
+    def adjoin_above(self, label: Label, below: Iterable[int]) -> "FinitePoset":
+        """This poset plus one new point ``label``, index ``len(self)``, above
+        the points ``below`` (repeats and comparable points allowed; none
+        makes it isolated), in closed form rather than by a new closure.
+
+        Its down-set is the union of their down-sets, and it covers the
+        maximal points among them: those in no other one's down-set, so in
+        exactly one down-set of ``below``.  Each point under it gains the new
+        index at the end of its up-set.  Every other down-set and up-set
+        tuple, and the label index, is this poset's own, shared and not
+        copied, so the cost is O(n + the down-sets' sizes); this poset is
+        left as it was.
+        """
+        if label in self._index:
+            raise PosetError("point labels must be pairwise distinct")
+        n = len(self.labels)
+        below = set(below)
+        if below and not (0 <= min(below) and max(below) < n):
+            bad = next(i for i in below if not 0 <= i < n)
+            raise PosetError(f"point {bad} out of range for {n} points")
+        seen = Counter(chain.from_iterable(map(self._down.__getitem__, below)))
+        lower = sorted(seen)
+        up = list(self._up)
+        for i in lower:
+            up[i] += (n,)
+        up.append((n,))
+        covers = [(i, n) for i in lower if i in below and seen[i] == 1]
+        return FinitePoset(self.labels + (label,), tuple(sorted(self.hasse + tuple(covers))),
+                           self._down + ((*lower, n),), tuple(up),
+                           _AdjoinedIndex(self._index, label, n))
 
     # -- basic queries -----------------------------------------------------
 
@@ -270,6 +303,8 @@ class FinitePoset:
         both kinds appears twice.
         """
         covers = self.cover_index
+        if 1 not in map(len, covers.down) and 1 not in map(len, covers.up):
+            return []  # a core, as every built space is: two scans in C
         return [
             (i, kind)
             for i in range(len(self))
@@ -305,6 +340,23 @@ class FinitePoset:
         pairs = [(new_of[j], new) for new, old in enumerate(keep)
                  for j in self._down[old] if j in new_of and j != old]
         return FinitePoset.from_relations([self.labels[i] for i in keep], pairs)
+
+
+class _AdjoinedIndex(dict):
+    """The label index of :meth:`FinitePoset.adjoin_above`: the adjoined
+    label, answering for every other label from the parent's index."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, parent: dict, label: Label, i: int):
+        super().__init__({label: i})
+        self.parent = parent
+
+    def __missing__(self, label: Label) -> int:
+        return self.parent[label]
+
+    def __contains__(self, label) -> bool:
+        return dict.__contains__(self, label) or label in self.parent
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ class _Partition:
         self.n = n
         covers = poset.cover_index
         sig = list(zip(*poset.set_sizes, map(len, covers.down), map(len, covers.up)))
-        self.elems = sorted(range(n), key=lambda v: (sig[v], v))
+        self.elems = sorted(range(n), key=sig.__getitem__)  # stable: ties stay ascending
         self.colours = [sig[v] for v in self.elems]
         self.pos = [0] * n
         self.cell_of = [0] * n

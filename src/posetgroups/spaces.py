@@ -202,9 +202,16 @@ def add_basepoint(space: FinitePoset) -> FinitePoset:
     """Adjoin a single maximum covering every level ``-1`` column point.
 
     Any automorphism must fix it: it is the only point of its kind once
-    the attachments break all other symmetry.
+    the attachments break all other symmetry.  The point is adjoined to
+    the already-validated ``space`` by :meth:`FinitePoset.adjoin_above`,
+    which shares every down-set, every up-set but the anchors' and the
+    label index with it, instead of closing the whole order again.
     """
-    if Star() in space.labels:
+    try:
+        space.index_of(Star())
+    except KeyError:
+        pass
+    else:
         raise ConstructionError("space already has a basepoint")
     anchors = [
         i for i, lab in enumerate(space.labels)
@@ -212,10 +219,7 @@ def add_basepoint(space: FinitePoset) -> FinitePoset:
     ]
     if not anchors:
         raise ConstructionError("no level -1 points to hang the basepoint over")
-    labels = list(space.labels) + [Star()]
-    star = len(space.labels)
-    pairs = list(space.hasse) + [(i, star) for i in anchors]
-    return FinitePoset.from_relations(labels, pairs)
+    return space.adjoin_above(Star(), anchors)
 
 
 def build_space(spec: ConstructionSpec) -> FinitePoset:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -575,6 +578,43 @@ def test_memory_error_is_one_error_line_naming_the_subcommand(capsys, monkeypatc
     monkeypatch.setattr(cli, "_cmd_homology", exhausted)
     code, out, err = run(capsys, "homology", "--group", "cyclic:2")
     assert (code, out, err) == (2, "", "error: homology ran out of memory\n")
+
+
+def fresh_run(*argv, env=None):
+    """``argv`` through ``posetgroups.cli`` in a new interpreter, with only
+    the budget variables of ``env`` set: (exit code, stdout, stderr)."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    environ = {k: v for k, v in os.environ.items() if not k.startswith("POSETGROUPS_")}
+    environ.update(env or {})
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                          environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "posetgroups.cli", *argv],
+                          capture_output=True, text=True, env=environ, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("first, then, env", [
+    (("verify-all", "--group", "cyclic:2", "--skip", "generators"),
+     ("verify-all", "--group", "cyclic:2"), {}),
+    (("selfmaps", "--group", "cyclic:2", "--mode", "none", "--max-points", "3"),
+     ("selfmaps", "--group", "cyclic:2", "--mode", "none"), {}),
+    (("aut", "--group", "cyclic:2", "--mode", "none"),
+     ("aut", "--group", "cyclic:2", "--mode", "none"), {"POSETGROUPS_BUDGET_AUT": "1"}),
+], ids=["skip", "max-points", "budget-variable"])
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch, first, then, env):
+    # The first call's flags or variable must not carry over into the second.
+    for name in ("POSETGROUPS_BUDGET_AUT", "POSETGROUPS_BUDGET_MAPS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    got_first = run(capsys, *first)
+    for name in env:
+        monkeypatch.delenv(name)
+    got_then = run(capsys, *then)
+    assert got_first[0] == (2 if env or "--max-points" in first else 0)
+    assert got_first == fresh_run(*first, env=env)
+    assert got_then == fresh_run(*then)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_aut_budget_flag_overrides_env(capsys, tmp_path, monkeypatch):

@@ -399,6 +399,48 @@ def test_one_reduction_serves_summary_and_bases(monkeypatch, c3_spec):
     assert first is second and first.edges is cx.space.hasse
 
 
+def assert_summary_builds_no_basis(poset):
+    """A summary leaves the complex without a basis, and agrees with the
+    basis built from the same reduction afterwards."""
+    cx = order_complex(poset)
+    summary = homology_summary(cx)
+    assert "_basis" not in vars(cx)
+    basis = cycle_basis(cx)
+    assert (summary.b0, summary.b1, summary.h1_torsion) == (
+        basis.components, basis.betti, basis.torsion
+    )
+
+
+@given(st.one_of(small_posets(), crown_posets()))
+@settings(max_examples=80, deadline=None)
+def test_a_summary_builds_no_basis_on_random_posets(poset):
+    assert_summary_builds_no_basis(poset)
+
+
+@pytest.mark.parametrize("mode", ["none", "sonly", "sandt", "sandt:2"])
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
+def test_a_summary_builds_no_basis_on_built_spaces(group, mode):
+    assert_summary_builds_no_basis(built_space(group, mode))
+    assert_summary_builds_no_basis(built_space(group, mode, pointed=True))
+
+
+def test_verify_all_expands_only_the_basis_it_reads(monkeypatch, c3_spec):
+    # the run's own complex and the fence-2 and fence-3 variants are each
+    # reduced once, and only the run's own basis (h1-action-faithful) is built
+    calls = counting_snf(monkeypatch)
+    expanded = []
+    real = complexes._expand
+
+    def counted(reduction):
+        expanded.append(reduction.points)
+        return real(reduction)
+
+    monkeypatch.setattr(complexes, "_expand", counted)
+    assert verify.verify_all(c3_spec).ok
+    assert len(calls) == 3
+    assert expanded == [len(build_space(c3_spec))]
+
+
 def test_a_complex_with_a_basis_is_freed_without_the_cycle_collector(c3_spec):
     space = build_space(c3_spec)
     gc.disable()

@@ -168,8 +168,19 @@ def test_cover_adjacency_matches_a_scan_of_hasse(poset):
     assert_cover_adjacency_matches_scan(poset)
 
 
-@given(small_posets())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def posets_with_beat_points(draw):
+    """A :func:`small_posets` draw with one more point over one drawn point,
+    which the new point covers alone: a down beat point at least."""
+    poset = draw(small_posets().filter(len))
+    n = len(poset)
+    return FinitePoset.from_relations(
+        poset.labels + ("top",), poset.hasse + ((draw(st.integers(0, n - 1)), n),)
+    )
+
+
+@given(st.one_of(small_posets(), crown_posets(), posets_with_beat_points()))
+@settings(max_examples=200, deadline=None)
 def test_beat_points_match_the_mask_definition(poset):
     assert_beat_points_match_masks(poset)
 
@@ -319,6 +330,61 @@ def test_beat_point_removal_preserves_components(poset):
     i, _ = beats[0]
     thinner = poset.induced([p for p in range(len(poset)) if p != i])
     assert len(thinner.components()) == len(poset.components())
+
+
+# -- adjoining a point -------------------------------------------------------
+
+
+def snapshot(poset):
+    """Everything a poset holds, to compare two posets or one over time."""
+    points = range(len(poset))
+    return (
+        poset.labels,
+        poset.hasse,
+        tuple(map(poset.minimal_open_set, points)),
+        tuple(map(poset.closure, points)),
+        {label: poset.index_of(label) for label in poset.labels},
+    )
+
+
+def assert_adjoin_matches_from_relations(poset, label, below):
+    """``adjoin_above`` against ``from_relations`` on the same labels and
+    pairs, with the parent left as it was."""
+    before = snapshot(poset)
+    adjoined = poset.adjoin_above(label, below)
+    n = len(poset)
+    oracle = FinitePoset.from_relations(poset.labels + (label,),
+                                        poset.hasse + tuple((b, n) for b in below))
+    assert snapshot(adjoined) == snapshot(oracle)
+    assert snapshot(poset) == before
+    with pytest.raises(KeyError):
+        poset.index_of(label)
+    return adjoined
+
+
+@given(st.one_of(small_posets(), crown_posets()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_adjoin_above_matches_from_relations(poset, data):
+    # ``below`` may be empty, hold repeats and hold comparable points
+    n = len(poset)
+    below = data.draw(st.lists(st.integers(0, n - 1), max_size=8) if n else st.just([]))
+    adjoined = assert_adjoin_matches_from_relations(poset, "new", below)
+    # a second point over the first reads the first's shared index
+    assert_adjoin_matches_from_relations(adjoined, "newer", [n, *below[:1]])
+
+
+def test_adjoin_above_refuses_a_present_label_and_a_missing_point(pentad):
+    for label in ("a", "e"):
+        with pytest.raises(PosetError, match="distinct"):
+            pentad.adjoin_above(label, [0])
+    adjoined = pentad.adjoin_above("top", [3, 4])
+    with pytest.raises(PosetError, match="distinct"):
+        adjoined.adjoin_above("top", [])
+    with pytest.raises(PosetError, match="distinct"):
+        adjoined.adjoin_above("a", [])
+    for bad in (5, -1):
+        with pytest.raises(PosetError, match=f"point {bad} out of range"):
+            pentad.adjoin_above("top", [0, bad])
 
 
 # -- maps --------------------------------------------------------------------

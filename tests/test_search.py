@@ -298,6 +298,16 @@ def test_base_keyed_closure_equals_the_full_tuple_closure(poset):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.one_of(small_posets(),
+                 shuffled_built_spaces(modes=("none", "sonly", "sandt"), pointed=True)))
+def test_initial_cells_list_points_by_colour_then_index(poset):
+    covers = poset.cover_index
+    sig = list(zip(*poset.set_sizes, map(len, covers.down), map(len, covers.up)))
+    assert search._Partition(poset).elems == sorted(range(len(poset)),
+                                                    key=lambda v: (sig[v], v))
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.one_of(small_posets(), deep_posets(modes=("none", "sonly", "sandt"))))
 def test_first_path_targets_equal_a_scan_of_every_cell(poset):
     part = search._Partition(poset)

@@ -38,8 +38,9 @@ from test_posets import (
     assert_cover_adjacency_matches_scan,
     assert_order_matches_the_oracle,
     small_posets,
+    snapshot,
 )
-from test_search import permuted_copy, shuffled_built_spaces
+from test_search import built_space, permuted_copy, shuffled_built_spaces
 
 
 # -- mode parsing ------------------------------------------------------------
@@ -227,6 +228,26 @@ def test_basepoint_covers_every_bottom_level_point(c3_spec):
 def test_basepoint_needs_column_points():
     with pytest.raises(ConstructionError, match="level -1"):
         add_basepoint(fixture_space("crown"))
+
+
+@pytest.mark.parametrize("mode", ["none", "sonly", "sandt", "sandt:2"])
+@pytest.mark.parametrize("group", ["cyclic:3", "klein4", "dihedral:3"])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_the_adjoined_basepoint_is_the_closed_one(group, mode, data):
+    # ``from_relations`` closing the space plus the basepoint's covers is
+    # the oracle, on the built space and on a shuffled copy
+    space = built_space(group, mode)
+    for copy in (space, permuted_copy(space, data.draw(st.permutations(range(len(space)))))):
+        before = snapshot(copy)
+        anchors = [i for i, lab in enumerate(copy.labels)
+                   if isinstance(lab, Base) and lab.level == -1]
+        oracle = FinitePoset.from_relations(
+            copy.labels + (Star(),), copy.hasse + tuple((i, len(copy)) for i in anchors)
+        )
+        assert snapshot(add_basepoint(copy)) == snapshot(oracle)
+        assert snapshot(copy) == before
+    assert built_space(group, mode, pointed=True) == add_basepoint(space)
 
 
 # -- collapse map ------------------------------------------------------------
