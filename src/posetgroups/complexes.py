@@ -15,11 +15,11 @@ Mrozek and Batko 2009) pairs every non-cover edge with a triangle, so the
 covering graph modulo the triangles' relations, spanned by those whose
 middle point covers the lowest, which on the built spaces all vanish.
 
-Each complex keeps its reduction in two memos, each filled on first read.
-The first, behind :func:`homology_summary`, is the spanning forest of the
-covering graph, its non-tree covers, the relations and their one Smith
-form.  The second, behind :func:`cycle_basis`, expands the free basis
-from that Smith form into fundamental chains and per-cover rows.  So a
+Each complex keeps one homology record, its :class:`CycleBasis`, filled
+on first read by :func:`homology_summary` or :func:`cycle_basis`: the
+spanning forest of the covering graph, its non-tree covers and the free
+rows of the relations' one Smith form.  The basis cycles themselves, its
+cover rows, are expanded from that forest only when first read.  So a
 summary builds no cycle, and a complex read for both still runs exactly
 one Smith reduction.
 
@@ -29,7 +29,7 @@ Everything is exact integer arithmetic through :mod:`posetgroups.snf`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import mul
@@ -61,15 +61,10 @@ class OrderComplex:
         return tuple(tuple(sorted(tuple(sorted(chain)) for chain in level)) for level in levels)
 
     @cached_property
-    def _reduction(self) -> _Reduction:
+    def _basis(self) -> CycleBasis:
         """The one Smith reduction behind :func:`homology_summary` and
         :func:`cycle_basis`, computed on first use."""
         return _reduce(self.space)
-
-    @cached_property
-    def _basis(self) -> CycleBasis:
-        """The cycle basis expanded from :attr:`_reduction` on first use."""
-        return _expand(self._reduction)
 
 
 def order_complex(space: FinitePoset, *, limit: int = DEFAULT_SIMPLEX_LIMIT) -> OrderComplex:
@@ -135,12 +130,10 @@ class HomologySummary:
 
 def homology_summary(cx: OrderComplex) -> HomologySummary:
     """b0, b1 and the torsion coefficients of first homology, read off the
-    complex's memoized Smith reduction (computed on first use): the trees
-    of the spanning forest, the free rows and the torsion.  No cycle of
-    the basis is built; :func:`cycle_basis` shares the same reduction."""
-    reduction = cx._reduction
-    return HomologySummary(b0=reduction.components, b1=len(reduction.u_rows),
-                           h1_torsion=reduction.torsion)
+    complex's memoized basis (reduced on first use): its tree count, free
+    rows and torsion, and no cover row, so no cycle of it is built."""
+    basis = cx._basis
+    return HomologySummary(b0=basis.components, b1=basis.betti, h1_torsion=basis.torsion)
 
 
 # -- induced action on first homology ----------------------------------------
@@ -148,41 +141,87 @@ def homology_summary(cx: OrderComplex) -> HomologySummary:
 
 @dataclass(frozen=True)
 class CycleBasis:
-    """A basis of first homology in fundamental-cycle coordinates.
+    """A basis of first homology in fundamental-cycle coordinates, as the
+    Smith reduction of one space's first homology leaves it.
 
     ``edges`` are the covers, ``space.hasse``, each oriented lower to
     upper.  Fundamental cycles come from an index-ordered BFS forest of
-    the covering graph, one per non-tree cover (``nontree``).  A discrete
-    Morse matching leaves the covers as the only edges, and the triangles
-    whose middle point covers the lowest span the relations among the
-    cover cycles; their Smith reduction (with transforms) turns any cover
-    cycle into free-part coordinates: ``coords = (U @ nontree_coeffs)``
-    restricted to the non-pivot rows.  ``u_rows`` holds those rows by
-    coordinate, each as its ``(non-tree slot, value)`` nonzeros.
-    ``cover_rows``, the one record of the basis cycles, holds them by
-    cover: position ``p`` holds the ``(basis index, coefficient)``
-    nonzeros of cover ``p``, in basis order, and ``()`` when no basis
-    cycle runs through it.
-    ``components`` counts the trees of the forest, which is b0, and
-    ``points`` the points of the space.
+    the covering graph (each point's ``depth``, ``parent`` and ``step``,
+    its walk to the parent as ``(cover position, +1 up or -1 down)``),
+    one per non-tree cover (``nontree``).  A discrete Morse matching
+    leaves the covers as the only edges, and the triangles whose middle
+    point covers the lowest span the relations among the cover cycles;
+    their Smith reduction (with transforms) turns any cover cycle into
+    free-part coordinates: ``coords = (U @ nontree_coeffs)`` restricted
+    to the non-pivot rows.  ``u_rows`` holds those rows by coordinate and
+    ``u_inv_rows`` the free columns of ``U^-1``, which name each basis
+    cycle, as ``(non-tree slot, value)`` nonzeros.  ``components`` counts
+    the trees of the forest, which is b0, and ``points`` the points of
+    the space.  A summary reads no more; the forest is read only when
+    :attr:`cover_rows` expands the cycles.
 
     It is the complex's memo, shared by every caller; treat it as
     read-only.  It must not refer back to the complex: the pair would then
-    be a reference cycle, freed only by the cyclic collector.  Its own memo,
-    :attr:`interned`, holds no reference back to it either.
+    be a reference cycle, freed only by the cyclic collector.  Its own
+    memos, :attr:`cover_rows` and :attr:`interned`, hold no reference back
+    to it either.
     """
 
     points: int
     edges: tuple[tuple[int, int], ...]
     nontree: tuple[int, ...]
     u_rows: tuple[tuple[tuple[int, int], ...], ...]
-    cover_rows: tuple[tuple[tuple[int, int], ...], ...]
+    u_inv_rows: tuple[tuple[tuple[int, int], ...], ...]
     torsion: tuple[int, ...]
     components: int
+    depth: tuple[int, ...] = field(compare=False, repr=False)
+    parent: tuple[int, ...] = field(compare=False, repr=False)
+    step: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
 
     @property
     def betti(self) -> int:
         return len(self.u_rows)
+
+    @cached_property
+    def cover_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The basis cycles by cover, expanded on first read: position ``p``
+        holds the ``(basis index, coefficient)`` nonzeros of cover ``p`` in
+        basis order, ``()`` when no basis cycle runs through it."""
+        edges, nontree = self.edges, self.nontree
+        depth, parent, step = self.depth, self.parent, self.step
+
+        def fundamental_chain(edge_pos: int) -> dict[int, int]:
+            """The cycle through one non-tree cover: the cover plus the tree path back."""
+            chain = {edge_pos: 1}
+            a, b = edges[edge_pos][1], edges[edge_pos][0]  # walk from the top back to the bottom
+            while a != b:
+                if depth[a] >= depth[b]:
+                    (pos, sign), a = step[a], parent[a]
+                else:
+                    (pos, sign), b = step[b], parent[b]
+                    sign = -sign
+                chain[pos] = sign  # a tree path takes each cover once
+            return chain
+
+        # Basis representatives: preimages (under U) of the free unit vectors,
+        # expanded from fundamental-cycle coordinates and scattered by cover.
+        # Only the fundamental cycles these columns of U^-1 name are built.
+        fundamentals: dict[int, dict[int, int]] = {}
+        cover_rows: list[list[tuple[int, int]]] = [[] for _ in edges]
+        for j, column in enumerate(self.u_inv_rows):
+            chain: dict[int, int] = {}
+            for t, coeff in column:
+                if t not in fundamentals:
+                    fundamentals[t] = fundamental_chain(nontree[t])
+                for pos, v in fundamentals[t].items():
+                    chain[pos] = chain.get(pos, 0) + coeff * v
+            for pos, v in chain.items():
+                if v:
+                    cover_rows[pos].append((j, v))
+
+        # equal rows are one tuple, which the action's rows then share
+        shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+        return tuple(shared.setdefault(row, row) for row in map(tuple, cover_rows))
 
     @cached_property
     def interned(self) -> InternedRows:
@@ -245,38 +284,13 @@ class _DenseRows(dict):
 
 
 def cycle_basis(cx: OrderComplex) -> CycleBasis:
-    """The complex's memoized basis, built on first read from the complex's
-    memoized reduction, which :func:`homology_summary` shares: the
-    fundamental chains its free rows name, scattered into cover rows.  It
-    runs no Smith reduction of its own."""
+    """The complex's memoized basis, the one Smith reduction that
+    :func:`homology_summary` shares, reduced on first use.  Its cycles
+    are expanded into :attr:`CycleBasis.cover_rows` on their first read."""
     return cx._basis
 
 
-@dataclass(frozen=True)
-class _Reduction:
-    """What the Smith reduction of one space's first homology leaves.
-
-    The covers, the non-tree ones, the free rows of ``U`` (``u_rows``) and
-    of ``U^-1`` (``u_inv_rows``, the columns that name each basis cycle)
-    as ``(non-tree slot, value)`` nonzeros, the torsion and the tree count
-    feed both the summary and the basis.  The spanning forest (each
-    point's ``depth``, ``parent`` and ``step``) is read only when
-    :func:`cycle_basis` expands the cycles.
-    """
-
-    points: int
-    edges: tuple[tuple[int, int], ...]
-    nontree: tuple[int, ...]
-    u_rows: tuple[tuple[tuple[int, int], ...], ...]
-    u_inv_rows: tuple[tuple[tuple[int, int], ...], ...]
-    torsion: tuple[int, ...]
-    components: int
-    depth: list[int]
-    parent: list[int]
-    step: list[tuple[int, int]]
-
-
-def _reduce(space: FinitePoset) -> _Reduction:
+def _reduce(space: FinitePoset) -> CycleBasis:
     n = len(space)
     edges = space.hasse
     edge_positions = {e: k for k, e in enumerate(edges)}
@@ -339,7 +353,7 @@ def _reduce(space: FinitePoset) -> _Reduction:
                     relations += 1
     snf = smith_normal_form(triples, len(nontree), relations, want_transform=True)
     free = snf.free_rows()
-    return _Reduction(
+    return CycleBasis(
         points=n,
         edges=edges,
         nontree=nontree,
@@ -347,56 +361,9 @@ def _reduce(space: FinitePoset) -> _Reduction:
         u_inv_rows=tuple(tuple(snf.u_inv[row].items()) for row in free),
         torsion=snf.torsion,
         components=components,
-        depth=depth,
-        parent=parent,
-        step=step,
-    )
-
-
-def _expand(reduction: _Reduction) -> CycleBasis:
-    """The basis cycles of a reduction, as cover rows."""
-    edges, nontree = reduction.edges, reduction.nontree
-    depth, parent, step = reduction.depth, reduction.parent, reduction.step
-
-    def fundamental_chain(edge_pos: int) -> dict[int, int]:
-        """The cycle through one non-tree cover: the cover plus the tree path back."""
-        chain = {edge_pos: 1}
-        a, b = edges[edge_pos][1], edges[edge_pos][0]  # walk from the top back to the bottom
-        while a != b:
-            if depth[a] >= depth[b]:
-                (pos, sign), a = step[a], parent[a]
-            else:
-                (pos, sign), b = step[b], parent[b]
-                sign = -sign
-            chain[pos] = sign  # a tree path takes each cover once
-        return chain
-
-    # Basis representatives: preimages (under U) of the free unit vectors,
-    # expanded from fundamental-cycle coordinates and scattered by cover.
-    # Only the fundamental cycles these columns of U^-1 name are built.
-    fundamentals: dict[int, dict[int, int]] = {}
-    cover_rows: list[list[tuple[int, int]]] = [[] for _ in edges]
-    for j, column in enumerate(reduction.u_inv_rows):
-        chain: dict[int, int] = {}
-        for t, coeff in column:
-            if t not in fundamentals:
-                fundamentals[t] = fundamental_chain(nontree[t])
-            for pos, v in fundamentals[t].items():
-                chain[pos] = chain.get(pos, 0) + coeff * v
-        for pos, v in chain.items():
-            if v:
-                cover_rows[pos].append((j, v))
-
-    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
-    return CycleBasis(
-        points=reduction.points,
-        edges=edges,
-        nontree=nontree,
-        u_rows=reduction.u_rows,
-        # equal rows are one tuple, which the action's rows then share
-        cover_rows=tuple(shared.setdefault(row, row) for row in map(tuple, cover_rows)),
-        torsion=reduction.torsion,
-        components=reduction.components,
+        depth=tuple(depth),
+        parent=tuple(parent),
+        step=tuple(step),
     )
 
 

@@ -200,8 +200,9 @@ class FinitePoset:
         maximal points among them: those in no other one's down-set, so in
         exactly one down-set of ``below``.  Each point under it gains the new
         index at the end of its up-set.  Every other down-set and up-set
-        tuple, and the label index, is this poset's own, shared and not
-        copied, so the cost is O(n + the down-sets' sizes); this poset is
+        tuple is this poset's own, shared and not copied, and the label
+        index a copy of this poset's (its hashes reused) plus the new
+        label, so the cost is O(n + the down-sets' sizes); this poset is
         left as it was.
         """
         if label in self._index:
@@ -218,9 +219,10 @@ class FinitePoset:
             up[i] += (n,)
         up.append((n,))
         covers = [(i, n) for i in lower if i in below and seen[i] == 1]
+        index = self._index.copy()
+        index[label] = n
         return FinitePoset(self.labels + (label,), tuple(sorted(self.hasse + tuple(covers))),
-                           self._down + ((*lower, n),), tuple(up),
-                           _AdjoinedIndex(self._index, label, n))
+                           self._down + ((*lower, n),), tuple(up), index)
 
     # -- basic queries -----------------------------------------------------
 
@@ -340,23 +342,6 @@ class FinitePoset:
         pairs = [(new_of[j], new) for new, old in enumerate(keep)
                  for j in self._down[old] if j in new_of and j != old]
         return FinitePoset.from_relations([self.labels[i] for i in keep], pairs)
-
-
-class _AdjoinedIndex(dict):
-    """The label index of :meth:`FinitePoset.adjoin_above`: the adjoined
-    label, answering for every other label from the parent's index."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, parent: dict, label: Label, i: int):
-        super().__init__({label: i})
-        self.parent = parent
-
-    def __missing__(self, label: Label) -> int:
-        return self.parent[label]
-
-    def __contains__(self, label) -> bool:
-        return dict.__contains__(self, label) or label in self.parent
 
 
 @dataclass(frozen=True)

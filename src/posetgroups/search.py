@@ -230,6 +230,16 @@ class _Partition:
         """Split ``v`` off ``cell`` and refine as :meth:`refine` does."""
         return self.refine([self.split_off(cell, v)], trace, compare)
 
+    def target(self, cells: list[int], mark: int = 0) -> tuple[list[int], int, int] | None:
+        """The cells of more than one point among ``cells`` and the trail
+        after ``mark``, the first smallest of them and its least point."""
+        end = self.end
+        wide = [start for start in chain(cells, self.trail[mark:]) if end[start] - start > 1]
+        if not wide:
+            return None
+        cell = min(wide, key=lambda start: (end[start] - start, start))
+        return wide, cell, min(self.elems[cell:end[cell]])
+
     def undo(self, mark: int) -> None:
         """Merge split-off cells back until the trail has ``mark`` entries."""
         elems, cell_of, end, trail = self.elems, self.cell_of, self.end, self.trail
@@ -309,27 +319,24 @@ class _Tree:
         undoes no split, so a singleton stays one, and the cells a level
         splits off are on the trail after its mark.
         """
-        end = part.end
-        wide = [start for start in chain(part.starts, part.trail) if end[start] - start > 1]
-        while wide:
-            cell = min(wide, key=lambda start: (end[start] - start, start))
-            point = min(part.elems[cell:end[cell]])
+        target = part.target(part.starts)
+        while target is not None:
+            wide, cell, point = target
             self.count()
             mark, trace = len(part.trail), []
             part.individualize(cell, point, trace)
             self.levels.append((cell, point, mark, trace))
-            wide = [start for start in chain(wide, part.trail[mark:])
-                    if end[start] - start > 1]
+            target = part.target(wide, mark)
         # The first leaf's point at position i maps to a leaf's point there.
         self.leaf = tuple_getter(sorted(range(part.n), key=part.elems.__getitem__))
 
     def first_level(self, part: _Partition) -> None:
         """From the root: the first path's first level alone when the plan
         from its point places every point, else the whole first path."""
-        wide = [start for start in chain(part.starts, part.trail) if part.end[start] - start > 1]
-        if wide:
-            cell = min(wide, key=lambda start: (part.end[start] - start, start))
-            found = _plan(part, min(part.elems[cell:part.end[cell]]))
+        target = part.target(part.starts)
+        if target is not None:
+            _, cell, point = target
+            found = _plan(part, point)
             if found is not None:
                 self.count()
                 order, self.plan = found

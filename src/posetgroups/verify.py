@@ -76,9 +76,10 @@ _BASE = (GadgetMode("none"), False)  # the column space
 class _Context:
     """Lazy, error-caching store: one space and automorphism group per
     ``(mode, pointed)`` key, and the order complex of the run's own key:
-    its simplex counts and, once read, its cycle basis, never its chains.
-    A gadget space is the cached column space plus its attachments, and a
-    pointed space the cached unpointed one plus its basepoint."""
+    its simplex counts and its one cycle basis, whose cover rows only
+    ``h1-action-faithful`` expands, never its chains.  A gadget space is
+    the cached column space plus its attachments, and a pointed space the
+    cached unpointed one plus its basepoint."""
 
     def __init__(self, spec: ConstructionSpec, options: VerifyOptions):
         self.spec = spec

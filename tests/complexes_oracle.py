@@ -5,7 +5,9 @@
 its index order), its spanning forest is an index-ordered BFS forest of
 that 1-skeleton, and the Smith reduction with transforms runs on the
 (non-tree pairs × triangles) matrix.  It returns a
-:class:`posetgroups.complexes.CycleBasis` over those pairs.  The library's
+:class:`posetgroups.complexes.CycleBasis` over those pairs, its forest
+recorded and its ``cover_rows`` memo seeded with the oracle's own chains,
+so the library's expansion never runs on it.  The library's
 basis lives on the covers after a Morse matching, so the two bases differ
 by an integer change of basis; ``oracle_coordinates`` reads a cover chain
 in the oracle's coordinates, which is how the tests build that change of
@@ -98,6 +100,7 @@ def oracle_cycle_basis(cx) -> CycleBasis:
         adjacency[u].append(v)
         adjacency[v].append(u)
     parent, depth, seen, tree = [-1] * n, [0] * n, [False] * n, set()
+    step = [(-1, 0)] * n
     components = 0
     for root in range(n):
         if seen[root]:
@@ -111,7 +114,9 @@ def oracle_cycle_basis(cx) -> CycleBasis:
                 if not seen[there]:
                     seen[there], parent[there] = True, here
                     depth[there] = depth[here] + 1
-                    tree.add((min(here, there), max(here, there)))
+                    pair = (min(here, there), max(here, there))
+                    step[there] = (position[pair], 1 if here > there else -1)
+                    tree.add(pair)
                     queue.append(there)
     nontree = tuple(k for k, e in enumerate(edges) if e not in tree)
 
@@ -149,15 +154,20 @@ def oracle_cycle_basis(cx) -> CycleBasis:
     for j, chain in enumerate(chains):
         for pos, coeff in chain.items():
             cover_rows[pos].append((j, coeff))
-    return CycleBasis(
+    basis = CycleBasis(
         points=n,
         edges=edges,
         nontree=nontree,
         u_rows=tuple(tuple(snf.u[row].items()) for row in free),
-        cover_rows=tuple(map(tuple, cover_rows)),
+        u_inv_rows=tuple(tuple(snf.u_inv[row].items()) for row in free),
         torsion=snf.torsion,
         components=components,
+        depth=tuple(depth),
+        parent=tuple(parent),
+        step=tuple(step),
     )
+    vars(basis)["cover_rows"] = tuple(map(tuple, cover_rows))
+    return basis
 
 
 def edge_positions(basis) -> dict[tuple[int, int], int]:

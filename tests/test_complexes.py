@@ -2,6 +2,7 @@ import gc
 import itertools
 import re
 import weakref
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,7 @@ from posetgroups import (
     spec_for,
     standard_generator_labels,
 )
-from posetgroups import verify
+from posetgroups import cli, verify
 from posetgroups.complexes import chain_complex
 
 from complexes_oracle import (
@@ -400,12 +401,13 @@ def test_one_reduction_serves_summary_and_bases(monkeypatch, c3_spec):
 
 
 def assert_summary_builds_no_basis(poset):
-    """A summary leaves the complex without a basis, and agrees with the
-    basis built from the same reduction afterwards."""
+    """A summary leaves the complex's basis without cover rows, and agrees
+    with the basis whose cycles are expanded afterwards."""
     cx = order_complex(poset)
     summary = homology_summary(cx)
-    assert "_basis" not in vars(cx)
     basis = cycle_basis(cx)
+    assert "cover_rows" not in vars(basis)
+    assert len(basis.cover_rows) == len(basis.edges)
     assert (summary.b0, summary.b1, summary.h1_torsion) == (
         basis.components, basis.betti, basis.torsion
     )
@@ -424,21 +426,40 @@ def test_a_summary_builds_no_basis_on_built_spaces(group, mode):
     assert_summary_builds_no_basis(built_space(group, mode, pointed=True))
 
 
+def counting_expansions(monkeypatch):
+    """Record the point count of each basis whose cover rows are expanded."""
+    expanded = []
+    real = complexes.CycleBasis.cover_rows.func
+
+    def counted(basis):
+        expanded.append(basis.points)
+        return real(basis)
+
+    memo = cached_property(counted)
+    memo.__set_name__(complexes.CycleBasis, "cover_rows")
+    monkeypatch.setattr(complexes.CycleBasis, "cover_rows", memo)
+    return expanded
+
+
 def test_verify_all_expands_only_the_basis_it_reads(monkeypatch, c3_spec):
     # the run's own complex and the fence-2 and fence-3 variants are each
-    # reduced once, and only the run's own basis (h1-action-faithful) is built
+    # reduced once, and only the run's own basis (h1-action-faithful) is expanded
     calls = counting_snf(monkeypatch)
-    expanded = []
-    real = complexes._expand
-
-    def counted(reduction):
-        expanded.append(reduction.points)
-        return real(reduction)
-
-    monkeypatch.setattr(complexes, "_expand", counted)
+    expanded = counting_expansions(monkeypatch)
     assert verify.verify_all(c3_spec).ok
     assert len(calls) == 3
     assert expanded == [len(build_space(c3_spec))]
+
+
+def test_the_homology_command_expands_no_basis(monkeypatch, capsys, c3_spec):
+    # ``homology`` reads the non-tree covers alone; ``h1-action`` expands
+    # its one basis
+    expanded = counting_expansions(monkeypatch)
+    assert cli.main(["homology", "--group", "cyclic:3"]) == 0
+    assert expanded == []
+    assert cli.main(["h1-action", "--group", "cyclic:3"]) == 0
+    assert expanded == [len(build_space(c3_spec))]
+    capsys.readouterr()
 
 
 def test_a_complex_with_a_basis_is_freed_without_the_cycle_collector(c3_spec):

@@ -369,7 +369,7 @@ def test_adjoin_above_matches_from_relations(poset, data):
     n = len(poset)
     below = data.draw(st.lists(st.integers(0, n - 1), max_size=8) if n else st.just([]))
     adjoined = assert_adjoin_matches_from_relations(poset, "new", below)
-    # a second point over the first reads the first's shared index
+    # a second point over the first extends the first's copied index
     assert_adjoin_matches_from_relations(adjoined, "newer", [n, *below[:1]])
 
 
