@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from functools import cached_property
-from operator import eq, itemgetter
+from operator import eq
 
 from .errors import ConstructionError, MapError, SizeLimitExceeded
 from .groups import FiniteGroup
@@ -108,65 +108,55 @@ def core(space: FinitePoset) -> CoreResult:
 # -- automorphism groups -----------------------------------------------------
 
 
-def _separating_base(maps):
-    """The first point each non-identity map moves, a key gathering the
-    images there, and each map's position by key.
-
-    For ``g != h`` in a group, ``h⁻¹g`` moves its first point ``b``, so
-    ``g(b) != h(b)``: two maps with one key are not a group, and raise.
-    """
-    firsts = {next((x for x, y in enumerate(m.images) if x != y), None) for m in maps}
-    base = sorted(firsts - {None})
-    key = itemgetter(*base) if base else itemgetter(slice(0))  # () for the trivial group
-    position = {key(m.images): k for k, m in enumerate(maps)}
-    if len(position) != len(maps):
-        raise MapError("two maps agree on the separating base: the maps are not a group")
-    return base, key, position
-
-
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """All self-homeomorphisms of a poset; the composition table is built on first read."""
+    """All self-homeomorphisms of a poset, with the search's ``base``, whose
+    images tell the maps apart, and ``gens``, the positions of maps that
+    generate them all."""
 
     space: FinitePoset
     maps: tuple[PosetMap, ...]
+    base: tuple[int, ...]
+    gens: tuple[int, ...]
 
     @classmethod
     def of(cls, space: FinitePoset, *, budget: int = DEFAULT_AUT_BUDGET):
         """Enumerate Aut(space), each map verified edge by edge."""
-        return cls(space, tuple(all_automorphisms(space, budget=budget)))
+        found = all_automorphisms(space, budget=budget)
+        return cls(space, tuple(found), found.base, found.gens)
 
     @cached_property
-    def _keyed(self):
-        return _separating_base(self.maps)
+    def _position(self) -> dict[tuple[int, ...], int]:
+        """Each map's position by its base images: two maps with one are not a group."""
+        key = tuple_getter(self.base)
+        position = {key(m.images): k for k, m in enumerate(self.maps)}
+        if len(position) != len(self.maps):
+            raise MapError("two maps agree on the base: the maps are not a group")
+        return position
+
+    def column(self, j: int) -> tuple[int, ...]:
+        """The position of ``maps[i] ∘ maps[j]`` for every ``i``: each product
+        is composed on the base and looked up by its key, so none is
+        validated again, and a product missing from the maps raises."""
+        on_inner = tuple_getter([self.maps[j].images[b] for b in self.base])
+        column = tuple(map(self._position.get, map(on_inner, [m.images for m in self.maps])))
+        if None in column:
+            raise MapError("a product of automorphisms is missing from the enumerated set")
+        return column
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
-        """``table[i][j]`` = maps[i] ∘ maps[j]: each product is composed on
-        the separating base and looked up by its key, so none is validated
-        again, and a product missing from the maps raises."""
-        base, key, position = self._keyed
-        maps = self.maps
-        getters = [itemgetter(*map(m.images.__getitem__, base)) if base else key for m in maps]
-        table = tuple(tuple(position.get(inner(outer.images)) for inner in getters) for outer in maps)
-        if any(None in row for row in table):
-            raise MapError("a product of automorphisms is missing from the enumerated set")
-        return table
+        """``table[i][j]`` = maps[i] ∘ maps[j]: the columns, transposed."""
+        return tuple(zip(*map(self.column, range(self.order))))
 
     def index(self, images: tuple[int, ...]) -> int | None:
         """Position of the map with these images, or ``None``: by base key, then in full."""
-        _, key, position = self._keyed
-        k = position.get(key(images))
+        k = self._position.get(tuple_getter(self.base)(images))
         return k if k is not None and self.maps[k].images == images else None
 
     @property
     def order(self) -> int:
         return len(self.maps)
-
-    def as_group(self) -> FiniteGroup:
-        """The abstract group on labels ``f0, f1, ...`` (table order)."""
-        labels = tuple(f"f{k}" for k in range(self.order))
-        return FiniteGroup(labels, self.table)
 
     def identity_index(self) -> int:
         return self.index(tuple(range(len(self.space))))

@@ -66,6 +66,7 @@ partial answer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from operator import itemgetter
 
@@ -475,14 +476,20 @@ def _closure(
     return sorted(elements)
 
 
+class _Found(list):
+    """Sorted automorphisms with the search's ``base``, points whose images
+    tell them apart, and ``gens``, the positions of maps generating them."""
+
+
 def all_automorphisms(
     poset: FinitePoset, *, budget: int = DEFAULT_AUT_BUDGET
 ) -> list[PosetMap]:
     """Every self-isomorphism, sorted by image tuple.
 
     Found as the closure of generators with orbit pruning (see the module
-    docstring).  Raises :class:`SizeLimitExceeded` when the tree needs more
-    than ``budget`` nodes or the group has more than ``budget`` elements.
+    docstring), and returned as a :class:`_Found`.  Raises
+    :class:`SizeLimitExceeded` when the tree needs more than ``budget``
+    nodes or the group has more than ``budget`` elements.
     """
     part = _Partition(poset)
     tree = _Tree(part, budget)
@@ -506,4 +513,6 @@ def all_automorphisms(
             raise _budget_error(budget, order)
     base = [p for _, p, _, _ in tree.levels]
     elements = _closure(poset, base, gens, order)
-    return [PosetMap._trusted(poset, poset, images) for images in elements]
+    found = _Found(PosetMap._trusted(poset, poset, images) for images in elements)
+    found.base, found.gens = tuple(base), tuple(bisect_left(elements, g) for g in gens)
+    return found

@@ -33,7 +33,6 @@ from .complexes import (
     order_complex,
     row_times,
 )
-from .groups import _greedy_generators
 from .homotopy import AutomorphismGroup, extension_restriction_check
 from .labels import Star
 from .posets import FinitePoset, tuple_getter
@@ -364,21 +363,19 @@ def _h1_faithful(basis: CycleBasis, auts: AutomorphismGroup):
     if len(set(matrices)) != len(matrices):
         return FAIL, "two automorphisms induce the same matrix on first homology"
 
-    # M(a·s) = M(a)·M(s) for every a and each generator s gives
-    # M(a·b) = M(a)·M(b) for all b, by induction on the length of b as a
-    # word; the induction needs the table to be a group table, which
-    # as_group() checks (associativity included) before any product.
-    # Row k times M(s) is computed once per id k the matrices hold and
-    # interned, so each product matrix is one gather of ids.
+    # M(a·s) = M(a)·M(s) for every a and each generator s of the search
+    # gives M(a·b) = M(a)·M(b) for all b, by induction on b's length as a
+    # word.  Row k times M(s) is computed once per id k the matrices hold
+    # and interned, so each product matrix is one gather of ids.
     held = sorted(set().union(*matrices))
     times = [-1] * len(interned.rows)
     gathers = list(map(tuple_getter, matrices))
-    for j in _greedy_generators(auts.as_group()):
+    for j in auts.gens:
         by_row = tuple(map(interned.rows.__getitem__, matrices[j]))
         for k in held:
             times[k] = interned.intern(row_times(interned.rows[k], by_row))
-        for i in range(auts.order):
-            if gathers[i](times) != matrices[auts.table[i][j]]:
+        for i, product in enumerate(auts.column(j)):
+            if gathers[i](times) != matrices[product]:
                 return FAIL, f"matrix composition disagrees for pair ({i}, {j})"
     return PASS, (
         f"{len(matrices)} automorphisms act by {basis.betti}x{basis.betti} "

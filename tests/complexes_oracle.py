@@ -41,8 +41,10 @@ free row of ``U`` sums the rows it names (``oracle_row_times``);
 ``dense_rows`` writes such rows out with their zeros.
 ``oracle_h1_faithful`` is the former ``h1-action-faithful`` check over
 those row tuples, each row times a generator's matrix computed once
-through a ``functools.cache`` keyed by the row; it returns the library
-check's ``(status, detail)`` pair.
+through a ``functools.cache`` keyed by the row.  Its generators are
+picked greedily from the whole composition table, first validated as a
+group table, not taken from the search; it returns the library check's
+``(status, detail)`` pair.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from functools import cache, partial
 from posetgroups import smith_normal_form
 from posetgroups.complexes import CycleBasis
 from posetgroups.groups import _greedy_generators
+
+from homotopy_oracle import automorphism_group
 
 
 def rank_of_boundary(cc, k: int) -> int:
@@ -334,7 +338,7 @@ def oracle_h1_faithful(basis, auts):
         return "FAIL", "the identity automorphism does not act as the identity matrix"
     if len(set(matrices)) != len(matrices):
         return "FAIL", "two automorphisms induce the same matrix on first homology"
-    for j in _greedy_generators(auts.as_group()):
+    for j in _greedy_generators(automorphism_group(auts)):
         times = cache(partial(oracle_row_times, matrix=matrices[j]))
         for i in range(auts.order):
             if tuple(map(times, matrices[i])) != matrices[auts.table[i][j]]:

@@ -18,12 +18,19 @@ comparison that joins two maps.
 ``by_labels``.  The library numbers each site and role of a space once
 and builds each map as one gather over those numbers instead; the
 property tests compare maps and failure texts.
+
+``oracle_aut_table`` is the composition table of an automorphism group
+keyed on a separating base found from the maps alone, the first point each
+non-identity map moves; the library keys on the search's base and builds
+the table from its columns.  ``automorphism_group`` validates a table as
+an abstract group.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product
+from operator import itemgetter
 
 from posetgroups import (
     AutomorphismGroup,
@@ -340,3 +347,29 @@ def oracle_left_translation(space: FinitePoset, spec: ConstructionSpec, g: int) 
         raise ConstructionError(f"unexpected label {label!r} in a built space")
 
     return by_labels(space, space, shift)
+
+
+def oracle_aut_table(maps) -> tuple[tuple[int, ...], ...]:
+    """``table[i][j]`` = maps[i] ∘ maps[j], keyed on a separating base.
+
+    For ``g != h`` in a group, ``h⁻¹g`` moves its first point ``b``, so
+    ``g(b) != h(b)``: the first points the maps move key them.  Two maps
+    with one key, or a product missing from the maps, raise ``MapError``.
+    """
+    firsts = {next((x for x, y in enumerate(m.images) if x != y), None) for m in maps}
+    base = sorted(firsts - {None})
+    key = itemgetter(*base) if base else itemgetter(slice(0))  # () for the trivial group
+    position = {key(m.images): k for k, m in enumerate(maps)}
+    if len(position) != len(maps):
+        raise MapError("two maps agree on the separating base: the maps are not a group")
+    getters = [itemgetter(*map(m.images.__getitem__, base)) if base else key for m in maps]
+    table = tuple(tuple(position.get(inner(outer.images)) for inner in getters) for outer in maps)
+    if any(None in row for row in table):
+        raise MapError("a product of automorphisms is missing from the enumerated set")
+    return table
+
+
+def automorphism_group(auts: AutomorphismGroup) -> FiniteGroup:
+    """The abstract group of ``auts`` on labels ``f0, f1, ...`` (table
+    order), its table checked to be a group table."""
+    return FiniteGroup(tuple(f"f{k}" for k in range(auts.order)), auts.table)

@@ -34,10 +34,12 @@ from posetgroups.labels import Base
 from conftest import fixture_space
 from groups_oracle import groups_isomorphic
 from homotopy_oracle import (
+    automorphism_group,
     by_labels,
     oracle_comparative_retractions,
     oracle_core,
     oracle_extension_restriction_check,
+    oracle_aut_table,
     oracle_homotopy_classes,
     oracle_selfmaps,
     pointwise_leq,
@@ -211,6 +213,43 @@ def test_aut_table_matches_validated_composition(poset):
             assert auts.table[i][j] == position[outer.compose(inner).images]
 
 
+def assert_record_matches_the_oracles(auts):
+    """The search's generators reach every map from the identity through
+    their columns, each column entry is the position of the composed
+    images, and the table is the separating-base oracle's."""
+    position = {m.images: k for k, m in enumerate(auts.maps)}
+    assert auts.maps[0].images == tuple(range(len(auts.space)))
+    columns = {j: auts.column(j) for j in auts.gens}
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for column in columns.values():
+            if column[i] not in reached:
+                reached.add(column[i])
+                frontier.append(column[i])
+    assert reached == set(range(auts.order))
+    for j in range(auts.order):
+        inner = auts.maps[j]
+        assert auts.column(j) == tuple(position[outer.compose(inner).images]
+                                       for outer in auts.maps)
+    assert auts.table == oracle_aut_table(auts.maps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    small_posets(max_points=5),
+    deep_posets(modes=("none", "sandt"), max_antichain=5, max_copies=2),
+))
+def test_record_matches_the_oracles_on_random_posets(poset):
+    assert_record_matches_the_oracles(AutomorphismGroup.of(poset))
+
+
+@settings(max_examples=6, deadline=None)
+@given(shuffled_built_spaces(modes=("none", "sonly", "sandt"), pointed=True))
+def test_record_matches_the_oracles_on_shuffled_built_spaces(space):
+    assert_record_matches_the_oracles(AutomorphismGroup.of(space))
+
+
 def assert_index_matches_the_image_dict(auts, outside):
     """``index`` against a ``{images: k}`` dict: every map, every product,
     and ``outside``, a permutation of the points that may not be in the group."""
@@ -241,8 +280,7 @@ def test_index_matches_the_image_dict_on_shuffled_built_spaces(space, data):
         auts, tuple(data.draw(st.permutations(range(len(space)))))
     )
     # agreeing with an automorphism on the base is not enough
-    base, _, _ = auts._keyed
-    a, b = [x for x in range(len(space)) if x not in base][:2]
+    a, b = [x for x in range(len(space)) if x not in auts.base][:2]
     for m in auts.maps:
         images = list(m.images)
         images[a], images[b] = images[b], images[a]
@@ -264,7 +302,7 @@ def test_index_refuses_maps_that_are_not_a_group(crown):
     # both maps move point 0 first and send it to 1: the swap of u and v is missing
     maps = tuple(PosetMap(crown, crown, images) for images in
                  [(0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 3, 2)])
-    not_a_group = AutomorphismGroup(crown, maps)
+    not_a_group = AutomorphismGroup(crown, maps, base=(0,), gens=(1, 2))
     with pytest.raises(MapError, match="not a group"):
         not_a_group.index((0, 1, 2, 3))
     with pytest.raises(MapError):
@@ -276,7 +314,7 @@ def test_table_refuses_a_product_missing_from_the_maps(crown):
     # the product of the two swaps, (1, 0, 3, 2), is not among them
     maps = tuple(PosetMap(crown, crown, images) for images in
                  [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)])
-    auts = AutomorphismGroup(crown, maps)
+    auts = AutomorphismGroup(crown, maps, base=(0, 2), gens=(1, 2))
     assert [auts.index(m.images) for m in maps] == [0, 1, 2]
     with pytest.raises(MapError, match="^a product of automorphisms is missing "
                                        "from the enumerated set$"):
@@ -286,7 +324,7 @@ def test_table_refuses_a_product_missing_from_the_maps(crown):
 def test_crown_automorphisms_form_klein_four(crown):
     auts = AutomorphismGroup.of(crown)
     assert auts.order == 4
-    assert groups_isomorphic(auts.as_group(), klein_four())
+    assert groups_isomorphic(automorphism_group(auts), klein_four())
 
 
 def test_base_space_action_is_free_and_transitive_on_columns(c3_spec):
@@ -325,7 +363,7 @@ def test_extension_restriction_roundtrip(c3_spec):
 def test_extension_check_reports_missing_automorphisms(c3_spec):
     base = build_base(c3_spec)
     full = build_space(c3_spec)
-    crippled = AutomorphismGroup(full, (PosetMap.identity(full),))
+    crippled = AutomorphismGroup(full, (PosetMap.identity(full),), base=(), gens=())
     outcome = extension_restriction_check(
         base, full, AutomorphismGroup.of(base), crippled
     )

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -136,13 +138,9 @@ def test_each_construction_is_built_searched_and_reduced_once(monkeypatch, mode,
     assert len(columns) == 1  # every space is built on the one column space
 
 
-@pytest.mark.parametrize("group, gens, pointed", [
-    ("dihedral:4", ["a", "b"], False), ("cyclic:3", ["a"], True),
-])
-def test_only_the_run_keys_group_tabulates_and_each_keys_its_maps_once(
-    monkeypatch, group, gens, pointed
-):
-    contexts, keyed = [], Counter()
+def record_contexts(monkeypatch) -> list:
+    """Every ``verify._Context`` made from now on, in order."""
+    contexts = []
 
     class Recorded(verify._Context):
         def __init__(self, *args):
@@ -150,14 +148,46 @@ def test_only_the_run_keys_group_tabulates_and_each_keys_its_maps_once(
             contexts.append(self)
 
     monkeypatch.setattr(verify, "_Context", Recorded)
-    count_calls(monkeypatch, homotopy, "_separating_base", lambda maps: keyed.update([id(maps)]))
+    return contexts
+
+
+@pytest.mark.parametrize("group, gens, pointed", [
+    ("dihedral:4", ["a", "b"], False), ("cyclic:3", ["a"], True),
+])
+def test_no_group_tabulates_and_each_keys_its_maps_once(monkeypatch, group, gens, pointed):
+    contexts, keyed = record_contexts(monkeypatch), Counter()
+
+    def position(auts):
+        keyed.update([id(auts.maps)])
+        return memo.func(auts)
+
+    memo, counted = homotopy.AutomorphismGroup._position, cached_property(position)
+    counted.__set_name__(homotopy.AutomorphismGroup, "_position")
+    monkeypatch.setattr(homotopy.AutomorphismGroup, "_position", counted)
     assert verify_all(spec_for(builtin_group(group), gens, pointed=pointed)).ok
     (ctx,) = contexts
     groups = {key: auts for (kind, key), auts in ctx._cache.items() if kind == "auts"}
     assert len(groups) == (2 if pointed else 3)
-    assert [key for key, auts in groups.items() if "table" in vars(auts)] == [ctx.key]
+    assert not [key for key, auts in groups.items() if "table" in vars(auts)]
+    assert ctx.key in {key for key, auts in groups.items() if "_position" in vars(auts)}
     assert set(keyed) <= {id(auts.maps) for auts in groups.values()}
     assert set(keyed.values()) == {1}
+
+
+def test_a_non_generating_list_keeps_its_report_and_tabulates_no_group(monkeypatch):
+    # (01) spans a subgroup of order 2 of S3: three components, 48 automorphisms
+    contexts = record_contexts(monkeypatch)
+    spec = spec_for(builtin_group("symmetric:3"), ["(01)"], pointed=True,
+                    require_generating=False)
+    report = verify_all(spec)
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == (
+        "e9c531806037bc9e7774d114adffa5ca1d866a8b60d63288f8ea4726206e8082"
+    )
+    assert result_map(report)["h1-action-faithful"].status == "PASS"
+    (ctx,) = contexts
+    groups = [auts for (kind, _), auts in ctx._cache.items() if kind == "auts"]
+    assert {auts.order for auts in groups} == {48}
+    assert not [auts for auts in groups if "table" in vars(auts)]
 
 
 @pytest.mark.parametrize("pointed", [False, True])
@@ -286,16 +316,25 @@ def test_h1_check_fails_on_one_corrupted_matrix(monkeypatch, k):
     assert (result.status, result.detail) == ("FAIL", CORRUPTED_MATRIX_DETAILS[k])
 
 
+def with_column(ctx, column):
+    """Replace the run's group in ``ctx`` by a copy whose ``column`` is ``column``."""
+    copy = replace(ctx.auts(ctx.key))
+    vars(copy)["column"] = column
+    ctx._cache["auts", ctx.key] = copy
+
+
 @pytest.mark.parametrize("row", range(3))
 def test_h1_check_fails_on_one_swapped_table_entry(row):
     ctx = verify._Context(spec_for(builtin_group("cyclic:3"), ["a"]), VerifyOptions())
     auts = ctx.auts(ctx.key)
-    table = [list(r) for r in auts.table]
-    table[row][1], table[row][2] = table[row][2], table[row][1]
-    copy = replace(auts)
-    vars(copy)["table"] = tuple(map(tuple, table))
-    ctx._cache["auts", ctx.key] = copy
-    assert h1_check(ctx).status == "FAIL"
+    (s,) = auts.gens
+    swapped = list(auts.column(s))
+    other = (row + 1) % 3
+    swapped[row], swapped[other] = swapped[other], swapped[row]
+    with_column(ctx, lambda j: tuple(swapped) if j == s else auts.column(j))
+    result = h1_check(ctx)
+    assert result.status == "FAIL"
+    assert result.detail.startswith("matrix composition disagrees for pair")
 
 
 def test_h1_check_fails_on_a_relabelled_group_table():
@@ -313,10 +352,8 @@ def test_h1_check_fails_on_a_relabelled_group_table():
         tuple(swap[auts.table[swap[a]][swap[b]]] for b in range(auts.order))
         for a in range(auts.order)
     )
-    copy = replace(auts)
-    vars(copy)["table"] = table
-    ctx._cache["auts", ctx.key] = copy
-    ctx.auts(ctx.key).as_group()  # still a group table
+    FiniteGroup(tuple(map(str, range(auts.order))), table)  # still a group table
+    with_column(ctx, lambda j: tuple(row[j] for row in table))
     result = h1_check(ctx)
     assert result.status == "FAIL"
     assert result.detail.startswith("matrix composition disagrees for pair")
