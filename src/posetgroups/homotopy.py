@@ -20,7 +20,7 @@ from .errors import ConstructionError, MapError, SizeLimitExceeded
 from .groups import FiniteGroup
 from .labels import Base, Label, label_at, site_role
 from .posets import FinitePoset, PosetMap, tuple_getter
-from .search import DEFAULT_AUT_BUDGET, all_automorphisms
+from .search import DEFAULT_AUT_BUDGET, all_automorphisms, initial_colours
 
 DEFAULT_MAP_BUDGET = 10**7
 DEFAULT_MAP_POINTS = 8
@@ -124,6 +124,46 @@ class AutomorphismGroup:
         """Enumerate Aut(space), each map verified edge by edge."""
         found = all_automorphisms(space, budget=budget)
         return cls(space, tuple(found), found.base, found.gens)
+
+    @classmethod
+    def adjoined(cls, parent: "AutomorphismGroup", space: FinitePoset, *,
+                 budget: int = DEFAULT_AUT_BUDGET):
+        """Aut(space) for ``space`` = ``parent.space`` plus one point s, its last.
+
+        Derived from ``parent`` when the covers of ``space`` are the
+        parent's plus s's, s alone has its initial colour, and every parent
+        map sends s's lower covers and its upper covers onto themselves.
+        The colour is kept by every automorphism (McKay–Piperno), so each
+        one fixes s and restricts to a map of the parent, and each parent
+        map extends by fixing s: the maps are the parent's plus ``(s,)``,
+        in the same order, with the same base and generators.  Each map's
+        covers but s's were verified with its parent map, and s's are
+        checked here.  In any other case the space is searched.
+        """
+        if not cls._fixes_the_adjoined_point(parent, space):
+            return cls.of(space, budget=budget)
+        s = (len(parent.space),)
+        maps = tuple(PosetMap._trusted(space, space, m.images + s) for m in parent.maps)
+        return cls(space, maps, parent.base, parent.gens)
+
+    @staticmethod
+    def _fixes_the_adjoined_point(parent: "AutomorphismGroup", space: FinitePoset) -> bool:
+        """The three conditions under which :meth:`adjoined` derives its group."""
+        old, s = parent.space, len(parent.space)
+        if len(space) != s + 1 or space.labels[:s] != old.labels:
+            return False
+        covers = space.cover_index
+        sides = [side for side in (covers.down[s], covers.up[s]) if side]
+        if len(space.hasse) != len(old.hasse) + sum(map(len, sides)):
+            return False
+        if not covers.edges.issuperset(old.hasse):
+            return False
+        colours = initial_colours(space)
+        if colours.count(colours[s]) != 1:
+            return False
+        # images of distinct points are distinct, so into a side is onto it
+        checks = [(frozenset(side).issuperset, tuple_getter(side)) for side in sides]
+        return all(holds(on_side(m.images)) for m in parent.maps for holds, on_side in checks)
 
     @cached_property
     def _position(self) -> dict[tuple[int, ...], int]:

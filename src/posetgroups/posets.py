@@ -17,7 +17,8 @@ components and homotopy classes read, and the covers' sources and targets
 as ``itemgetter``s plus the set of covers, through which every
 covers-onto-covers and order check reads an image tuple in C.  The layout
 numbers each site and role once, so that every map of the built spaces is
-one C-level gather of ints, with no label built.
+one C-level gather of ints, with no label built; a builder that knows it,
+such as the gadget spaces' (:meth:`FinitePoset.wedge`), hands it over.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ def tuple_getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     one index returns a bare item, and of none raises)."""
     if len(indices) > 1:
         return itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)
+    if indices:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
 
 
 class CoverIndex:
@@ -83,14 +87,20 @@ class Layout:
 
     def __init__(self, labels: Sequence[Label]):
         pairs = list(map(site_role, labels))
-        self.roles = dict(zip(dict.fromkeys(r for _, r in pairs if r is not None), count(1)))
-        self.width = width = len(self.roles) + 1
-        sites = dict.fromkeys(site for site, role in pairs if role not in (None, STAR))
+        roles = dict(zip(dict.fromkeys(r for _, r in pairs if r is not None), count(1)))
+        sites = dict(zip(dict.fromkeys(site for site, role in pairs if role not in (None, STAR)),
+                         count(1)))
+        self._number(sites, roles, [sites.get(site, 0) for site, _ in pairs],
+                     [roles.get(role, 0) for _, role in pairs])
+
+    def _number(self, sites: dict, roles: dict, site_of: list[int], role_of: list[int]) -> None:
+        """Fill every slot from each site's and role's number and each point's."""
+        self.roles = roles
+        self.width = width = len(roles) + 1
         self.sites = dict(zip(sites, count(width, width)))
-        self.site_of = [self.sites.get(site, 0) // width for site, _ in pairs]
-        self.role_of = [self.roles.get(role, 0) for _, role in pairs]
+        self.site_of, self.role_of = site_of, role_of
         self.flat: list[int | None] = [None] * (len(sites) + 1) * width
-        for i, (s, r) in enumerate(zip(self.site_of, self.role_of)):
+        for i, (s, r) in enumerate(zip(site_of, role_of)):
             if r:
                 self.flat[s * width + r] = i
         self.columns = [g for g, _ in sites]
@@ -98,6 +108,23 @@ class Layout:
         self.levels = [levels[level] for _, level in sites]
         keys = map(add, map(mul, self.columns, repeat(len(sites) + 1)), self.levels)
         self.cells = dict(zip(keys, self.sites.values()))
+
+    def extended(self, sites: Sequence[int], roles: Sequence[str]) -> "Layout":
+        """The layout of this one's points followed by one block per site
+        number in ``sites``: a point in each of ``roles`` at that site.  New
+        roles are numbered after this layout's, as first use would number
+        them, and no label is read."""
+        if not sites:
+            roles = ()  # no point takes them, so they are not numbered
+        numbers = dict(self.roles)
+        for role in roles:
+            numbers.setdefault(role, len(numbers) + 1)
+        block = [numbers[role] for role in roles]
+        fresh = object.__new__(Layout)
+        fresh._number(dict(zip(self.sites, count(1))), numbers,
+                      self.site_of + [s for s in sites for _ in block],
+                      self.role_of + block * len(sites))
+        return fresh
 
     def gather(self, rows: Sequence[int], cols: Sequence[int] | None = None,
                onto: "Layout | None" = None) -> tuple:
@@ -114,19 +141,19 @@ class FinitePoset:
     Build one with :meth:`from_relations` (arbitrary order pairs, closed and
     reduced internally) or :meth:`from_hasse` (pairs that must already be
     exactly the covering relations), or grow one by a point with
-    :meth:`adjoin_above`.
+    :meth:`adjoin_above` or by copies of a small poset with :meth:`wedge`.
     """
 
     __slots__ = ("labels", "hasse", "_down", "_up", "_index", "_covers", "_layout")
 
-    def __init__(self, labels, hasse, down, up, index):
+    def __init__(self, labels, hasse, down, up, index, layout: Layout | None = None):
         self.labels: tuple[Label, ...] = labels
         self.hasse: tuple[tuple[int, int], ...] = hasse
         self._down: tuple[tuple[int, ...], ...] = down
         self._up: tuple[tuple[int, ...], ...] = up
         self._index: dict[Label, int] = index
         self._covers: CoverIndex | None = None
-        self._layout: Layout | None = None
+        self._layout: Layout | None = layout
 
     # -- construction ------------------------------------------------------
 
@@ -224,6 +251,78 @@ class FinitePoset:
         return FinitePoset(self.labels + (label,), tuple(sorted(self.hasse + tuple(covers))),
                            self._down + ((*lower, n),), tuple(up), index)
 
+    def wedge(self, piece: "FinitePoset", apexes: Sequence[int], labels: Sequence[Label],
+              layout: Layout | None = None) -> "FinitePoset":
+        """This poset with one copy of ``piece`` glued at each point of
+        ``apexes``, in closed form rather than by a new closure.
+
+        Copy ``t`` identifies ``piece``'s point 0 with ``apexes[t]``; its
+        other ``k`` points are new, indices ``len(self) + t * k`` on, and
+        labelled by the next ``k`` of ``labels``.  A copy meets the rest
+        only at its apex, so the order among this poset's points is kept,
+        and each of them gains the copy points below every apex in its
+        down-set and those above every apex in its up-set, after its own.
+        A copy point above its apex has the apex's new down-set plus its
+        own in the copy, one below it the apex's new up-set plus its own,
+        and any other copy point only its own.  The covers are this
+        poset's and the copies'.  Down-sets and up-sets that gain nothing
+        are shared, not copied; ``layout``, if given, is the new poset's.
+        """
+        n, k = len(self.labels), len(piece) - 1
+        labels = self.labels + tuple(labels)
+        if len(labels) != n + k * len(apexes):
+            raise PosetError(f"{len(labels) - n} labels for {len(apexes)} copies of {k} points")
+        if apexes and not (0 <= min(apexes) and max(apexes) < n):
+            bad = next(i for i in apexes if not 0 <= i < n)
+            raise PosetError(f"point {bad} out of range for {n} points")
+        index = self._index.copy()
+        index.update(zip(labels[n:], count(n)))
+        if len(index) != len(labels):
+            raise PosetError("point labels must be pairwise distinct")
+        # Copy t holds the points ``ids``: its apex, then its k new points,
+        # so a getter of indices in ``piece`` reads a copy's points off it.
+        copies = [(apex, (apex, *range(first, first + k)))
+                  for apex, first in zip(apexes, count(n, k))]
+
+        def beyond_apex(sets):
+            """For each copy point, whether its set among ``sets`` holds the
+            apex (point 0, which leads a set holding it), and a getter of
+            the points it holds that the apex's set does not."""
+            out = []
+            for own in sets[1:]:
+                holds = own[0] == 0
+                shared = sets[0] if holds else ()
+                out.append((holds, tuple_getter([j for j in own if j not in shared])))
+            return out
+
+        downs, ups = beyond_apex(piece._down), beyond_apex(piece._up)
+        under, over = tuple_getter(piece._down[0][1:]), tuple_getter(piece._up[0][1:])
+        gained_down: list[list[int]] = [[] for _ in range(n)]
+        gained_up: list[list[int]] = [[] for _ in range(n)]
+        for apex, ids in copies:  # in copy order, so each gained list is sorted
+            lows, highs = under(ids), over(ids)
+            for z in self._up[apex] if lows else ():
+                gained_down[z] += lows
+            for z in self._down[apex] if highs else ():
+                gained_up[z] += highs
+        down, up = list(self._down), list(self._up)
+        for z in range(n):
+            if gained_down[z]:
+                down[z] += tuple(gained_down[z])
+            if gained_up[z]:
+                up[z] += tuple(gained_up[z])
+        sources = tuple_getter([a for a, _ in piece.hasse])
+        targets = tuple_getter([b for _, b in piece.hasse])
+        hasse = list(self.hasse)
+        for apex, ids in copies:
+            apex_down, apex_up = down[apex], up[apex]
+            down += [tuple(sorted(apex_down + mine(ids))) if above else mine(ids)
+                     for above, mine in downs]
+            up += [tuple(sorted(apex_up + mine(ids))) if below else mine(ids)
+                   for below, mine in ups]
+            hasse += zip(sources(ids), targets(ids))
+        return FinitePoset(labels, tuple(sorted(hasse)), tuple(down), tuple(up), index, layout)
+
     # -- basic queries -----------------------------------------------------
 
     def __len__(self) -> int:
@@ -268,7 +367,7 @@ class FinitePoset:
 
     @property
     def layout(self) -> Layout:
-        """The points by site and role number, built on first use."""
+        """The points by site and role number, built on first use unless handed over."""
         if self._layout is None:
             self._layout = Layout(self.labels)
         return self._layout

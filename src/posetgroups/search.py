@@ -76,6 +76,13 @@ from .posets import FinitePoset, PosetMap, tuple_getter
 DEFAULT_AUT_BUDGET = 10**6
 
 
+def initial_colours(poset: FinitePoset) -> list[tuple[int, int, int, int]]:
+    """Each point's colour before refinement: its down-set and up-set sizes
+    and its lower and upper cover counts.  Every isomorphism keeps it."""
+    covers = poset.cover_index
+    return list(zip(*poset.set_sizes, map(len, covers.down), map(len, covers.up)))
+
+
 class _Partition:
     """An ordered partition of one poset's points, refined in place and undone from a trail.
 
@@ -89,8 +96,7 @@ class _Partition:
         n = len(poset)
         self.poset = poset
         self.n = n
-        covers = poset.cover_index
-        sig = list(zip(*poset.set_sizes, map(len, covers.down), map(len, covers.up)))
+        sig = initial_colours(poset)
         self.elems = sorted(range(n), key=sig.__getitem__)  # stable: ties stay ascending
         self.colours = [sig[v] for v in self.elems]
         self.pos = [0] * n

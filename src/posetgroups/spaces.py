@@ -23,7 +23,18 @@ from operator import add, mul
 
 from .errors import ConstructionError
 from .groups import FiniteGroup, validate_generating_set
-from .labels import Base, FencePoint, Label, SPoint, Star, TPoint, label_at, site_role
+from .labels import (
+    FENCE_ROLES,
+    S_KINDS,
+    Base,
+    FencePoint,
+    Label,
+    SPoint,
+    Star,
+    TPoint,
+    label_at,
+    site_role,
+)
 from .posets import FinitePoset, PosetMap
 
 
@@ -157,45 +168,49 @@ def _fence_label(role: str, index: int, g: int, lv: int, fence: int) -> Label:
     return FencePoint(role, index, g, lv)
 
 
+def _gadget_labels(mode: GadgetMode, g: int, lv: int) -> list[Label]:
+    """The points of one attachment at apex ``(g, lv)``: S's kinds A-D, then
+    in ``sandt`` mode the fence's maxima and minima, each by index."""
+    labels: list[Label] = [SPoint(kind, g, lv) for kind in S_KINDS]
+    if mode.kind == "sandt":
+        labels += [_fence_label(role, i, g, lv, mode.fence)
+                   for role in FENCE_ROLES for i in range(1, mode.fence + 3)]
+    return labels
+
+
+def _gadget(mode: GadgetMode) -> FinitePoset:
+    """One attachment with its apex as point 0, at site ``(0, 0)``, closed on its own pairs."""
+    labels = [Base(0, 0), *_gadget_labels(mode, 0, 0)]
+    pairs = [(3, 1), (4, 1), (3, 2), (0, 2), (4, 0)]  # C < A, D < A, C < B, apex < B, D < apex
+    if mode.kind == "sandt":
+        size = mode.fence + 2  # maxima are points 5.., minima 5 + size..
+        cycle = [0] + [4 + i if role == "max" else 4 + size + i
+                       for role, i in fence_sequence(mode.fence)]
+        # Walk the cycle; even steps go up into a maximum, odd steps
+        # drop down into the next minimum, and the final step climbs
+        # from the last minimum back to the apex.
+        for k, (here, there) in enumerate(zip(cycle, cycle[1:] + [0])):
+            pairs.append((here, there) if k % 2 == 0 else (there, here))
+    return FinitePoset.from_relations(labels, pairs)
+
+
 def attach_gadgets(base: FinitePoset, spec: ConstructionSpec) -> FinitePoset:
-    """Glue the attachments onto every column point at levels 0..r-1."""
+    """Glue the attachments onto every column point at levels 0..r-1.
+
+    One attachment is closed with its apex, and a copy of it is wedged at
+    each apex in closed form (:meth:`FinitePoset.wedge`), so the whole
+    order is never closed again.  The layout is the column space's plus
+    the attachment's roles, one block per apex, and no label is parsed.
+    """
     if spec.mode.kind == "none":
         raise ConstructionError("gadget mode is 'none': nothing to attach")
-    n, r = spec.group.order, spec.levels
-    fence = spec.mode.fence
-
-    labels: list[Label] = list(base.labels)
-    pairs: list[tuple[int, int]] = list(base.hasse)
-
-    def add(label: Label) -> int:
-        labels.append(label)
-        return len(labels) - 1
-
-    for g in range(n):
-        for lv in range(r):
-            apex = base.index_of(Base(g, lv))
-            pt_a = add(SPoint("A", g, lv))
-            pt_b = add(SPoint("B", g, lv))
-            pt_c = add(SPoint("C", g, lv))
-            pt_d = add(SPoint("D", g, lv))
-            pairs += [(pt_c, pt_a), (pt_d, pt_a), (pt_c, pt_b),
-                      (apex, pt_b), (pt_d, apex)]
-            if spec.mode.kind != "sandt":
-                continue
-            maxima = {i: add(_fence_label("max", i, g, lv, fence))
-                      for i in range(1, fence + 3)}
-            minima = {i: add(_fence_label("min", i, g, lv, fence))
-                      for i in range(1, fence + 3)}
-            seq = fence_sequence(fence)
-            cycle = [apex] + [
-                maxima[i] if role == "max" else minima[i] for role, i in seq
-            ]
-            # Walk the cycle; even steps go up into a maximum, odd steps
-            # drop down into the next minimum, and the final step climbs
-            # from the last minimum back to the apex.
-            for k, (here, there) in enumerate(zip(cycle, cycle[1:] + [apex])):
-                pairs.append((here, there) if k % 2 == 0 else (there, here))
-    return FinitePoset.from_relations(labels, pairs)
+    sites = [(g, lv) for g in range(spec.group.order) for lv in range(spec.levels)]
+    apexes = [base.index_of(Base(*site)) for site in sites]
+    gadget = _gadget(spec.mode)
+    labels = [label for site in sites for label in _gadget_labels(spec.mode, *site)]
+    roles = [site_role(label)[1] for label in gadget.labels[1:]]
+    layout = base.layout.extended(list(map(base.layout.site_of.__getitem__, apexes)), roles)
+    return base.wedge(gadget, apexes, labels, layout)
 
 
 def add_basepoint(space: FinitePoset) -> FinitePoset:

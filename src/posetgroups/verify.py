@@ -7,11 +7,15 @@ witness and the suite moves on.  They share a per-run store keyed by
 construction, the run's group and generators with a given ``(mode,
 pointed)``: the column space is ``(none, unpointed)``, the full space the
 run's own key, the fence variants ``(sandt:N, run's pointed)`` and the
-pointed space ``(run's mode, pointed)``.  Each key is built, searched and
-reduced at most once, and each space from the cached one below it: a
-gadget space is the column space plus its attachments, a pointed space
-the unpointed one plus its basepoint.  Raised errors are cached too, so a
-broken builder fails every check that needs it without being re-run.
+pointed space ``(run's mode, pointed)``.  Each key is built and reduced at
+most once, and each space from the cached one below it: a gadget space is
+the column space with its attachments wedged on, a pointed space the
+unpointed one plus its basepoint.  Each key's group is searched at most
+once, except that a pointed key's is derived from the unpointed key's
+group (:meth:`AutomorphismGroup.adjoined`, which falls back to a search)
+when a check of the run reads that group too.  Raised errors are cached
+as well, so a broken builder fails every check that needs it without
+being re-run.
 
 Check names, and the mathematical statement each one tests, are listed in
 the README; names are stable so scripts can ``--skip`` or single-run them.
@@ -78,7 +82,8 @@ class _Context:
     its simplex counts and its one cycle basis, whose cover rows only
     ``h1-action-faithful`` expands, never its chains.  A gadget space is
     the cached column space plus its attachments, and a pointed space the
-    cached unpointed one plus its basepoint."""
+    cached unpointed one plus its basepoint, its group derived from the
+    unpointed one's when the run reads that one too."""
 
     def __init__(self, spec: ConstructionSpec, options: VerifyOptions):
         self.spec = spec
@@ -111,10 +116,20 @@ class _Context:
         return self._get(slot, lambda: attach_gadgets(self.space(_BASE), self.construction(key)))
 
     def auts(self, key) -> AutomorphismGroup:
-        return self._get(
-            ("auts", key),
-            lambda: AutomorphismGroup.of(self.space(key), budget=self.options.budget_aut),
-        )
+        return self._get(("auts", key), lambda: self._group(key))
+
+    def _group(self, key) -> AutomorphismGroup:
+        """Aut of ``key``'s space.  A pointed key's group is derived from the
+        unpointed key's when a check of the run reads that group (the run's
+        own key's or the column space's), and searched otherwise: a search
+        of the unpointed space alone would cost as much and hold two
+        groups' maps at once."""
+        mode, pointed = key
+        space, parent = self.space(key), (mode, False)
+        if pointed and parent in (self.key, _BASE):
+            return AutomorphismGroup.adjoined(self.auts(parent), space,
+                                              budget=self.options.budget_aut)
+        return AutomorphismGroup.of(space, budget=self.options.budget_aut)
 
     def complex(self, key) -> OrderComplex:
         if key != self.key:  # a variant's complex is read once, so it is not kept

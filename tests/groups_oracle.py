@@ -10,20 +10,26 @@ the tests use it to compare automorphism groups with the group they were
 built from.
 
 ``permutation_groups`` draws a small nontrivial group as the closure of random
-permutations, its elements numbered in random order, and
-``generating_lists`` a generating list of it in random order, with
-redundant elements; the tests run the whole construction on them.
+permutations, and ``direct_products`` the product of two catalogue groups,
+each with its elements numbered in random order.  ``generating_lists``
+draws a generating list of a group in random order, with redundant
+elements, and ``non_generating_lists`` a list that spans a proper
+subgroup; the tests run the whole construction on them.
 """
 
 from __future__ import annotations
 
+from math import factorial
+
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from posetgroups import FiniteGroup, GroupError, SizeLimitExceeded
+from posetgroups import FiniteGroup, GroupError, SizeLimitExceeded, builtin_group
 from posetgroups.groups import _greedy_generators
 
 DEFAULT_ISO_ORDER_CAP = 16
+CATALOGUE = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "klein4", "symmetric:3",
+             "dihedral:4", "quaternion8")
 
 
 def oracle_check_associative(labels, table) -> None:
@@ -109,8 +115,15 @@ def groups_isomorphic(
     return assign(0, [])
 
 
+def numbered(elements: list, multiply) -> FiniteGroup:
+    """The group of ``elements`` under ``multiply``, each numbered by its position."""
+    number = {x: k for k, x in enumerate(elements)}
+    table = tuple(tuple(number[multiply(x, y)] for y in elements) for x in elements)
+    return FiniteGroup(tuple(f"p{k}" for k in range(len(elements))), table)
+
+
 @st.composite
-def permutation_groups(draw, max_degree: int = 5, max_order: int = 24) -> FiniteGroup:
+def permutation_groups(draw, max_degree: int = 6, max_order: int = 24) -> FiniteGroup:
     """The closure of 1-3 random permutations of degree at most ``max_degree``,
     as a table with its elements numbered in random order.
 
@@ -131,10 +144,19 @@ def permutation_groups(draw, max_degree: int = 5, max_order: int = 24) -> Finite
             break
         elements = grown
     assume(len(elements) > 1)
-    elements = draw(st.permutations(elements))
-    number = {x: k for k, x in enumerate(elements)}
-    table = tuple(tuple(number[tuple(x[i] for i in y)] for y in elements) for x in elements)
-    return FiniteGroup(tuple(f"p{k}" for k in range(len(elements))), table)
+    return numbered(draw(st.permutations(elements)), lambda x, y: tuple(x[i] for i in y))
+
+
+@st.composite
+def direct_products(draw, max_order: int = 24) -> FiniteGroup:
+    """G × H for catalogue groups G and H with |G|·|H| at most ``max_order``,
+    as a table with its elements numbered in random order."""
+    first = builtin_group(draw(st.sampled_from(CATALOGUE)))
+    fitting = [name for name in CATALOGUE if first.order * builtin_group(name).order <= max_order]
+    second = builtin_group(draw(st.sampled_from(fitting)))
+    pairs = [(a, b) for a in range(first.order) for b in range(second.order)]
+    return numbered(draw(st.permutations(pairs)),
+                    lambda x, y: (first.op(x[0], y[0]), second.op(x[1], y[1])))
 
 
 @st.composite
@@ -146,3 +168,21 @@ def generating_lists(draw, group: FiniteGroup, max_extra: int = 1) -> list[int]:
     if others:
         gens += draw(st.lists(st.sampled_from(others), max_size=max_extra, unique=True))
     return draw(st.permutations(gens))
+
+
+@st.composite
+def non_generating_lists(draw, group: FiniteGroup, max_automorphisms: int = 400) -> list[int]:
+    """At most two distinct non-identity elements, in random order, that
+    span a proper subgroup H of ``group``.
+
+    The space of such a list is one copy of H's space per coset, so its
+    automorphism group is the wreath product of H by the c cosets'
+    permutations, of order |H|^c · c!.  Lists whose group would have
+    more than ``max_automorphisms`` elements are not drawn.
+    """
+    others = [x for x in range(group.order) if x != group.identity]
+    gens = draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+    span = len(group.closure(gens))
+    cosets = group.order // span
+    assume(cosets > 1 and span ** cosets * factorial(cosets) <= max_automorphisms)
+    return gens

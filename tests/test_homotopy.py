@@ -16,6 +16,7 @@ from posetgroups import (
     SizeLimitExceeded,
     SPoint,
     Star,
+    add_basepoint,
     build_base,
     build_space,
     builtin_group,
@@ -248,6 +249,62 @@ def test_record_matches_the_oracles_on_random_posets(poset):
 @given(shuffled_built_spaces(modes=("none", "sonly", "sandt"), pointed=True))
 def test_record_matches_the_oracles_on_shuffled_built_spaces(space):
     assert_record_matches_the_oracles(AutomorphismGroup.of(space))
+
+
+# -- the group of a poset plus one point, from the poset's --------------------
+
+
+def assert_adjoined_is_the_searched_group(space, grown) -> bool:
+    """``AutomorphismGroup.adjoined`` on ``grown`` against the search: equal
+    sorted maps, all of ``grown``, and a record whose generators and columns
+    hold.  Returns whether the group was derived rather than searched."""
+    parent = AutomorphismGroup.of(space)
+    adjoined = AutomorphismGroup.adjoined(parent, grown)
+    assert adjoined.space is grown
+    assert [m.images for m in adjoined.maps] == [m.images for m in AutomorphismGroup.of(grown).maps]
+    assert all(m.source is grown and m.target is grown for m in adjoined.maps)
+    assert_record_matches_the_oracles(adjoined)
+    return AutomorphismGroup._fixes_the_adjoined_point(parent, grown)
+
+
+@settings(max_examples=8, deadline=None)
+@given(shuffled_built_spaces(modes=("none", "sonly", "sandt", "sandt:2")))
+def test_the_pointed_group_of_a_shuffled_built_space_is_derived_and_the_searched_one(space):
+    assert assert_adjoined_is_the_searched_group(space, add_basepoint(space))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_posets(max_points=5), crown_posets()), st.data())
+def test_the_group_of_a_random_poset_plus_one_point_is_the_searched_one(poset, data):
+    n = len(poset)
+    below = data.draw(st.lists(st.integers(0, n - 1), max_size=5) if n else st.just([]))
+    assert_adjoined_is_the_searched_group(poset, poset.adjoin_above("s", below))
+
+
+def falling_back() -> dict:
+    """A poset and a grown copy for each condition of the derivation that fails."""
+    crown, pair = fixture_space("crown"), FinitePoset.from_relations(("x", "y"), [])
+    trivial = build_space(spec_for(builtin_group("cyclic:1"), []))
+    return {
+        # s over the 2-chain's bottom shares its colour with the top
+        "shared colour": (trivial, add_basepoint(trivial)),
+        # Klein four swaps the maxima, but s covers one of them only
+        "anchors moved": (crown, crown.adjoin_above("s", [2])),
+        "two points": (crown, crown.adjoin_above("s", [2]).adjoin_above("t", [4])),
+        # s splits the cover (0, 2), so the covers are not the crown's plus s's
+        "split cover": (crown, FinitePoset.from_relations(
+            crown.labels + ("s",), [(0, 4), (4, 2), (0, 3), (1, 2), (1, 3)])),
+        # x < y holds in the grown poset alone, so swapping them is no automorphism
+        "extra cover": (pair, FinitePoset.from_relations(("x", "y", "s"), [(0, 1)])),
+        "other labels": (crown, FinitePoset.from_relations(
+            ("p", "q", "u", "w", "s"), crown.hasse + ((0, 4),))),
+    }
+
+
+@pytest.mark.parametrize("case", list(falling_back()))
+def test_the_group_of_a_poset_plus_one_point_falls_back_to_the_search(case):
+    space, grown = falling_back()[case]
+    assert not assert_adjoined_is_the_searched_group(space, grown)
 
 
 def assert_index_matches_the_image_dict(auts, outside):

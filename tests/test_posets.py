@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posetgroups import FinitePoset, MapError, PosetError, PosetMap, enumerate_selfmaps
@@ -385,6 +385,43 @@ def test_adjoin_above_refuses_a_present_label_and_a_missing_point(pentad):
     for bad in (5, -1):
         with pytest.raises(PosetError, match=f"point {bad} out of range"):
             pentad.adjoin_above("top", [0, bad])
+
+
+def wedge_oracle(poset, piece, apexes, labels):
+    """``poset`` plus the copies of ``piece``, closed by ``from_relations``."""
+    n, k = len(poset), len(piece) - 1
+    pairs = list(poset.hasse)
+    for t, apex in enumerate(apexes):
+        ids = [apex, *range(n + t * k, n + (t + 1) * k)]
+        pairs += [(ids[a], ids[b]) for a, b in piece.hasse]
+    return FinitePoset.from_relations(poset.labels + tuple(labels), pairs)
+
+
+@given(st.one_of(small_posets(), crown_posets()), small_posets(max_points=5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_wedge_matches_from_relations(poset, piece, data):
+    # apexes may repeat; a copy point may sit above, below or beside its apex
+    n, k = len(poset), len(piece) - 1
+    assume(n and k >= 0)
+    apexes = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    labels = [f"c{t}.{i}" for t in range(len(apexes)) for i in range(k)]
+    before = snapshot(poset)
+    wedged = poset.wedge(piece, apexes, labels)
+    assert snapshot(wedged) == snapshot(wedge_oracle(poset, piece, apexes, labels))
+    assert snapshot(poset) == before
+
+
+def test_wedge_refuses_a_present_label_a_missing_point_and_a_short_label_list(pentad):
+    edge = FinitePoset.from_relations(["apex", "x"], [(0, 1)])
+    with pytest.raises(PosetError, match="distinct"):
+        pentad.wedge(edge, [0], ["a"])
+    with pytest.raises(PosetError, match="distinct"):
+        pentad.wedge(edge, [0, 1], ["x", "x"])
+    for bad in (5, -1):
+        with pytest.raises(PosetError, match=f"point {bad} out of range"):
+            pentad.wedge(edge, [0, bad], ["x", "y"])
+    with pytest.raises(PosetError, match="1 labels for 2 copies of 1 points"):
+        pentad.wedge(edge, [0, 1], ["x"])
 
 
 # -- maps --------------------------------------------------------------------

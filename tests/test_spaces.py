@@ -27,11 +27,14 @@ from posetgroups import (
     standard_generator_labels,
 )
 from posetgroups import homotopy, labels, posets, spaces
+from posetgroups.posets import Layout
 from posetgroups.spaces import fence_sequence, translation_images
 
 from conftest import fixture_space
+from groups_oracle import generating_lists, permutation_groups
 from homotopy_oracle import oracle_collapse_map, oracle_left_translation
 from posets_oracle import drop_hasse_edge
+from spaces_oracle import oracle_attach_gadgets
 from test_posets import (
     assert_beat_points_match_masks,
     assert_closure_matches_the_oracle,
@@ -40,6 +43,7 @@ from test_posets import (
     small_posets,
     snapshot,
 )
+from test_acceptance import ZOO
 from test_search import built_space, permuted_copy, shuffled_built_spaces
 
 
@@ -208,6 +212,69 @@ def test_attach_gadgets_rejects_mode_none(c3_spec):
     bare = replace(c3_spec, mode=GadgetMode("none"))
     with pytest.raises(ConstructionError, match="nothing to attach"):
         attach_gadgets(build_base(bare), bare)
+
+
+def layout_slots(layout) -> tuple:
+    """Every slot of a layout, to compare two layouts."""
+    return tuple(getattr(layout, slot) for slot in Layout.__slots__)
+
+
+def assert_attached_is_the_closed_one(base: FinitePoset, spec) -> None:
+    """``attach_gadgets`` against the apex-by-apex relation list closed by
+    ``from_relations``: every order tuple, the label index and every layout
+    slot, with the column space left as it was."""
+    before = snapshot(base)
+    attached = attach_gadgets(base, spec)
+    oracle = oracle_attach_gadgets(base, spec)
+    assert snapshot(attached) == snapshot(oracle)
+    assert layout_slots(attached.layout) == layout_slots(oracle.layout)
+    assert snapshot(base) == before
+
+
+@pytest.mark.parametrize("mode", ["sonly", "sandt", "sandt:2", "sandt:3"])
+@pytest.mark.parametrize("group", ZOO)
+def test_every_catalogue_gadget_space_is_the_closed_one(group, mode):
+    spec = spec_for(builtin_group(group), standard_generator_labels(group), mode=mode)
+    assert_attached_is_the_closed_one(build_base(spec), spec)
+
+
+@settings(max_examples=10, deadline=None)
+@given(permutation_groups(), st.sampled_from(["sonly", "sandt", "sandt:2"]), st.data())
+def test_gadget_spaces_of_random_groups_are_the_closed_ones(group, mode, data):
+    spec = spec_for(group, data.draw(generating_lists(group)), mode=mode)
+    assert_attached_is_the_closed_one(build_base(spec), spec)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["cyclic:1", "cyclic:3", "klein4", "dihedral:3"]),
+       st.sampled_from(["sonly", "sandt", "sandt:3"]), st.data())
+def test_gadget_spaces_on_shuffled_column_spaces_are_the_closed_ones(group, mode, data):
+    # the apexes are found by label, so a shuffled column space gets its
+    # attachments where the oracle puts them
+    spec = spec_for(builtin_group(group), standard_generator_labels(group), mode=mode)
+    base = build_base(spec)
+    shuffled = permuted_copy(base, data.draw(st.permutations(range(len(base)))))
+    assert_attached_is_the_closed_one(shuffled, spec)
+
+
+def test_a_gadget_space_reads_only_one_attachment_s_labels(monkeypatch):
+    # The layout is handed over: only the one closed attachment's points
+    # are split into site and role, never the whole space's.
+    spec = spec_for(builtin_group("dihedral:3"), ["a", "b"], mode="sandt:2")
+    base = build_base(spec)
+    base.layout
+    split = []
+    real = labels.site_role
+
+    def counted(label):
+        split.append(label)
+        return real(label)
+
+    for module in (posets, spaces):
+        monkeypatch.setattr(module, "site_role", counted)
+    space = attach_gadgets(base, spec)
+    assert space.layout is space.layout
+    assert len(split) == spec.mode.points_per_site
 
 
 # -- basepoint ---------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetgroups import homotopy, spaces, verify
+from posetgroups import homotopy, posets, search, spaces, verify
 from posetgroups import (
     CHECK_NAMES,
     AutomorphismGroup,
+    Base,
     ConstructionError,
     FiniteGroup,
     FinitePoset,
@@ -25,6 +27,7 @@ from posetgroups import (
     HomologySummary,
     PosetMap,
     SPoint,
+    Star,
     VerifyOptions,
     build_space,
     builtin_group,
@@ -37,7 +40,12 @@ from posetgroups import (
     verify_one,
 )
 
-from groups_oracle import generating_lists, permutation_groups
+from groups_oracle import (
+    direct_products,
+    generating_lists,
+    non_generating_lists,
+    permutation_groups,
+)
 from test_complexes import counting_snf
 
 
@@ -172,6 +180,61 @@ def test_no_group_tabulates_and_each_keys_its_maps_once(monkeypatch, group, gens
     assert ctx.key in {key for key, auts in groups.items() if "_position" in vars(auts)}
     assert set(keyed) <= {id(auts.maps) for auts in groups.values()}
     assert set(keyed.values()) == {1}
+
+
+@pytest.mark.parametrize("mode, pointed", [("sandt", False), ("sandt", True), ("sandt:2", True)])
+def test_a_run_closes_only_the_column_space_and_searches_twice(monkeypatch, mode, pointed):
+    # Every gadget space is wedged onto the column space, so the only whole
+    # space closed is the column space, beside one attachment per gadget
+    # space.  An unpointed run derives the pointed group from its own; a
+    # pointed run reads no unpointed group, so it searches its own space
+    # and keeps no unpointed group.
+    closed, searched = [], []
+    real = posets.FinitePoset._close
+    monkeypatch.setattr(posets.FinitePoset, "_close",
+                        staticmethod(lambda n, pairs: (closed.append(n), real(n, pairs))[1]))
+    count_calls(monkeypatch, search, "all_automorphisms",
+                lambda space, **kw: searched.append(len(space)))
+    contexts = record_contexts(monkeypatch)
+    spec = spec_for(builtin_group("dihedral:3"), ["a", "b"], mode=mode, pointed=pointed)
+    assert verify_all(spec).ok
+    (ctx,) = contexts
+    columns, full = len(ctx.space(verify._BASE)), len(ctx.space(ctx.key))
+    attachments = [1 + GadgetMode("sandt", fence).points_per_site for fence in (1, 2, 3)]
+    assert sorted(closed) == sorted([columns, *attachments])
+    assert searched == [columns, full]
+    groups = {key for kind, key in ctx._cache if kind == "auts"}
+    assert groups == {verify._BASE, ctx.key, (spec.mode, True)}
+
+
+@pytest.mark.parametrize("mode, pointed", [("sandt", False), ("sandt", True), ("sandt:2", True)])
+def test_the_pointed_check_passes_alone(mode, pointed):
+    # run alone, the check builds the spaces below the pointed one first
+    spec = spec_for(builtin_group("quaternion8"), ["i", "j"], mode=mode, pointed=pointed)
+    (result,) = verify_one(spec, "pointed-star-fixed").results
+    assert (result.status, result.detail) == (
+        "PASS", "basepoint fixed by all 8 automorphisms; order matches G")
+
+
+def two_anchor_basepoint(space):
+    """A mutant basepoint over two level -1 points only: it shares its colour
+    with every S-attachment's A point, so its group is searched."""
+    anchors = [i for i, lab in enumerate(space.labels)
+               if isinstance(lab, Base) and lab.level == -1]
+    return space.adjoin_above(Star(), anchors[:2])
+
+
+def test_the_pointed_check_fails_on_a_basepoint_sharing_its_colour(monkeypatch):
+    monkeypatch.setattr(verify, "add_basepoint", two_anchor_basepoint)
+    searched = []
+    count_calls(monkeypatch, AutomorphismGroup, "of",
+                lambda cls, space, **kw: searched.append(space))
+    spec = spec_for(builtin_group("cyclic:3"), ["a"])
+    contexts = record_contexts(monkeypatch)
+    result = result_map(verify_all(spec))["pointed-star-fixed"]
+    assert (result.status, result.detail) == ("FAIL", "pointed |Aut| = 1, |G| = 3")
+    (ctx,) = contexts
+    assert ctx.space((spec.mode, True)) in searched  # through the fallback
 
 
 def test_a_non_generating_list_keeps_its_report_and_tabulates_no_group(monkeypatch):
@@ -572,11 +635,11 @@ def test_h1_check_fails_when_two_automorphisms_share_a_matrix(monkeypatch):
 
 
 @settings(max_examples=25, deadline=None)
-@given(permutation_groups(), st.sampled_from(["none", "sonly", "sandt", "sandt:2"]),
-       st.booleans(), st.data())
+@given(st.one_of(permutation_groups(), direct_products()),
+       st.sampled_from(["none", "sonly", "sandt", "sandt:2"]), st.booleans(), st.data())
 def test_every_check_holds_on_random_permutation_groups(group, mode, pointed, data):
     # The elements are numbered at random, so the spaces' sites are numbered
-    # unlike the catalogue's.
+    # unlike the catalogue's; a direct product is drawn one time in two.
     spec = spec_for(group, data.draw(generating_lists(group)), mode=mode, pointed=pointed)
     report = verify_all(spec)
     assert report.ok, report.to_text()
@@ -589,3 +652,24 @@ def test_a_random_group_verifies_alike_after_a_json_round_trip(group, data):
     again = group_from_json(json.dumps(group_to_doc(group)))
     texts = [verify_all(spec_for(g, gens, mode="sonly")).to_text() for g in (group, again)]
     assert again == group and texts[0] == texts[1]
+
+
+CAUGHT = re.compile(r"[A-Z]\w*: ")  # how _run_check words an exception it caught
+
+
+@settings(max_examples=15, deadline=None)
+@given(permutation_groups(max_order=12), st.sampled_from(["none", "sonly", "sandt", "sandt:2"]),
+       st.booleans(), st.data())
+def test_a_non_generating_list_fails_only_its_group_checks(group, mode, pointed, data):
+    # With a proper subgroup the group checks FAIL, by their own texts: no
+    # check breaks.  The pointed group is derived from the unpointed one,
+    # and is the searched one.
+    gens = data.draw(non_generating_lists(group))
+    spec = spec_for(group, gens, mode=mode, pointed=pointed, require_generating=False)
+    ctx = verify._Context(spec, VerifyOptions())
+    results = {name: verify._run_check(name, fn, ctx) for name, fn in verify.REGISTRY}
+    assert results["generators"].status == "FAIL"
+    assert not [r for r in results.values() if r.status == "FAIL" and CAUGHT.match(r.detail)]
+    key = (spec.mode, True)
+    derived = [m.images for m in ctx.auts(key).maps]
+    assert derived == [m.images for m in AutomorphismGroup.of(ctx.space(key)).maps]
